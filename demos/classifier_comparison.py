@@ -4,10 +4,10 @@
 
 import numpy as np
 
-from icn_sentinel import (ANOMALOUS, LabeledSet, MatrixConfig, NORMAL,
-                          SensitivityDegree, default_config, derive_seed,
-                          gen_campaign, label_ground_truth, predict_label,
-                          train_classifier)
+from icn_sentinel import (ANOMALOUS, LabeledSet, NORMAL, SensitivityDegree,
+                          default_config, derive_seed, gen_campaign,
+                          label_ground_truth, predict_label, train_classifier)
+from icn_sentinel.classifiers import CLASSIFIER_KINDS
 from icn_sentinel.synth import inject_attacks
 
 campaign = gen_campaign(default_config())
@@ -37,11 +37,8 @@ print("train: %d rows (%d attacked), test: %d rows (%d attacked)"
       % (len(y_train), (y_train == ANOMALOUS).sum(),
          len(y_test), (y_test == ANOMALOUS).sum()))
 print("\nclassifier   tp   fp   tn   fn")
-hyper = {"svm": {"c_param": 1.0, "epochs": 200},
-         "knn": {"metric": "euclidean"},
-         "c45": {"min_leaf": 2, "cf": 0.25}}
-for kind in ("svm", "knn", "c45"):
-    model = train_classifier(kind, data, **hyper[kind])
+for kind in CLASSIFIER_KINDS:
+    model = train_classifier(kind, data)
     pred = np.array([predict_label(model, x) for x in x_test])
     tp = int(((pred == ANOMALOUS) & (y_test == ANOMALOUS)).sum())
     fp = int(((pred == ANOMALOUS) & (y_test == NORMAL)).sum())
@@ -51,7 +48,7 @@ for kind in ("svm", "knn", "c45"):
 
 # the tree doubles as a readable description of the learned boundary;
 # thresholds are in z-scored coordinates
-model = train_classifier("c45", data, min_leaf=2, cf=0.25)
+model = train_classifier("c45", data)
 print("\nextracted rules (standardized values):")
 for rule in model.rules:
     conds = " and ".join("%s %s %.2f" % (schema[f], op, thr)

@@ -12,8 +12,7 @@ from .core import (ANOMALOUS, GROUP_HOURS, GROUPS, NORMAL, ConfigError,
                    ParameterSpec, SchemaError, SensitivityDegree,
                    SentinelError, TraceParseError, derive_seed,
                    group_for_timestamp, infer_schema, parse_data_trace,
-                   parse_event_trace, split_by_group, train_test_split,
-                   write_data_trace, write_event_trace)
+                   parse_event_trace, write_data_trace, write_event_trace)
 from .profiler import (ThresholdProfile, build_profile, compute_threshold,
                        count_compromised, invert_threshold, trim_mean)
 from .iac import (EventVerdict, IacCurve, IacModel, TraceVerdict, aggregate,
@@ -45,8 +44,7 @@ __all__ = [
     "DataRow", "DataTrace", "EventTrace", "ParameterSpec",
     "SensitivityDegree",
     "derive_seed", "group_for_timestamp", "infer_schema", "parse_data_trace",
-    "parse_event_trace", "split_by_group", "train_test_split",
-    "write_data_trace", "write_event_trace",
+    "parse_event_trace", "write_data_trace", "write_event_trace",
     "ThresholdProfile", "build_profile", "compute_threshold",
     "count_compromised", "invert_threshold", "trim_mean",
     "IacCurve", "IacModel", "EventVerdict", "TraceVerdict", "aggregate",

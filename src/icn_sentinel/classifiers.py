@@ -4,13 +4,13 @@ Three classifiers label standardized feature vectors +1 (normal) or -1
 (anomalous): a linear soft-margin SVM fit by deterministic subgradient
 descent, a nearest-neighbor memorizer fixed at k=1, and a decision tree
 grown on gain ratio whose branches are flattened into ordered, pruned
-if-then rules.  Identical data, seed and hyperparameters give bit-identical
-models.
+if-then rules.  Training uses no randomness: identical data and
+hyperparameters give bit-identical models.  Each train function's
+signature holds its classifier's default hyperparameters.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,7 +18,7 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 
 from .core import (ConfigError, DegenerateDataError, NORMAL, ANOMALOUS,
-                   SchemaError, SentinelError)
+                   SchemaError, SentinelError, read_json, write_json)
 
 CLASSIFIER_KINDS = ("svm", "knn", "c45")
 
@@ -37,10 +37,6 @@ class Standardization:
         std = x.std(axis=0)
         std = np.where(std > 0, std, 1.0)
         return cls(mean, std)
-
-    @classmethod
-    def identity(cls, n_features) -> "Standardization":
-        return cls(np.zeros(n_features), np.ones(n_features))
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -95,11 +91,6 @@ class LabeledSet:
     def both_classes(self) -> bool:
         return len(np.unique(self.y)) == 2
 
-    def restrict(self, indices) -> "LabeledSet":
-        """New set over a column subset; standardization is refit."""
-        idx = list(indices)
-        return LabeledSet.from_raw(self.x[:, idx], self.y)
-
 
 def _require_two_classes(data):
     if not data.both_classes():
@@ -128,7 +119,7 @@ def svm_objective(model_or_w, data, bias=None, c_param=None):
     return 0.5 * float(w @ w) + c * float(np.clip(margins, 0.0, None).sum())
 
 
-def svm_train(data: LabeledSet, c_param=1.0, epochs=200, seed=0) -> SvmModel:
+def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
     """Deterministic epoch-ordered subgradient descent from w = 0.
 
     Epoch t sweeps the samples in data order applying per-sample
@@ -136,8 +127,7 @@ def svm_train(data: LabeledSet, c_param=1.0, epochs=200, seed=0) -> SvmModel:
     epoch, not per sample, so early epochs move freely and later ones
     settle.  The returned weights are the best iterate by objective over
     all epoch ends, so the final objective never exceeds the initial
-    c_param * n.  Training uses no randomness; seed is accepted for
-    interface uniformity.
+    c_param * n.
     """
     if c_param <= 0:
         raise ConfigError("c_param must be > 0")
@@ -179,38 +169,31 @@ def svm_predict(model: SvmModel, x) -> int:
 class KnnModel:
     points: np.ndarray  # standardized stored vectors
     labels: np.ndarray
-    k: int
     metric: str
     standardization: Standardization
 
 
-def knn_train(data: LabeledSet, k=1, metric="euclidean") -> KnnModel:
-    if k != 1:
-        raise ConfigError("only k=1 is supported, got k=%r" % (k,))
+def knn_train(data: LabeledSet, metric="euclidean") -> KnnModel:
     if metric not in ("euclidean", "manhattan"):
         raise ConfigError("metric must be euclidean or manhattan, got %r"
                           % (metric,))
     _require_two_classes(data)
-    return KnnModel(data.xz.copy(), data.y.copy(), k, metric,
+    return KnnModel(data.xz.copy(), data.y.copy(), metric,
                     data.standardization)
 
 
-def knn_predict(model: KnnModel, x, k=None, metric=None) -> int:
+def knn_predict(model: KnnModel, x) -> int:
     """Label of the nearest stored vector; distance ties pick the lowest
     stored index."""
-    k = model.k if k is None else k
-    if k != 1:
-        raise ConfigError("only k=1 is supported, got k=%r" % (k,))
-    metric = model.metric if metric is None else metric
     z = model.standardization.apply(x)
     diff = model.points - z
-    if metric == "euclidean":
+    if model.metric == "euclidean":
         dist = np.sqrt((diff * diff).sum(axis=1))
-    elif metric == "manhattan":
+    elif model.metric == "manhattan":
         dist = np.abs(diff).sum(axis=1)
     else:
         raise ConfigError("metric must be euclidean or manhattan, got %r"
-                          % (metric,))
+                          % (model.metric,))
     return int(model.labels[int(np.argmin(dist))])
 
 
@@ -489,7 +472,7 @@ def model_to_json(model) -> dict:
                 "standardization": model.standardization.to_json()}
     if isinstance(model, KnnModel):
         return {"kind": "knn", "points": model.points.tolist(),
-                "labels": model.labels.tolist(), "k": model.k,
+                "labels": model.labels.tolist(), "k": 1,
                 "metric": model.metric,
                 "standardization": model.standardization.to_json()}
     if isinstance(model, C45Model):
@@ -509,9 +492,11 @@ def model_from_json(doc):
         return SvmModel(np.asarray(doc["weights"], dtype=float),
                         float(doc["bias"]), float(doc["c_param"]), std)
     if kind == "knn":
+        if doc["k"] != 1:
+            raise ConfigError("only k=1 is supported, got k=%r" % (doc["k"],))
         return KnnModel(np.asarray(doc["points"], dtype=float),
                         np.asarray(doc["labels"], dtype=int),
-                        int(doc["k"]), doc["metric"], std)
+                        doc["metric"], std)
     if kind == "c45":
         rules = tuple(Rule(tuple((int(f), op, float(thr))
                                  for f, op, thr in r["conditions"]),
@@ -522,11 +507,8 @@ def model_from_json(doc):
 
 
 def save_model(model, path):
-    with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_json(model))
 
 
 def load_model(path):
-    with open(path) as fh:
-        return model_from_json(json.load(fh))
+    return read_json(path, model_from_json)

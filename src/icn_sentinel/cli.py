@@ -20,8 +20,9 @@ from dataclasses import replace
 
 from .core import (NORMAL, ConfigError, DataTrace, SensitivityDegree,
                    SentinelError, infer_schema, parse_data_trace,
-                   parse_event_trace)
-from .classifiers import LabeledSet, load_model, save_model, train_classifier
+                   parse_event_trace, read_json, write_json)
+from .classifiers import (CLASSIFIER_KINDS, LabeledSet, load_model,
+                          save_model, train_classifier)
 from .featsel import GaConfig, genetic_select, greedy_select
 from .harness import (MatrixConfig, dual_detect, event_chunks, run_matrix)
 from .iac import IacModel, train_iac_model
@@ -48,16 +49,14 @@ def _resolve_seed(args_seed, fallback=0):
     return fallback
 
 
-def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _generator_config(path):
+    if path:
+        return read_json(path, GeneratorConfig.from_json)
+    return default_config()
 
 
 def cmd_gen(args):
-    if args.config:
-        config = GeneratorConfig.from_json(_load_json(args.config))
-    else:
-        config = default_config()
+    config = _generator_config(args.config)
     seed = _resolve_seed(args.seed, fallback=config.seed)
     config = replace(config, seed=seed)
     campaign = gen_campaign(config)
@@ -68,11 +67,7 @@ def cmd_gen(args):
     return 0
 
 
-def _limits_from_config(args, schema):
-    if args.config:
-        config = GeneratorConfig.from_json(_load_json(args.config))
-    else:
-        config = default_config()
+def _limits_from_config(config, schema):
     known = {name: pm.psi for name, pm in config.parameters().items()}
     missing = [n for n in schema if n not in known]
     if missing:
@@ -95,38 +90,34 @@ def cmd_train(args):
     if not normal_rows:
         raise ConfigError("no normal rows to profile")
     normal_trace = DataTrace(trace.schema, [trace.rows[i] for i in normal_rows])
-    limits = _limits_from_config(args, schema)
+    config = _generator_config(args.config)
+    limits = _limits_from_config(config, schema)
     profile = build_profile(normal_trace, limits)
     iac_model = train_iac_model([chunks[i] for i in normal_rows],
                                 w_delta=args.w_delta, alpha=args.alpha,
                                 sigma_th=args.sigma_th)
     data = LabeledSet.from_raw(trace.to_matrix(), trace.labels())
-    hyper = {"svm": {"c_param": 1.0, "epochs": 200, "seed": seed},
-             "knn": {"k": args.k}, "c45": {}}[args.algo]
-    model = train_classifier(args.algo, data, **hyper)
+    model = train_classifier(args.algo, data)
 
     os.makedirs(args.out, exist_ok=True)
     profile.save(os.path.join(args.out, "profile.json"))
     iac_model.save(os.path.join(args.out, "iac_model.json"))
     save_model(model, os.path.join(args.out, "model_%s.json" % args.algo))
-    if args.config:
-        limits_hash = config_hash(GeneratorConfig.from_json(_load_json(args.config)))
-    else:
-        limits_hash = config_hash(default_config())
     meta = {"schema": list(schema), "features": list(schema),
-            "algo": args.algo, "seed": seed, "config_hash": limits_hash}
-    with open(os.path.join(args.out, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+            "algo": args.algo, "seed": seed, "config_hash": config_hash(config)}
+    write_json(os.path.join(args.out, "meta.json"), meta)
     print("models written to %s (profile, curves, %s)" % (args.out, args.algo))
     return 0
 
 
+def _parse_meta(doc):
+    return tuple(doc["schema"]), tuple(doc["features"]), doc["algo"]
+
+
 def cmd_detect(args):
-    meta = _load_json(os.path.join(args.models, "meta.json"))
-    schema = tuple(meta["schema"])
-    features = tuple(meta["features"])
-    algo = args.algo or meta["algo"]
+    schema, features, algo = read_json(os.path.join(args.models, "meta.json"),
+                                       _parse_meta)
+    algo = args.algo or algo
     profile = ThresholdProfile.load(os.path.join(args.models, "profile.json"))
     iac_model = IacModel.load(os.path.join(args.models, "iac_model.json"))
     model = load_model(os.path.join(args.models, "model_%s.json" % algo))
@@ -205,8 +196,19 @@ def _check_acceptance(report, rules):
     return failures
 
 
+def _parse_acceptance(doc):
+    """Acceptance rules with their thresholds as floats."""
+    return [dict(rule, **{key: float(rule[key])
+                          for key in ("min_adr", "max_fpr", "min_sa")
+                          if key in rule})
+            for rule in doc.get("acceptance", DEFAULT_ACCEPTANCE)]
+
+
 def cmd_evaluate(args):
     seed = _resolve_seed(args.seed)
+    rules = DEFAULT_ACCEPTANCE
+    if args.config:
+        rules = read_json(args.config, _parse_acceptance)
     campaign = load_campaign(args.campaign)
     groups = args.groups.split(",") if args.groups else None
     datasets = [args.dataset] if args.dataset else None
@@ -223,15 +225,9 @@ def cmd_evaluate(args):
         with open(os.path.join(args.out, "report.txt"), "w") as fh:
             fh.write(tables)
         run = {"seed": seed, "config_hash": config_hash(campaign.config)}
-        with open(os.path.join(args.out, "run.json"), "w") as fh:
-            json.dump(run, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(args.out, "run.json"), run)
         print("report written to %s" % args.out)
 
-    rules = DEFAULT_ACCEPTANCE
-    if args.config:
-        doc = _load_json(args.config)
-        rules = doc.get("acceptance", rules)
     failures = _check_acceptance(report, rules)
     if failures:
         for line in failures:
@@ -257,8 +253,7 @@ def build_parser():
     p = sub.add_parser("train", help="fit profile, curve model and classifier")
     p.add_argument("--data", required=True, help="labeled training CSV")
     p.add_argument("--events", required=True, help="paired event trace")
-    p.add_argument("--algo", choices=("svm", "knn", "c45"), default="svm")
-    p.add_argument("--k", type=int, default=1, help="neighbor count (knn)")
+    p.add_argument("--algo", choices=CLASSIFIER_KINDS, default="svm")
     p.add_argument("--config", help="generator config JSON (psi limits)")
     p.add_argument("--out", required=True, help="model output directory")
     p.add_argument("--seed", type=int, default=None)
@@ -271,7 +266,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--events", required=True)
     p.add_argument("--models", required=True, help="directory from train")
-    p.add_argument("--algo", choices=("svm", "knn", "c45"), default=None)
+    p.add_argument("--algo", choices=CLASSIFIER_KINDS, default=None)
     p.add_argument("--sensitivity", type=int, choices=(20, 60, 100),
                    default=100)
     p.add_argument("--alpha", type=float, default=None)
@@ -282,7 +277,7 @@ def build_parser():
     p = sub.add_parser("select", help="wrapper feature selection")
     p.add_argument("--data", required=True, help="labeled CSV")
     p.add_argument("--method", choices=("greedy", "genetic"), default="greedy")
-    p.add_argument("--algo", choices=("svm", "knn", "c45"), default="knn",
+    p.add_argument("--algo", choices=CLASSIFIER_KINDS, default="knn",
                    help="evaluator classifier")
     p.add_argument("--max-features", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -296,7 +291,7 @@ def build_parser():
     p.add_argument("--dataset", choices=("full", "reduced"), default=None)
     p.add_argument("--sensitivity", type=int, choices=(20, 60, 100),
                    default=None)
-    p.add_argument("--algo", choices=("svm", "knn", "c45"), default=None)
+    p.add_argument("--algo", choices=CLASSIFIER_KINDS, default=None)
     p.add_argument("--config", help="JSON with acceptance thresholds")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_evaluate)
@@ -311,7 +306,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (SentinelError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (SentinelError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

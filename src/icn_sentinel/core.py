@@ -1,4 +1,4 @@
-"""Shared domain types, trace I/O and dataset partitioning.
+"""Shared domain types, trace I/O and the JSON artifact format.
 
 Sensor data is a timestamped table of per-parameter readings tagged with a
 time-of-day demand group; event data is a flat sequence of symbols.  Labels,
@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
-from collections import Counter
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,8 @@ class SentinelError(Exception):
 
 
 class SchemaError(SentinelError):
-    """A required column, parameter or group tag is missing or unknown."""
+    """A required column, parameter, group tag or artifact key is missing,
+    unknown or malformed."""
 
 
 class TraceParseError(SentinelError):
@@ -176,9 +178,6 @@ class EventTrace:
     def alphabet(self) -> set:
         return set(self.events)
 
-    def counts(self) -> Counter:
-        return Counter(self.events)
-
     def slice(self, start, stop) -> "EventTrace":
         return EventTrace(self.events[start:stop])
 
@@ -217,6 +216,11 @@ class ParameterSpec:
     p_th: float
 
     def __post_init__(self):
+        for field in ("psi", "mu", "delta", "p_th"):
+            value = getattr(self, field)
+            if not isinstance(value, numbers.Real):
+                raise TypeError("%s of %r must be a number, got %r"
+                                % (field, self.name, value))
         if not self.psi > 0:
             raise ConfigError("psi must be > 0 for %r" % self.name)
         if self.mu < 0:
@@ -258,9 +262,9 @@ def parse_data_trace(path, schema) -> DataTrace:
                     % (rowno, len(header), len(rec)), row=rowno)
             try:
                 ts = int(float(rec[idx["ts"]]))
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise TraceParseError(
-                    "parse error at row %d: bad timestamp %r"
+                    "parse error at row %d: bad timestamp %r for 'ts'"
                     % (rowno, rec[idx["ts"]]), row=rowno)
             group = rec[idx["group"]].strip()
             if not group:
@@ -278,6 +282,10 @@ def parse_data_trace(path, schema) -> DataTrace:
                     raise TraceParseError(
                         "parse error at row %d: non-numeric %r for %r"
                         % (rowno, cell, name), row=rowno)
+                if not math.isfinite(values[name]):
+                    raise TraceParseError(
+                        "parse error at row %d: non-finite %r for %r"
+                        % (rowno, cell, name), row=rowno)
             label = None
             if has_label:
                 cell = rec[idx["label"]].strip()
@@ -285,9 +293,11 @@ def parse_data_trace(path, schema) -> DataTrace:
                     try:
                         label = int(cell)
                     except ValueError:
+                        label = None
+                    if label not in (NORMAL, ANOMALOUS):
                         raise TraceParseError(
-                            "parse error at row %d: bad label %r"
-                            % (rowno, cell), row=rowno)
+                            "parse error at row %d: bad label %r for 'label' "
+                            "(+1 or -1)" % (rowno, cell), row=rowno)
             rows.append(DataRow(ts, group, values, label))
     return DataTrace(schema, rows)
 
@@ -337,32 +347,31 @@ def write_event_trace(path, trace: EventTrace):
             fh.write(event + "\n")
 
 
-def split_by_group(trace: DataTrace) -> dict:
-    """Partition rows by demand group, preserving order; keyed MD/AD/ED/ND."""
-    buckets = {g: [] for g in GROUPS}
-    for row in trace.rows:
-        if row.group not in buckets:
-            raise SchemaError("unknown group tag %r" % (row.group,))
-        buckets[row.group].append(row)
-    return {g: DataTrace(trace.schema, rows)
-            for g, rows in buckets.items() if rows}
+
+def write_json(path, doc):
+    """Write a JSON artifact: two-space indent, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
-def train_test_split(trace: DataTrace, fraction, seed):
-    """Deterministic random split; |train| = round(fraction * len(trace)).
+def read_json(path, parse):
+    """Read a JSON object from ``path`` and return ``parse(doc)``.
 
-    Row order inside each part follows the original trace.
+    Malformed JSON, and a missing key or a wrong-typed value met by
+    ``parse``, raise SchemaError naming the file (and the key, when one is
+    missing) instead of leaking a bare KeyError or TypeError.
     """
-    if not 0 < fraction < 1:
-        raise ConfigError("fraction must be in (0, 1), got %r" % (fraction,))
-    n = len(trace)
-    if n == 0:
-        raise InsufficientDataError("cannot split an empty trace")
-    k = int(round(fraction * n))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    train_idx = sorted(perm[:k].tolist())
-    test_idx = sorted(perm[k:].tolist())
-    train = DataTrace(trace.schema, [trace.rows[i] for i in train_idx])
-    test = DataTrace(trace.schema, [trace.rows[i] for i in test_idx])
-    return train, test
+    with open(path) as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise SchemaError("%s is not valid JSON: %s" % (path, exc))
+    if not isinstance(doc, dict):
+        raise SchemaError("%s: expected a JSON object" % (path,))
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise SchemaError("%s: missing key %s" % (path, exc))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError("%s: bad value: %s" % (path, exc))

@@ -12,16 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DegenerateDataError, InsufficientDataError
-from .classifiers import LabeledSet, predict_label, train_classifier
+from .classifiers import (CLASSIFIER_KINDS, LabeledSet, predict_label,
+                          train_classifier)
 
 PARSIMONY_PENALTY = 0.002
 
-# fast hyperparameters for the inner CV loop
-_EVAL_HYPER = {
-    "svm": {"c_param": 1.0, "epochs": 60, "seed": 0},
-    "knn": {"k": 1, "metric": "euclidean"},
-    "c45": {"min_leaf": 2, "cf": 0.25},
-}
+# the inner CV loop trains the SVM for fewer epochs than its default
+_EVAL_HYPER = {"svm": {"epochs": 60}}
 
 
 @dataclass(frozen=True)
@@ -75,7 +72,7 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
     indices = sorted(indices)
     if not indices:
         raise ConfigError("cannot evaluate an empty feature subset")
-    if evaluator not in _EVAL_HYPER:
+    if evaluator not in CLASSIFIER_KINDS:
         raise ConfigError("unknown evaluator %r" % (evaluator,))
     x = data.x[:, indices]
     y = data.y
@@ -90,7 +87,8 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
         if not mask.any():
             continue
         train = LabeledSet.from_raw(x[~mask], y[~mask])
-        model = train_classifier(evaluator, train, **_EVAL_HYPER[evaluator])
+        model = train_classifier(evaluator, train,
+                                 **_EVAL_HYPER.get(evaluator, {}))
         for xi, yi in zip(x[mask], y[mask]):
             if predict_label(model, xi) == yi:
                 correct += 1

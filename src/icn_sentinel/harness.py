@@ -19,14 +19,14 @@ import numpy as np
 
 from .core import (ANOMALOUS, ConfigError, EventTrace, GROUPS,
                    MetricError, NORMAL, SensitivityDegree, derive_seed)
-from .classifiers import LabeledSet, predict_label, train_classifier
+from .classifiers import (CLASSIFIER_KINDS, LabeledSet, predict_label,
+                          train_classifier)
 from .iac import classify_trace
 from .profiler import count_compromised
 from .synth import Campaign, inject_attacks
 
 DATASET_KINDS = ("full", "reduced")
 SENSITIVITIES = (20, 60, 100)
-CLASSIFIERS = ("svm", "knn", "c45")
 
 
 def label_ground_truth(row, profile, features, sensitivity: SensitivityDegree) -> int:
@@ -89,11 +89,10 @@ class DualVerdict:
 
 @dataclass(frozen=True)
 class MatrixConfig:
-    svm_c: float = 1.0
-    svm_epochs: int = 200
-    knn_metric: str = "euclidean"
-    c45_min_leaf: int = 2
-    c45_cf: float = 0.25
+    """Matrix run settings.  Every classifier trains with its defaults and
+    without randomness, so ``seed`` is only recorded: it does not change
+    the report."""
+
     seed: int = 0
 
 
@@ -129,15 +128,6 @@ def dual_detect(row, window: EventTrace, profile, iac_model, model, features,
                        threshold_pass and iac_pass, detail)
 
 
-def _classifier_hyper(kind, config: MatrixConfig, cell_seed):
-    if kind == "svm":
-        return {"c_param": config.svm_c, "epochs": config.svm_epochs,
-                "seed": cell_seed}
-    if kind == "knn":
-        return {"k": 1, "metric": config.knn_metric}
-    return {"min_leaf": config.c45_min_leaf, "cf": config.c45_cf}
-
-
 @dataclass(frozen=True)
 class EvaluationReport:
     results: tuple
@@ -153,7 +143,7 @@ class EvaluationReport:
     def averages(self) -> list:
         """Mean ADR/FPR/SA across groups per (classifier, dataset, s_pct)."""
         out = []
-        for clf in CLASSIFIERS:
+        for clf in CLASSIFIER_KINDS:
             for dataset in DATASET_KINDS:
                 for s_pct in SENSITIVITIES:
                     cells = self.rows(classifier=clf, dataset=dataset,
@@ -185,7 +175,7 @@ class EvaluationReport:
         lines = []
         present_groups = [g for g in GROUPS
                           if any(r.group == g for r in self.results)]
-        for clf in CLASSIFIERS:
+        for clf in CLASSIFIER_KINDS:
             for s_pct in SENSITIVITIES:
                 block = self.rows(classifier=clf, s_pct=s_pct)
                 if not block:
@@ -224,12 +214,13 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
     profile over the signal parameters, so denominators match the
     injected attack counts exactly.  Filters narrow the matrix; the full
     default grid is 3 * 2 * 3 * 4 = 72 cells in canonical order.
+    ``config`` carries only the recorded seed and does not change the
+    result.
     """
-    config = config or MatrixConfig()
     groups = tuple(groups) if groups else GROUPS
     datasets = tuple(datasets) if datasets else DATASET_KINDS
     sensitivities = tuple(sensitivities) if sensitivities else SENSITIVITIES
-    classifiers = tuple(classifiers) if classifiers else CLASSIFIERS
+    classifiers = tuple(classifiers) if classifiers else CLASSIFIER_KINDS
     for g in groups:
         if g not in campaign.groups:
             raise ConfigError("campaign has no group %r" % (g,))
@@ -261,11 +252,7 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
                          for r in train_mixed.rows])
                     x_train = train_mixed.to_matrix(features)
                     train_set = LabeledSet.from_raw(x_train, y_train)
-                    cell_seed = derive_seed(config.seed, group, dataset,
-                                            s_pct, clf)
-                    model = train_classifier(
-                        clf, train_set,
-                        **_classifier_hyper(clf, config, cell_seed))
+                    model = train_classifier(clf, train_set)
 
                     x_test = data.test.to_matrix(features)
                     y_true = np.array(

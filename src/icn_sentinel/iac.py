@@ -13,7 +13,6 @@ stays below a tunable deviation threshold sigma_th.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +22,8 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .core import (ConfigError, EventNotFoundError, EventTrace,
-                   InsufficientDataError, SensitivityDegree, SentinelError)
+                   InsufficientDataError, SensitivityDegree, SentinelError,
+                   read_json, write_json)
 
 DEFAULT_W_DELTA = 25
 DEFAULT_CONFIDENCE = 0.95
@@ -258,13 +258,6 @@ class IacModel:
     feature_events: tuple = ()
     frequencies: dict = None
 
-    def events_for_significance(self, significance_pct) -> set:
-        """Most-frequent training events covering significance_pct of
-        occurrences (same rule as select_feature_events)."""
-        if not self.frequencies:
-            return set(self.feature_events)
-        return _select_from_counts(Counter(self.frequencies), significance_pct)
-
     def to_json(self) -> dict:
         events = {e: {str(w): list(band) for w, band in bands.items()}
                   for e, bands in self.curves.items()}
@@ -291,14 +284,11 @@ class IacModel:
                    frequencies={k: int(v) for k, v in doc.get("frequencies", {}).items()})
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "IacModel":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return read_json(path, cls.from_json)
 
 
 def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, confidence=DEFAULT_CONFIDENCE,

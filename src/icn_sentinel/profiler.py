@@ -8,14 +8,13 @@ Readings strictly above P_th count as compromised.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ConfigError, InsufficientDataError, ParameterSpec,
-                   SchemaError)
+                   SchemaError, read_json, write_json)
 
 DEFAULT_TRIM_FRACTION = 0.1
 DEFAULT_WINDOW_LEN = 1440
@@ -86,9 +85,6 @@ class ThresholdProfile:
     def threshold(self, name) -> float:
         return self.spec(name).p_th
 
-    def names(self) -> tuple:
-        return tuple(self.parameters)
-
     def to_json(self) -> dict:
         doc = {name: {"psi": s.psi, "mu": s.mu, "delta": s.delta, "p_th": s.p_th}
                for name, s in self.parameters.items()}
@@ -110,14 +106,11 @@ class ThresholdProfile:
                    window_len=settings.get("window_len", DEFAULT_WINDOW_LEN))
 
     def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "ThresholdProfile":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return read_json(path, cls.from_json)
 
 
 def build_profile(train, limits, trim_fraction=DEFAULT_TRIM_FRACTION,

@@ -18,7 +18,8 @@ import numpy as np
 
 from .core import (ANOMALOUS, ConfigError, DataRow, DataTrace, EventTrace,
                    GROUP_HOURS, GROUPS, NORMAL, derive_seed, parse_data_trace,
-                   parse_event_trace, write_data_trace, write_event_trace)
+                   parse_event_trace, read_json, write_data_trace,
+                   write_event_trace, write_json)
 from .profiler import ParameterSpec, ThresholdProfile, compute_threshold
 
 ATTACK_PATTERNS = ("one", "three", "five", "mixed")
@@ -389,23 +390,28 @@ def save_campaign(campaign: Campaign, outdir):
         "signal": list(campaign.signal),
         "files": files,
     }
-    with open(os.path.join(outdir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(outdir, "manifest.json"), manifest)
+
+
+def _parse_manifest(doc):
+    """(config, {group: (train csv, test csv, train events, test events)},
+    signal) from a campaign manifest."""
+    files = {group: tuple(entries[part][kind] for kind in ("data", "events")
+                          for part in ("train", "test"))
+             for group, entries in doc["files"].items()}
+    return GeneratorConfig.from_json(doc["config"]), files, tuple(doc["signal"])
 
 
 def load_campaign(directory) -> Campaign:
-    path = os.path.join(directory, "manifest.json")
-    with open(path) as fh:
-        manifest = json.load(fh)
-    config = GeneratorConfig.from_json(manifest["config"])
+    config, files, signal = read_json(os.path.join(directory, "manifest.json"),
+                                      _parse_manifest)
     schema = config.schema()
     groups = {}
-    for group, entries in manifest["files"].items():
+    for group, names in files.items():
         profile = group_profile(config, group)
-        train = parse_data_trace(os.path.join(directory, entries["train"]["data"]), schema)
-        test = parse_data_trace(os.path.join(directory, entries["test"]["data"]), schema)
-        train_ev = parse_event_trace(os.path.join(directory, entries["train"]["events"]))
-        test_ev = parse_event_trace(os.path.join(directory, entries["test"]["events"]))
-        groups[group] = GroupData(train, test, train_ev, test_ev, profile)
-    return Campaign(config, groups, tuple(manifest["signal"]))
+        train, test, train_ev, test_ev = (os.path.join(directory, name)
+                                          for name in names)
+        groups[group] = GroupData(
+            parse_data_trace(train, schema), parse_data_trace(test, schema),
+            parse_event_trace(train_ev), parse_event_trace(test_ev), profile)
+    return Campaign(config, groups, signal)

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -131,15 +132,10 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
-def test_data_errors_exit_three(campaign_dir, tmp_path, capsys):
+def test_data_errors_exit_three(campaign_dir, models_dir, tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "missing.csv"),
                  "--events", str(tmp_path / "missing.events"),
                  "--out", str(tmp_path / "m")]) == 3
-    rc = main(["train", "--data", str(campaign_dir / "MD_test.csv"),
-               "--events", str(campaign_dir / "MD_test.events"),
-               "--algo", "knn", "--k", "3", "--out", str(tmp_path / "m")])
-    assert rc == 3
-    assert "only k=1 is supported" in capsys.readouterr().err
     assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
                  "--events", str(campaign_dir / "MD_test.events"),
                  "--models", str(tmp_path / "nope")]) == 3
@@ -148,6 +144,21 @@ def test_data_errors_exit_three(campaign_dir, tmp_path, capsys):
     bad.write_text("{not json")
     assert main(["gen", "--config", str(bad),
                  "--out", str(tmp_path / "g")]) == 3
+    assert "bad.json" in capsys.readouterr().err
+    # malformed model files: a string psi, a missing key
+    for name, key, spoil in (
+            ("profile.json", "psi", lambda doc: doc["FGF"].update(psi="high")),
+            ("iac_model.json", "w_delta", lambda doc: doc.pop("w_delta"))):
+        models = tmp_path / ("spoiled_" + name.split(".")[0])
+        shutil.copytree(models_dir, models)
+        doc = json.loads((models / name).read_text())
+        spoil(doc)
+        (models / name).write_text(json.dumps(doc))
+        assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
+                     "--events", str(campaign_dir / "MD_test.events"),
+                     "--models", str(models)]) == 3
+        err = capsys.readouterr().err
+        assert name in err and key in err
 
 
 def test_train_rejects_unlabeled_and_unpaired(campaign_dir, tmp_path, capsys):

@@ -6,7 +6,6 @@ from icn_sentinel.core import (ConfigError, DataRow, DataTrace, EventTrace,
                                TraceParseError, derive_seed,
                                group_for_timestamp, infer_schema,
                                parse_data_trace, parse_event_trace,
-                               split_by_group, train_test_split,
                                write_data_trace, write_event_trace)
 
 
@@ -102,6 +101,15 @@ def test_parse_bad_cell_reports_row(tmp_path):
     with pytest.raises(TraceParseError) as err:
         parse_data_trace(path, ("a",))
     assert "1" in str(err.value)
+    # the bad cell sits in data row 2: an infinite timestamp, a non-finite
+    # reading, a label other than +1/-1
+    for second, column in (("inf,MD,1.0,1", "'ts'"), ("60,MD,nan,1", "'a'"),
+                           ("60,MD,-inf,1", "'a'"), ("60,MD,1.0,2", "'label'")):
+        path.write_text("ts,group,a,label\n0,MD,1.0,1\n%s\n" % second)
+        with pytest.raises(TraceParseError) as err:
+            parse_data_trace(path, ("a",))
+        assert err.value.row == 2
+        assert "row 2" in str(err.value) and column in str(err.value)
 
 
 def test_parse_missing_column_named(tmp_path):
@@ -156,42 +164,4 @@ def test_event_trace_ops():
     trace = EventTrace(tuple("ABAB"))
     assert len(trace) == 4
     assert trace.alphabet() == {"A", "B"}
-    assert trace.counts()["A"] == 2
     assert trace.slice(1, 3).events == ("B", "A")
-
-
-def test_split_by_group():
-    rows = [DataRow(0, g, {"a": float(i)}, 1)
-            for i, g in enumerate(["MD", "AD", "ED", "ND", "MD"])]
-    trace = DataTrace(("a",), rows)
-    parts = split_by_group(trace)
-    assert sorted(parts) == ["AD", "ED", "MD", "ND"]
-    assert len(parts["MD"]) == 2
-    assert parts["MD"].rows[0].values["a"] == 0.0
-    assert parts["MD"].rows[1].values["a"] == 4.0
-    total = sum(len(p) for p in parts.values())
-    assert total == len(trace)
-
-
-def test_train_test_split_partition():
-    rows = [DataRow(60 * i, "ND", {"a": float(i)}, 1) for i in range(180)]
-    trace = DataTrace(("a",), rows)
-    train, test = train_test_split(trace, 0.25, seed=3)
-    assert len(train) == 45 and len(test) == 135
-    seen = sorted(r.values["a"] for r in train.rows + test.rows)
-    assert seen == [float(i) for i in range(180)]
-    # order within each part preserved
-    idx = [r.values["a"] for r in train.rows]
-    assert idx == sorted(idx)
-    # deterministic per seed, different across seeds
-    again, _ = train_test_split(trace, 0.25, seed=3)
-    assert again == train
-    other, _ = train_test_split(trace, 0.25, seed=4)
-    assert other != train
-
-
-def test_train_test_split_bad_fraction():
-    trace = DataTrace(("a",), [DataRow(0, "ND", {"a": 1.0}, 1)])
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(Exception):
-            train_test_split(trace, bad, seed=0)

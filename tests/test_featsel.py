@@ -62,8 +62,9 @@ def test_cross_val_matches_restricted_set():
     data = planted_data(seed=2)
     for subset in ([0], [1, 3], [0, 2, 4]):
         direct = cross_val_accuracy(data, subset, seed=3)
-        restricted = cross_val_accuracy(data.restrict(subset),
-                                        list(range(len(subset))), seed=3)
+        restricted = cross_val_accuracy(
+            LabeledSet.from_raw(data.x[:, subset], data.y),
+            list(range(len(subset))), seed=3)
         assert direct == restricted
 
 

@@ -101,7 +101,7 @@ def dual_setup():
     y = np.array([label_ground_truth(r, profile, signal, sens)
                   for r in mixed.rows])
     data = LabeledSet.from_raw(mixed.to_matrix(schema), y)
-    model = train_classifier("knn", data, k=1)
+    model = train_classifier("knn", data)
     chunks = event_chunks(train_ev, len(schema))
     iac_model = train_iac_model(chunks, w_delta=len(schema))
     return config, profile, schema, mixed, chunks, model, iac_model, sens

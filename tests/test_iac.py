@@ -1,6 +1,5 @@
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -372,12 +371,3 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.sigma_th == model.sigma_th
     assert set(loaded.feature_events) == set(model.feature_events)
     assert loaded.frequencies == model.frequencies
-
-
-def test_events_for_significance_uses_frequencies():
-    traces = [EventTrace(tuple(FIG_TRACE))] * 2
-    model = train_iac_model(traces, w_delta=5)
-    assert model.frequencies == {k: 2 * v
-                                 for k, v in Counter(FIG_TRACE).items()}
-    assert model.events_for_significance(20) == {"B"}
-    assert model.events_for_significance(60) == {"B", "A"}

@@ -176,5 +176,5 @@ def test_profile_roundtrip(tmp_path):
     profile.save(path)
     back = ThresholdProfile.load(path)
     assert back == profile
-    assert sorted(back.names()) == sorted(LIMITS)
+    assert sorted(back.parameters) == sorted(LIMITS)
     assert back.threshold("FGF") == profile.spec("FGF").p_th
