@@ -7,6 +7,7 @@ when present, use +1 for normal rows and -1 for anomalous ones.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -230,6 +231,17 @@ class ParameterSpec:
                 "threshold %g for %r outside [mu, psi]" % (self.p_th, self.name))
 
 
+@contextlib.contextmanager
+def _open_trace(path):
+    """Open a trace file as text; undecodable bytes raise TraceParseError
+    naming the file instead of a bare UnicodeDecodeError."""
+    try:
+        with open(path, newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise TraceParseError("%s is not valid text: %s" % (path, exc))
+
+
 def parse_data_trace(path, schema) -> DataTrace:
     """Read a CSV data trace: ``ts,group,<parameters...>[,label]``.
 
@@ -239,7 +251,7 @@ def parse_data_trace(path, schema) -> DataTrace:
     (with the 1-based data row index) for malformed cells.
     """
     schema = tuple(schema)
-    with open(path, newline="") as fh:
+    with _open_trace(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -304,7 +316,7 @@ def parse_data_trace(path, schema) -> DataTrace:
 
 def infer_schema(path) -> tuple:
     """Parameter columns of a data CSV: everything but ts/group/label."""
-    with open(path, newline="") as fh:
+    with _open_trace(path) as fh:
         try:
             header = next(csv.reader(fh))
         except StopIteration:
@@ -333,7 +345,7 @@ def write_data_trace(path, trace: DataTrace):
 def parse_event_trace(path) -> EventTrace:
     """Read an event trace: one symbol per line, blank lines ignored."""
     events = []
-    with open(path) as fh:
+    with _open_trace(path) as fh:
         for line in fh:
             token = line.strip()
             if token:
@@ -360,7 +372,9 @@ def read_json(path, parse):
 
     Malformed JSON, and a missing key or a wrong-typed value met by
     ``parse``, raise SchemaError naming the file (and the key, when one is
-    missing) instead of leaking a bare KeyError or TypeError.
+    missing) instead of leaking a bare KeyError or TypeError.  A
+    SentinelError raised by ``parse`` keeps its class and gains the file
+    name as a prefix.
     """
     with open(path) as fh:
         try:
@@ -371,6 +385,9 @@ def read_json(path, parse):
         raise SchemaError("%s: expected a JSON object" % (path,))
     try:
         return parse(doc)
+    except SentinelError as exc:
+        exc.args = ("%s: %s" % (path, exc),)
+        raise
     except KeyError as exc:
         raise SchemaError("%s: missing key %s" % (path, exc))
     except (TypeError, ValueError) as exc:

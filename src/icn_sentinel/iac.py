@@ -15,8 +15,9 @@ from __future__ import annotations
 import bisect
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
+from types import MappingProxyType
 
 import numpy as np
 from scipy.stats import t as student_t
@@ -32,6 +33,10 @@ DEFAULT_SIGMA_TH = 0.05
 
 # Largest |a|*|b| for which the exact permutation p-value is computed.
 EXACT_LIMIT = 400
+
+# Most verdicts one model remembers; classify_trace stops storing new ones
+# once this many distinct (window, thresholds) keys are held.
+VERDICT_MEMO_LIMIT = 1024
 
 
 @dataclass(frozen=True)
@@ -239,16 +244,27 @@ class EventVerdict:
 
 @dataclass(frozen=True)
 class TraceVerdict:
-    """Overall conformance verdict with per-event detail."""
+    """Overall conformance verdict with per-event detail.
 
-    events: dict
+    ``events`` is a read-only mapping, event -> EventVerdict: one verdict
+    may be handed out again for every identical window.
+    """
+
+    events: MappingProxyType
     required: int
     anomalous: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "events", MappingProxyType(dict(self.events)))
 
 
 @dataclass(frozen=True)
 class IacModel:
-    """Aggregated normal-behavior curves plus the test configuration."""
+    """Aggregated normal-behavior curves plus the test configuration.
+
+    Treat a built model as read-only: classify_trace remembers its verdicts
+    on the model, so changing ``curves`` afterwards would go unseen.
+    """
 
     curves: dict  # event -> {w: (min_mean, min_lo, min_hi, max_mean, max_lo, max_hi)}
     w_delta: int = DEFAULT_W_DELTA
@@ -257,6 +273,9 @@ class IacModel:
     sigma_th: float = DEFAULT_SIGMA_TH
     feature_events: tuple = ()
     frequencies: dict = None
+    # classify_trace verdicts by (window, tested, alpha, sigma_th, s_pct)
+    _verdicts: dict = field(default_factory=dict, init=False, compare=False,
+                            repr=False)
 
     def to_json(self) -> dict:
         events = {e: {str(w): list(band) for w, band in bands.items()}
@@ -347,6 +366,11 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
     from the test trace, fail closed as anomalous (this dominates even an
     infinite sigma_th).  The trace is anomalous when at least
     sensitivity.required_count(len(tested)) events are.
+
+    Verdicts are memoized per model, keyed on the window's symbols, the
+    tested events, alpha, sigma_th and the sensitivity grade, for up to
+    VERDICT_MEMO_LIMIT keys: cyclic traffic repeats its windows, and a
+    repeated window gets back the same read-only verdict.
     """
     alpha = model.alpha if alpha is None else alpha
     sigma_th = model.sigma_th if sigma_th is None else sigma_th
@@ -354,6 +378,11 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
     tested = sorted(events) if events is not None else sorted(model.feature_events)
     if not tested:
         raise ConfigError("no events to test")
+    key = (test.events, tuple(tested), alpha, sigma_th, sensitivity.s_pct)
+    memo = model._verdicts
+    cached = memo.get(key)
+    if cached is not None:
+        return cached
 
     alphabet = test.alphabet()
     verdicts = {}
@@ -387,4 +416,7 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
 
     required = sensitivity.required_count(len(tested))
     flagged = sum(1 for v in verdicts.values() if v.anomalous)
-    return TraceVerdict(verdicts, required, flagged >= required)
+    verdict = TraceVerdict(verdicts, required, flagged >= required)
+    if len(memo) < VERDICT_MEMO_LIMIT:
+        memo[key] = verdict
+    return verdict

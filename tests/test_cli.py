@@ -3,7 +3,13 @@ import shutil
 
 import pytest
 
+from icn_sentinel.classifiers import load_model
 from icn_sentinel.cli import main
+from icn_sentinel.core import (ConfigError, SensitivityDegree,
+                               parse_data_trace, parse_event_trace)
+from icn_sentinel.harness import dual_detect, event_chunks
+from icn_sentinel.iac import IacModel
+from icn_sentinel.profiler import ThresholdProfile
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +180,80 @@ def test_train_rejects_unlabeled_and_unpaired(campaign_dir, tmp_path, capsys):
                "--events", str(campaign_dir / "MD_train.events"),
                "--algo", "knn", "--out", str(tmp_path / "m")])
     assert rc == 3
+
+
+def test_detect_matches_cold_per_row_dual_detect(campaign_dir, models_dir,
+                                                 tmp_path, capsys):
+    data = campaign_dir / "MD_test.csv"
+    events = campaign_dir / "MD_test.events"
+    out = tmp_path / "verdicts.csv"
+    assert main(["detect", "--data", str(data), "--events", str(events),
+                 "--models", str(models_dir), "--sensitivity", "60",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    meta = json.loads((models_dir / "meta.json").read_text())
+    profile = ThresholdProfile.load(models_dir / "profile.json")
+    model = load_model(models_dir / "model_knn.json")
+    trace = parse_data_trace(data, meta["schema"])
+    chunks = event_chunks(parse_event_trace(events), len(meta["schema"]))
+    # cyclic traffic: far fewer distinct windows than rows
+    assert len({c.events for c in chunks}) < len(chunks) // 2
+    lines = ["row,ts,group,threshold_pass,iac_pass,verdict"]
+    for i, row in enumerate(trace.rows):
+        cold = IacModel.load(models_dir / "iac_model.json")
+        v = dual_detect(row, chunks[i], profile, cold, model,
+                        meta["features"], SensitivityDegree(60))
+        lines.append("%d,%d,%s,%s,%s,%s" % (
+            i, row.timestamp, row.group, v.threshold_pass, v.iac_pass,
+            "normal" if v.normal else "anomalous"))
+    assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def test_undecodable_trace_files_exit_three(campaign_dir, models_dir,
+                                            tmp_path, capsys):
+    data = campaign_dir / "MD_test.csv"
+    events = campaign_dir / "MD_test.events"
+    bad_csv = tmp_path / "bad.csv"
+    raw = data.read_bytes().splitlines(keepends=True)
+    bad_csv.write_bytes(b"".join(raw[:3] + [raw[3].replace(b",", b",\xff", 1)]
+                                 + raw[4:]))
+    bad_events = tmp_path / "bad.events"
+    bad_events.write_bytes(events.read_bytes()[:40] + b"\xff\n")
+    detect = ["detect", "--models", str(models_dir)]
+    for argv, name in (
+            # infer_schema reads the header of the file
+            (["select", "--data", str(bad_csv)], "bad.csv"),
+            # parse_data_trace, given the schema from meta.json
+            (detect + ["--data", str(bad_csv), "--events", str(events)],
+             "bad.csv"),
+            (detect + ["--data", str(data), "--events", str(bad_events)],
+             "bad.events")):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert "Traceback" not in err
+
+
+def test_model_and_config_errors_name_the_file(campaign_dir, models_dir,
+                                               tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(models_dir, models)
+    doc = json.loads((models / "model_knn.json").read_text())
+    (models / "model_knn.json").write_text(json.dumps(dict(doc, k=3)))
+    with pytest.raises(ConfigError, match="model_knn.json: only k=1"):
+        load_model(models / "model_knn.json")
+    assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--models", str(models)]) == 3
+    err = capsys.readouterr().err
+    assert "model_knn.json" in err and "k=3" in err
+
+    config = tmp_path / "gen_config.json"
+    config.write_text(json.dumps({"signal": {"FGF": {"psi": -1.0,
+                                                      "mu": 0.5}}}))
+    assert main(["train", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--config", str(config), "--out", str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err
+    assert "gen_config.json" in err and "psi must be > 0" in err

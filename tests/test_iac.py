@@ -8,8 +8,8 @@ from scipy.stats import mannwhitneyu
 from icn_sentinel.core import (ConfigError, EventNotFoundError, EventTrace,
                                InsufficientDataError, SensitivityDegree,
                                SentinelError)
-from icn_sentinel.iac import (IacModel, aggregate, classify_trace,
-                              mann_whitney_u, min_max_curves,
+from icn_sentinel.iac import (VERDICT_MEMO_LIMIT, IacModel, aggregate,
+                              classify_trace, mann_whitney_u, min_max_curves,
                               select_feature_events, train_iac_model)
 
 FIG_TRACE = "BBEBCABEABDBBBEBCBAABBBEB"
@@ -371,3 +371,61 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.sigma_th == model.sigma_th
     assert set(loaded.feature_events) == set(model.feature_events)
     assert loaded.frequencies == model.frequencies
+
+
+def test_trace_verdict_events_read_only():
+    model = train_iac_model([EventTrace(tuple("ABC" * 12))] * 6, w_delta=18)
+    verdict = classify_trace(EventTrace(tuple("AABC" * 9)), model)
+    assert verdict.events["A"].anomalous
+    assert sorted(verdict.events) == ["A", "B", "C"]
+    with pytest.raises(TypeError):
+        verdict.events["A"] = verdict.events["B"]
+    with pytest.raises(TypeError):
+        del verdict.events["A"]
+
+
+def test_memo_key_covers_every_argument():
+    model = train_iac_model([EventTrace(tuple("ABC" * 6))] * 4, w_delta=8)
+    doc = model.to_json()
+    window = EventTrace(tuple("AABC" * 5))
+    options = [dict(alpha=alpha, sigma_th=sigma_th,
+                    sensitivity=SensitivityDegree(pct), events=events)
+               for alpha in (None, 0.05, 0.9)
+               for sigma_th in (None, 0.05, math.inf)
+               for pct in (20, 60, 100)
+               for events in (None, ["A"], ["B", "C"], ["A", "B", "Z"])]
+    cold = [classify_trace(window, IacModel.from_json(doc), **kwargs)
+            for kwargs in options]
+    # each argument changes the verdict, so a key missing one would show
+    for name in ("alpha", "sigma_th", "sensitivity", "events"):
+        seen = {}
+        for kwargs, verdict in zip(options, cold):
+            rest = tuple(repr(v) for k, v in sorted(kwargs.items()) if k != name)
+            seen.setdefault(rest, []).append(verdict)
+        assert any(len({repr(v) for v in group}) > 1
+                   for group in seen.values()), name
+    # warm the memo in one order, then read it back in the other
+    for order in (range(len(options)), reversed(range(len(options)))):
+        for i in order:
+            assert classify_trace(window, model, **options[i]) == cold[i], \
+                options[i]
+    again = classify_trace(window, model, alpha=0.05)
+    assert classify_trace(window, model, alpha=0.05) is again
+    other = classify_trace(EventTrace(tuple("ABC" * 6)), model, alpha=0.05)
+    assert other != again
+
+
+def test_memo_is_bounded():
+    model = train_iac_model([EventTrace(tuple("ABAB" * 3))] * 3, w_delta=3)
+    doc = model.to_json()
+    windows = [EventTrace(symbols)
+               for symbols in itertools.product("AB", repeat=11)]
+    assert len(windows) > VERDICT_MEMO_LIMIT
+    for window in windows:
+        classify_trace(window, model)
+    assert len(model._verdicts) == VERDICT_MEMO_LIMIT
+    # windows past the bound are still classified, just not remembered
+    for window in windows[VERDICT_MEMO_LIMIT - 2:VERDICT_MEMO_LIMIT + 2]:
+        cold = classify_trace(window, IacModel.from_json(doc))
+        assert classify_trace(window, model) == cold
+    assert len(model._verdicts) == VERDICT_MEMO_LIMIT
