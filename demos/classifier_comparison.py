@@ -6,7 +6,7 @@ import numpy as np
 
 from icn_sentinel import (ANOMALOUS, LabeledSet, NORMAL, SensitivityDegree,
                           default_config, derive_seed, gen_campaign,
-                          label_ground_truth, predict_label, train_classifier)
+                          label_ground_truth, predict_labels, train_classifier)
 from icn_sentinel.classifiers import CLASSIFIER_KINDS
 from icn_sentinel.synth import inject_attacks
 
@@ -39,7 +39,7 @@ print("train: %d rows (%d attacked), test: %d rows (%d attacked)"
 print("\nclassifier   tp   fp   tn   fn")
 for kind in CLASSIFIER_KINDS:
     model = train_classifier(kind, data)
-    pred = np.array([predict_label(model, x) for x in x_test])
+    pred = predict_labels(model, x_test)
     tp = int(((pred == ANOMALOUS) & (y_test == ANOMALOUS)).sum())
     fp = int(((pred == ANOMALOUS) & (y_test == NORMAL)).sum())
     tn = int(((pred == NORMAL) & (y_test == NORMAL)).sum())

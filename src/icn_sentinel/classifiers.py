@@ -4,7 +4,8 @@ Three classifiers label standardized feature vectors +1 (normal) or -1
 (anomalous): a linear soft-margin SVM fit by deterministic subgradient
 descent, a nearest-neighbor memorizer fixed at k=1, and a decision tree
 grown on gain ratio whose branches are flattened into ordered, pruned
-if-then rules.  Training uses no randomness: identical data and
+if-then rules.  ``predict_labels`` scores a whole feature matrix in one
+call per model.  Training uses no randomness: identical data and
 hyperparameters give bit-identical models.  Each train function's
 signature holds its classifier's default hyperparameters.
 """
@@ -76,7 +77,7 @@ class LabeledSet:
             raise DegenerateDataError("empty training set")
         if not np.isfinite(x).all():
             raise SentinelError("non-finite feature values")
-        if not np.all(np.isin(y, (NORMAL, ANOMALOUS))):
+        if not np.all((y == NORMAL) | (y == ANOMALOUS)):
             raise ConfigError("labels must be +1 or -1")
         std = Standardization.fit(x)
         return cls(x, y, std, std.apply(x))
@@ -156,9 +157,15 @@ def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
     return SvmModel(best_w, best_b, c_param, data.standardization)
 
 
-def svm_predict(model: SvmModel, x) -> int:
-    z = model.standardization.apply(x)
-    return NORMAL if float(model.weights @ z + model.bias) >= 0.0 else ANOMALOUS
+def _svm_labels(model: SvmModel, z) -> np.ndarray:
+    """Sign of the margin per standardized row; a zero score is NORMAL.
+
+    Each row keeps its own dot product: a matrix-vector product rounds
+    differently and would move rows that sit on the boundary.
+    """
+    w = model.weights
+    scores = np.fromiter((w @ zi for zi in z), dtype=float, count=len(z))
+    return np.where(scores + model.bias >= 0.0, NORMAL, ANOMALOUS)
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +189,28 @@ def knn_train(data: LabeledSet, metric="euclidean") -> KnnModel:
                     data.standardization)
 
 
-def knn_predict(model: KnnModel, x) -> int:
-    """Label of the nearest stored vector; distance ties pick the lowest
-    stored index."""
-    z = model.standardization.apply(x)
-    diff = model.points - z
-    if model.metric == "euclidean":
-        dist = np.sqrt((diff * diff).sum(axis=1))
-    elif model.metric == "manhattan":
-        dist = np.abs(diff).sum(axis=1)
-    else:
+# kNN scores queries in blocks whose (rows, stored, features) difference
+# array holds at most this many floats
+KNN_BLOCK_FLOATS = 65536
+
+
+def _knn_labels(model: KnnModel, z) -> np.ndarray:
+    """Label of the nearest stored vector per standardized row; distance
+    ties pick the lowest stored index."""
+    if model.metric not in ("euclidean", "manhattan"):
         raise ConfigError("metric must be euclidean or manhattan, got %r"
                           % (model.metric,))
-    return int(model.labels[int(np.argmin(dist))])
+    points = model.points
+    block = max(1, KNN_BLOCK_FLOATS // max(points.size, 1))
+    nearest = np.empty(len(z), dtype=np.intp)
+    for start in range(0, len(z), block):
+        diff = points[None] - z[start:start + block, None]
+        if model.metric == "euclidean":
+            dist = np.sqrt((diff * diff).sum(axis=2))
+        else:
+            dist = np.abs(diff).sum(axis=2)
+        nearest[start:start + block] = dist.argmin(axis=1)
+    return model.labels[nearest]
 
 
 # ---------------------------------------------------------------------------
@@ -211,15 +227,7 @@ class Rule:
     error: float = 0.0
 
     def matches(self, z) -> bool:
-        for feat, op, thr in self.conditions:
-            v = z[feat]
-            if op == "<=":
-                if not v <= thr:
-                    return False
-            else:
-                if not v > thr:
-                    return False
-        return True
+        return bool(_coverage(self.conditions, np.asarray([z], float))[0])
 
 
 @dataclass(frozen=True)
@@ -428,13 +436,16 @@ def c45_train(data: LabeledSet, min_leaf=2, cf=0.25) -> C45Model:
     return C45Model(tuple(rules), default, data.standardization)
 
 
-def c45_predict(model: C45Model, x) -> int:
-    """Class of the first matching rule, or the default class."""
-    z = model.standardization.apply(x)
+def _c45_labels(model: C45Model, z) -> np.ndarray:
+    """Class of the first rule matching each standardized row, or the
+    default class."""
+    labels = np.full(len(z), model.default_class, dtype=int)
+    unassigned = np.ones(len(z), dtype=bool)
     for rule in model.rules:
-        if rule.matches(z):
-            return rule.klass
-    return model.default_class
+        hit = unassigned & _coverage(rule.conditions, z)
+        labels[hit] = rule.klass
+        unassigned &= ~hit
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -451,14 +462,37 @@ def train_classifier(kind, data, **hyper):
     raise ConfigError("unknown classifier kind %r" % (kind,))
 
 
+_LABELERS = {SvmModel: _svm_labels, KnnModel: _knn_labels,
+             C45Model: _c45_labels}
+
+
+def predict_labels(model, x) -> np.ndarray:
+    """Label (+1 or -1) of every row of the 2-D feature matrix ``x``."""
+    labeler = _LABELERS.get(type(model))
+    if labeler is None:
+        raise ConfigError("unknown model type %r" % type(model).__name__)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise SchemaError("feature matrix must be 2-D")
+    return labeler(model, model.standardization.apply(x))
+
+
 def predict_label(model, x) -> int:
-    if isinstance(model, SvmModel):
-        return svm_predict(model, x)
-    if isinstance(model, KnnModel):
-        return knn_predict(model, x)
-    if isinstance(model, C45Model):
-        return c45_predict(model, x)
-    raise ConfigError("unknown model type %r" % type(model).__name__)
+    """Label of one feature vector: a one-row view of predict_labels."""
+    return int(predict_labels(model, [x])[0])
+
+
+# the per-kind one-row names, kept as views of the same path
+def svm_predict(model: SvmModel, x) -> int:
+    return predict_label(model, x)
+
+
+def knn_predict(model: KnnModel, x) -> int:
+    return predict_label(model, x)
+
+
+def c45_predict(model: C45Model, x) -> int:
+    return predict_label(model, x)
 
 
 def model_kind(model) -> str:

@@ -128,12 +128,12 @@ def cmd_detect(args):
         raise ConfigError("event trace does not pair with the data rows")
     sens = SensitivityDegree(args.sensitivity)
 
+    verdicts = dual_detect(trace.rows, chunks, profile, iac_model, model,
+                           features, sens, alpha=args.alpha,
+                           sigma_th=args.sigma_th)
     lines = [("row", "ts", "group", "threshold_pass", "iac_pass", "verdict")]
     anomalous = 0
-    for i, row in enumerate(trace.rows):
-        verdict = dual_detect(row, chunks[i], profile, iac_model, model,
-                              features, sens, alpha=args.alpha,
-                              sigma_th=args.sigma_th)
+    for i, (row, verdict) in enumerate(zip(trace.rows, verdicts)):
         if not verdict.normal:
             anomalous += 1
         lines.append((str(i), str(row.timestamp), row.group,
@@ -163,12 +163,10 @@ def cmd_select(args):
                                 config=GaConfig(seed=seed))
     doc = {"features": [schema[i] for i in subset.indices],
            "score": subset.score}
-    text = json.dumps(doc, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        write_json(args.out, doc)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 

@@ -233,13 +233,17 @@ class ParameterSpec:
 
 @contextlib.contextmanager
 def _open_trace(path):
-    """Open a trace file as text; undecodable bytes raise TraceParseError
-    naming the file instead of a bare UnicodeDecodeError."""
+    """Open a trace file as text; undecodable bytes and CSV cells the csv
+    module refuses (one longer than its field limit) raise TraceParseError
+    naming the file instead of a bare UnicodeDecodeError or csv.Error."""
     try:
         with open(path, newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise TraceParseError("%s is not valid text: %s" % (path, exc))
+    except csv.Error as exc:
+        raise TraceParseError("%s is not a readable CSV file: %s"
+                              % (path, exc))
 
 
 def parse_data_trace(path, schema) -> DataTrace:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DegenerateDataError, InsufficientDataError
-from .classifiers import (CLASSIFIER_KINDS, LabeledSet, predict_label,
+from .classifiers import (CLASSIFIER_KINDS, LabeledSet, predict_labels,
                           train_classifier)
 
 PARSIMONY_PENALTY = 0.002
@@ -56,8 +56,7 @@ def stratified_folds(y, folds=5, seed=0):
     for klass in np.unique(y):
         idx = np.flatnonzero(y == klass)
         idx = idx[rng.permutation(len(idx))]
-        for pos, i in enumerate(idx):
-            assignment[i] = pos % folds
+        assignment[idx] = np.arange(len(idx)) % folds
     return assignment
 
 
@@ -89,9 +88,7 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
         train = LabeledSet.from_raw(x[~mask], y[~mask])
         model = train_classifier(evaluator, train,
                                  **_EVAL_HYPER.get(evaluator, {}))
-        for xi, yi in zip(x[mask], y[mask]):
-            if predict_label(model, xi) == yi:
-                correct += 1
+        correct += int((predict_labels(model, x[mask]) == y[mask]).sum())
     return correct / len(y)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import (ANOMALOUS, ConfigError, EventTrace, GROUPS,
                    MetricError, NORMAL, SensitivityDegree, derive_seed)
-from .classifiers import (CLASSIFIER_KINDS, LabeledSet, predict_label,
+from .classifiers import (CLASSIFIER_KINDS, LabeledSet, predict_labels,
                           train_classifier)
 from .iac import classify_trace
 from .profiler import count_compromised
@@ -107,25 +107,34 @@ def event_chunks(events: EventTrace, symbols_per_row) -> list:
             for i in range(0, len(events), symbols_per_row)]
 
 
-def dual_detect(row, window: EventTrace, profile, iac_model, model, features,
+def dual_detect(rows, windows, profile, iac_model, model, features,
                 sensitivity: SensitivityDegree, alpha=None, sigma_th=None,
-                events=None) -> DualVerdict:
-    """Joint threshold/event verdict for one row and its event window.
+                events=None) -> list:
+    """Joint threshold/event verdicts, one DualVerdict per row.
 
-    The threshold branch is the trained classifier's prediction on the
-    row's feature vector; the event branch conformance-tests the aligned
-    window against the curve model.  The row is normal only when both
-    branches pass.
+    ``windows[i]`` is the event window aligned with ``rows[i]``.  The
+    threshold branch is the trained classifier's prediction on the row's
+    ``features`` values, in that order, scored for all rows in one batch;
+    the event branch conformance-tests each window against the curve
+    model.  A row is normal only when both branches pass.
     """
+    if len(rows) != len(windows):
+        raise ConfigError("%d rows but %d event windows"
+                          % (len(rows), len(windows)))
     for name in features:
         profile.spec(name)  # schema consistency with the learned profile
-    x = np.array([row.values[name] for name in features], dtype=float)
-    threshold_pass = predict_label(model, x) == NORMAL
-    detail = classify_trace(window, iac_model, alpha=alpha, sigma_th=sigma_th,
-                            sensitivity=sensitivity, events=events)
-    iac_pass = not detail.anomalous
-    return DualVerdict(threshold_pass, iac_pass,
-                       threshold_pass and iac_pass, detail)
+    x = np.array([[row.values[name] for name in features] for row in rows],
+                 dtype=float).reshape(len(rows), len(features))
+    threshold = predict_labels(model, x) == NORMAL
+    verdicts = []
+    for window, threshold_pass in zip(windows, threshold.tolist()):
+        detail = classify_trace(window, iac_model, alpha=alpha,
+                                sigma_th=sigma_th, sensitivity=sensitivity,
+                                events=events)
+        iac_pass = not detail.anomalous
+        verdicts.append(DualVerdict(threshold_pass, iac_pass,
+                                    threshold_pass and iac_pass, detail))
+    return verdicts
 
 
 @dataclass(frozen=True)
@@ -258,8 +267,7 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
                     y_true = np.array(
                         [label_ground_truth(r, data.profile, signal, sens)
                          for r in data.test.rows])
-                    y_pred = np.array([predict_label(model, x)
-                                       for x in x_test])
+                    y_pred = predict_labels(model, x_test)
                     tp = int(((y_pred == ANOMALOUS) & (y_true == ANOMALOUS)).sum())
                     fp = int(((y_pred == ANOMALOUS) & (y_true == NORMAL)).sum())
                     tn = int(((y_pred == NORMAL) & (y_true == NORMAL)).sum())

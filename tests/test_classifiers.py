@@ -3,13 +3,15 @@ import pytest
 from scipy.optimize import brentq
 from scipy.stats import binom
 
+from icn_sentinel import classifiers
 from icn_sentinel.classifiers import (C45Model, KnnModel, LabeledSet, Rule,
                                       Standardization, SvmModel, binom_upper,
                                       c45_predict, c45_train, knn_predict,
                                       knn_train, load_model, model_from_json,
                                       model_kind, model_to_json, predict_label,
-                                      save_model, svm_objective, svm_predict,
-                                      svm_train, train_classifier)
+                                      predict_labels, save_model,
+                                      svm_objective, svm_predict, svm_train,
+                                      train_classifier)
 from icn_sentinel.core import (ANOMALOUS, NORMAL, ConfigError,
                                DegenerateDataError, SchemaError, SentinelError)
 
@@ -315,3 +317,129 @@ def test_rule_matches():
     assert rule.matches(np.array([0.5, 2.0]))
     assert not rule.matches(np.array([1.5, 2.0]))
     assert not rule.matches(np.array([0.5, 0.0]))
+
+
+def reference_labels(model, x):
+    """Row-at-a-time labels, written out independently of the package."""
+    out = []
+    for row in np.asarray(x, dtype=float):
+        z = (row - model.standardization.mean) / model.standardization.std
+        if isinstance(model, SvmModel):
+            score = float(model.weights @ z + model.bias)
+            out.append(NORMAL if score >= 0.0 else ANOMALOUS)
+        elif isinstance(model, KnnModel):
+            diff = model.points - z
+            if model.metric == "euclidean":
+                dist = np.sqrt((diff * diff).sum(axis=1))
+            else:
+                dist = np.abs(diff).sum(axis=1)
+            out.append(int(model.labels[int(np.argmin(dist))]))
+        else:
+            for rule in model.rules:
+                if all(z[f] <= t if op == "<=" else z[f] > t
+                       for f, op, t in rule.conditions):
+                    out.append(rule.klass)
+                    break
+            else:
+                out.append(model.default_class)
+    return np.array(out, dtype=int)
+
+
+def random_labeled(rng, n, d):
+    x = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d)
+    y = np.where(x[:, 0] + rng.normal(scale=0.5, size=n) > 0,
+                 NORMAL, ANOMALOUS)
+    y[:2] = (NORMAL, ANOMALOUS)
+    return LabeledSet.from_raw(x, y)
+
+
+def boundary_queries(model, rng, n):
+    """Rows on the SVM decision boundary, where the score is a few ulps
+    either side of zero and the label depends on exact rounding."""
+    std = model.standardization
+    w = model.weights
+    z = rng.normal(size=(n, len(w)))
+    z -= np.outer((z @ w + model.bias) / (w @ w), w)
+    return z * std.std + std.mean
+
+
+def test_predict_labels_matches_per_row_reference():
+    rng = np.random.default_rng(31)
+    for d in (1, 3, 7, 18, 25):
+        data = random_labeled(rng, 60, d)
+        queries = np.vstack([rng.normal(size=(40, d)) * data.x.std(axis=0),
+                             data.x,
+                             (data.x[:-1] + data.x[1:]) / 2.0])
+        models = [train_classifier("svm", data, epochs=20),
+                  train_classifier("c45", data),
+                  knn_train(data), knn_train(data, metric="manhattan")]
+        for model in models:
+            got = predict_labels(model, queries)
+            assert got.shape == (len(queries),)
+            assert np.array_equal(got, reference_labels(model, queries))
+            assert [predict_label(model, q) for q in queries] == got.tolist()
+        svm = models[0]
+        near = boundary_queries(svm, rng, 300)
+        assert np.array_equal(predict_labels(svm, near),
+                              reference_labels(svm, near))
+
+
+def test_batch_ties():
+    # kNN: a query equidistant from stored points takes the lowest index
+    for labels in ([NORMAL, ANOMALOUS], [ANOMALOUS, NORMAL]):
+        model = knn_train(LabeledSet.from_raw([[0.0], [2.0]], labels))
+        assert predict_labels(model, [[1.0]] * 3).tolist() == [labels[0]] * 3
+    square = LabeledSet.from_raw([[0, 0], [0, 2], [2, 0], [2, 2]],
+                                 [ANOMALOUS, NORMAL, NORMAL, NORMAL])
+    assert predict_labels(knn_train(square), [[1.0, 1.0]]).tolist() \
+        == [ANOMALOUS]
+    # SVM: a zero score is NORMAL
+    flat = SvmModel(np.zeros(2), 0.0, 1.0,
+                    Standardization(np.zeros(2), np.ones(2)))
+    assert predict_labels(flat, [[3.0, -7.0], [0.0, 0.0], [-1.0, 5.0]]
+                          ).tolist() == [NORMAL] * 3
+    # C4.5: the first matching rule wins; rows no rule covers get the
+    # default class
+    rules = (Rule(((0, "<=", 0.0),), ANOMALOUS),
+             Rule(((0, "<=", 1.0),), NORMAL),
+             Rule(((1, ">", 5.0),), NORMAL))
+    c45 = C45Model(rules, ANOMALOUS, Standardization(np.zeros(2), np.ones(2)))
+    x = [[-1.0, 9.0], [0.5, 0.0], [2.0, 9.0], [2.0, 0.0], [0.5, 9.0]]
+    expected = [ANOMALOUS, NORMAL, NORMAL, ANOMALOUS, NORMAL]
+    assert predict_labels(c45, x).tolist() == expected
+    assert reference_labels(c45, x).tolist() == expected
+
+
+def test_knn_blocks_cross_boundaries(monkeypatch):
+    rng = np.random.default_rng(32)
+    data = random_labeled(rng, 200, 4)
+    queries = rng.normal(size=(500, 4)) * data.x.std(axis=0)
+    expected = reference_labels(knn_train(data), queries)
+    block = classifiers.KNN_BLOCK_FLOATS // data.x.size
+    assert 1 < block < len(queries) and len(queries) % block
+    for metric in ("euclidean", "manhattan"):
+        model = knn_train(data, metric=metric)
+        want = reference_labels(model, queries)
+        if metric == "euclidean":
+            assert np.array_equal(want, expected)
+        assert np.array_equal(predict_labels(model, queries), want)
+        # tiny blocks: one row per block, and blocks that end mid-input
+        for limit in (1, 7 * data.x.size, 13 * data.x.size + 1):
+            monkeypatch.setattr(classifiers, "KNN_BLOCK_FLOATS", limit)
+            assert np.array_equal(predict_labels(model, queries), want)
+        monkeypatch.undo()
+
+
+def test_predict_labels_shapes():
+    data = blob_data(seed=15)
+    for kind in ("svm", "knn", "c45"):
+        model = train_classifier(kind, data)
+        empty = predict_labels(model, np.empty((0, 2)))
+        assert empty.shape == (0,)
+        assert empty.dtype.kind == "i"
+        with pytest.raises(SchemaError):
+            predict_labels(model, np.ones(2))
+        with pytest.raises(SchemaError):
+            predict_labels(model, np.ones((3, 5)))
+    with pytest.raises(ConfigError):
+        predict_labels(object(), np.empty((0, 2)))

@@ -202,8 +202,8 @@ def test_detect_matches_cold_per_row_dual_detect(campaign_dir, models_dir,
     lines = ["row,ts,group,threshold_pass,iac_pass,verdict"]
     for i, row in enumerate(trace.rows):
         cold = IacModel.load(models_dir / "iac_model.json")
-        v = dual_detect(row, chunks[i], profile, cold, model,
-                        meta["features"], SensitivityDegree(60))
+        v, = dual_detect([row], [chunks[i]], profile, cold, model,
+                         meta["features"], SensitivityDegree(60))
         lines.append("%d,%d,%s,%s,%s,%s" % (
             i, row.timestamp, row.group, v.threshold_pass, v.iac_pass,
             "normal" if v.normal else "anomalous"))
@@ -233,6 +233,32 @@ def test_undecodable_trace_files_exit_three(campaign_dir, models_dir,
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
         assert "Traceback" not in err
+
+
+def test_oversized_csv_fields_exit_three(campaign_dir, models_dir, tmp_path,
+                                        capsys):
+    # the csv module refuses fields over 131072 characters
+    data = campaign_dir / "MD_test.csv"
+    events = campaign_dir / "MD_test.events"
+    raw = data.read_bytes().splitlines(keepends=True)
+    long_header = tmp_path / "long_header.csv"
+    long_header.write_bytes(raw[0].replace(b",", b"," + b"x" * 140000, 1)
+                            + b"".join(raw[1:]))
+    long_cell = tmp_path / "long_cell.csv"
+    long_cell.write_bytes(b"".join(raw[:3] + [raw[3].replace(
+        b",", b"," + b"7" * 140000, 1)] + raw[4:]))
+    detect = ["detect", "--models", str(models_dir), "--events", str(events)]
+    for argv, name in (
+            # infer_schema reads the header of the file
+            (["select", "--data", str(long_header)], "long_header.csv"),
+            # parse_data_trace, after infer_schema read the header
+            (["select", "--data", str(long_cell)], "long_cell.csv"),
+            # parse_data_trace, given the schema from meta.json
+            (detect + ["--data", str(long_cell)], "long_cell.csv")):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err
+        assert "field limit" in err and "Traceback" not in err
 
 
 def test_model_and_config_errors_name_the_file(campaign_dir, models_dir,

@@ -52,6 +52,28 @@ def test_stratified_folds_deterministic():
     assert np.array_equal(a, b)
 
 
+def test_stratified_folds_matches_row_loop():
+    def loop_folds(y, folds, seed):
+        rng = np.random.default_rng(seed)
+        assignment = np.empty(len(y), dtype=int)
+        for klass in np.unique(y):
+            idx = np.flatnonzero(y == klass)
+            idx = idx[rng.permutation(len(idx))]
+            for pos, i in enumerate(idx):
+                assignment[i] = pos % folds
+        return assignment
+
+    rng = np.random.default_rng(4)
+    ys = [np.array([1, -1] * 20), np.where(rng.random(83) < 0.3, 1, -1),
+          np.array([-1] * 7 + [1] * 2), np.array([1, 1, 1]),
+          np.array([], dtype=int)]
+    for y in ys:
+        for folds in (2, 3, 5, 10):
+            for seed in (0, 1, 7, 123):
+                assert np.array_equal(stratified_folds(y, folds, seed),
+                                      loop_folds(y, folds, seed))
+
+
 def test_cross_val_perfect_feature():
     data = planted_data()
     assert cross_val_accuracy(data, [0]) == 1.0

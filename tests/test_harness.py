@@ -114,24 +114,42 @@ def test_dual_detect_branches():
     attacked_i = next(i for i, r in enumerate(mixed.rows)
                       if r.label == ANOMALOUS)
 
-    clean = dual_detect(mixed.rows[normal_i], chunks[normal_i], profile,
-                        iac_model, model, schema, sens)
+    clean, = dual_detect([mixed.rows[normal_i]], [chunks[normal_i]],
+                         profile, iac_model, model, schema, sens)
     assert clean.threshold_pass and clean.iac_pass and clean.normal
 
-    hit = dual_detect(mixed.rows[attacked_i], chunks[attacked_i], profile,
-                      iac_model, model, schema, sens)
+    hit, = dual_detect([mixed.rows[attacked_i]], [chunks[attacked_i]],
+                       profile, iac_model, model, schema, sens)
     assert not hit.threshold_pass
     assert not hit.normal
 
     # a window missing a feature event trips only the event branch
     gap = chunks[normal_i].slice(1, len(schema))
-    verdict = dual_detect(mixed.rows[normal_i], gap, profile, iac_model,
-                          model, schema, sens)
+    verdict, = dual_detect([mixed.rows[normal_i]], [gap], profile,
+                           iac_model, model, schema, sens)
     assert verdict.threshold_pass
     assert not verdict.iac_pass
     assert not verdict.normal
     missing = chunks[normal_i].events[0]
     assert verdict.iac_detail.events[missing].anomalous
+
+
+def test_dual_detect_batch_matches_one_row_calls():
+    (config, profile, schema, mixed, chunks, model,
+     iac_model, sens) = dual_setup()
+    batch = dual_detect(mixed.rows, chunks, profile, iac_model, model,
+                        schema, sens)
+    assert len(batch) == len(mixed.rows)
+    assert {v.normal for v in batch} == {True, False}
+    for row, window, verdict in zip(mixed.rows, chunks, batch):
+        one, = dual_detect([row], [window], profile, iac_model, model,
+                           schema, sens)
+        assert (one.threshold_pass, one.iac_pass, one.normal) == \
+            (verdict.threshold_pass, verdict.iac_pass, verdict.normal)
+    assert dual_detect([], [], profile, iac_model, model, schema, sens) == []
+    with pytest.raises(ConfigError):
+        dual_detect(mixed.rows[:2], chunks[:1], profile, iac_model, model,
+                    schema, sens)
 
 
 def test_run_matrix_shape_and_order(report):
