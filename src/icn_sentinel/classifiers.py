@@ -137,8 +137,8 @@ def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
     _require_two_classes(data)
 
     z = data.xz
-    y = data.y.astype(float)
-    n = len(y)
+    n = len(z)
+    samples = list(zip(data.y.astype(float).tolist(), z))
 
     w = np.zeros(z.shape[1])
     b = 0.0
@@ -146,11 +146,15 @@ def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
     best_obj = svm_objective(w, data, b, c_param)
     for t in range(1, epochs + 1):
         eta = 1.0 / (c_param * t)
-        for i in range(n):
-            w *= max(1.0 - eta / n, 0.0)
-            if y[i] * (z[i] @ w + b) < 1.0:
-                w += eta * c_param * y[i] * z[i]
-                b += eta * c_param * y[i]
+        # per-epoch constants; step * yi * zi groups as the per-sample
+        # eta * c_param * yi * zi did, so every rounding is the same
+        decay = max(1.0 - eta / n, 0.0)
+        step = eta * c_param
+        for yi, zi in samples:
+            w *= decay
+            if yi * (zi @ w + b) < 1.0:
+                w += step * yi * zi
+                b += step * yi
         obj = svm_objective(w, data, b, c_param)
         if obj < best_obj:
             best_obj, best_w, best_b = obj, w.copy(), b
@@ -180,8 +184,11 @@ class KnnModel:
     standardization: Standardization
 
 
+KNN_METRICS = ("euclidean", "manhattan")
+
+
 def knn_train(data: LabeledSet, metric="euclidean") -> KnnModel:
-    if metric not in ("euclidean", "manhattan"):
+    if metric not in KNN_METRICS:
         raise ConfigError("metric must be euclidean or manhattan, got %r"
                           % (metric,))
     _require_two_classes(data)
@@ -197,7 +204,7 @@ KNN_BLOCK_FLOATS = 65536
 def _knn_labels(model: KnnModel, z) -> np.ndarray:
     """Label of the nearest stored vector per standardized row; distance
     ties pick the lowest stored index."""
-    if model.metric not in ("euclidean", "manhattan"):
+    if model.metric not in KNN_METRICS:
         raise ConfigError("metric must be euclidean or manhattan, got %r"
                           % (model.metric,))
     points = model.points
@@ -520,23 +527,60 @@ def model_to_json(model) -> dict:
 
 
 def model_from_json(doc):
+    """Rebuild a model, checking every array against the standardization
+    width ``d``; a shape, index, class or value that does not fit raises
+    SchemaError naming the key."""
     kind = doc.get("kind")
     std = Standardization.from_json(doc["standardization"])
+    if std.mean.ndim != 1 or std.std.shape != std.mean.shape \
+            or not np.isfinite(std.mean).all() \
+            or not (np.isfinite(std.std) & (std.std > 0)).all():
+        raise SchemaError("standardization: mean and std must be lists of "
+                          "equal length, finite, with std > 0")
+    d = len(std.mean)
     if kind == "svm":
-        return SvmModel(np.asarray(doc["weights"], dtype=float),
-                        float(doc["bias"]), float(doc["c_param"]), std)
+        weights = np.asarray(doc["weights"], dtype=float)
+        if weights.shape != (d,) or not np.isfinite(weights).all():
+            raise SchemaError("weights: expected %d finite values" % d)
+        return SvmModel(weights, float(doc["bias"]), float(doc["c_param"]),
+                        std)
     if kind == "knn":
         if doc["k"] != 1:
             raise ConfigError("only k=1 is supported, got k=%r" % (doc["k"],))
-        return KnnModel(np.asarray(doc["points"], dtype=float),
-                        np.asarray(doc["labels"], dtype=int),
-                        doc["metric"], std)
+        points = np.asarray(doc["points"], dtype=float)
+        labels = np.asarray(doc["labels"], dtype=int)
+        if points.ndim != 2 or points.shape[1] != d or not len(points) \
+                or not np.isfinite(points).all():
+            raise SchemaError("points: expected a non-empty, finite (m, %d) "
+                              "matrix" % d)
+        if labels.shape != (len(points),) or \
+                not np.all((labels == NORMAL) | (labels == ANOMALOUS)):
+            raise SchemaError("labels: expected %d values of +1 or -1"
+                              % len(points))
+        if doc["metric"] not in KNN_METRICS:
+            raise SchemaError("metric: expected euclidean or manhattan, "
+                              "got %r" % (doc["metric"],))
+        return KnnModel(points, labels, doc["metric"], std)
     if kind == "c45":
         rules = tuple(Rule(tuple((int(f), op, float(thr))
                                  for f, op, thr in r["conditions"]),
                            int(r["class"]), float(r["error"]))
                       for r in doc["rules"])
-        return C45Model(rules, int(doc["default_class"]), std)
+        default_class = int(doc["default_class"])
+        if default_class not in (NORMAL, ANOMALOUS):
+            raise SchemaError("default_class: expected +1 or -1, got %r"
+                              % default_class)
+        for rule in rules:
+            if rule.klass not in (NORMAL, ANOMALOUS):
+                raise SchemaError("rules: class must be +1 or -1, got %r"
+                                  % rule.klass)
+            for f, op, thr in rule.conditions:
+                if not 0 <= f < d or op not in ("<=", ">") \
+                        or not math.isfinite(thr):
+                    raise SchemaError("rules: condition (%r, %r, %r) needs "
+                                      "a feature in [0, %d), <= or > and a "
+                                      "finite threshold" % (f, op, thr, d))
+        return C45Model(rules, default_class, std)
     raise ConfigError("unknown model kind %r" % (kind,))
 
 

@@ -223,6 +223,9 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
     profile over the signal parameters, so denominators match the
     injected attack counts exactly.  Filters narrow the matrix; the full
     default grid is 3 * 2 * 3 * 4 = 72 cells in canonical order.
+    Training has no randomness, so cells that share a classifier, view,
+    group and training labels (every sensitivity, under the "five" attack
+    pattern) train once and share the test predictions.
     ``config`` carries only the recorded seed and does not change the
     result.
     """
@@ -237,6 +240,10 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
     signal = list(campaign.signal)
     results = []
     prepared = {}
+    # (classifier, view, group) fix both matrices, so a cell whose training
+    # labels match an earlier cell's trains the same model: reuse its test
+    # predictions
+    predictions = {}
     for group in groups:
         data = campaign.groups[group]
         train_mixed, _ = inject_attacks(
@@ -259,15 +266,18 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
                     y_train = np.array(
                         [label_ground_truth(r, data.profile, signal, sens)
                          for r in train_mixed.rows])
-                    x_train = train_mixed.to_matrix(features)
-                    train_set = LabeledSet.from_raw(x_train, y_train)
-                    model = train_classifier(clf, train_set)
+                    key = (clf, dataset, group, y_train.tobytes())
+                    y_pred = predictions.get(key)
+                    if y_pred is None:
+                        x_train = train_mixed.to_matrix(features)
+                        train_set = LabeledSet.from_raw(x_train, y_train)
+                        model = train_classifier(clf, train_set)
+                        x_test = data.test.to_matrix(features)
+                        y_pred = predictions[key] = predict_labels(model, x_test)
 
-                    x_test = data.test.to_matrix(features)
                     y_true = np.array(
                         [label_ground_truth(r, data.profile, signal, sens)
                          for r in data.test.rows])
-                    y_pred = predict_labels(model, x_test)
                     tp = int(((y_pred == ANOMALOUS) & (y_true == ANOMALOUS)).sum())
                     fp = int(((y_pred == ANOMALOUS) & (y_true == NORMAL)).sum())
                     tn = int(((y_pred == NORMAL) & (y_true == NORMAL)).sum())

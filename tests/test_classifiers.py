@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -105,6 +107,51 @@ def test_svm_deterministic():
     b = svm_train(data, epochs=80)
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
+
+
+def reference_svm_train(data, c_param, epochs):
+    """svm_train's loop as first written: every constant recomputed per
+    sample."""
+    z = data.xz
+    y = data.y.astype(float)
+    n = len(y)
+    w = np.zeros(z.shape[1])
+    b = 0.0
+    best_w, best_b = w.copy(), b
+    best_obj = svm_objective(w, data, b, c_param)
+    for t in range(1, epochs + 1):
+        eta = 1.0 / (c_param * t)
+        for i in range(n):
+            w *= max(1.0 - eta / n, 0.0)
+            if y[i] * (z[i] @ w + b) < 1.0:
+                w += eta * c_param * y[i] * z[i]
+                b += eta * c_param * y[i]
+        obj = svm_objective(w, data, b, c_param)
+        if obj < best_obj:
+            best_obj, best_w, best_b = obj, w.copy(), b
+    return SvmModel(best_w, best_b, c_param, data.standardization)
+
+
+def test_svm_train_matches_reference_loop():
+    rng = np.random.default_rng(21)
+    checked = 0
+    for n, d in ((2, 1), (7, 3), (40, 5), (90, 18)):
+        x = rng.normal(size=(n, d)) * rng.uniform(0.1, 50.0, size=d)
+        y = np.where(x[:, 0] + rng.normal(scale=0.5, size=n) > 0,
+                     NORMAL, ANOMALOUS)
+        y[:2] = (NORMAL, ANOMALOUS)
+        data = LabeledSet.from_raw(x, y)
+        # c_param 1e-3 makes 1 - eta / n negative, so decay clamps at 0
+        for c_param in (1e-3, 0.3, 1.0, 10.0):
+            for epochs in (1, 5, 200):
+                got = svm_train(data, c_param=c_param, epochs=epochs)
+                want = reference_svm_train(data, c_param, epochs)
+                assert np.array_equal(got.weights, want.weights)
+                assert got.bias == want.bias
+                assert json.dumps(model_to_json(got), sort_keys=True) == \
+                    json.dumps(model_to_json(want), sort_keys=True)
+                checked += 1
+    assert checked == 48
 
 
 def test_svm_zero_score_ties_to_normal():

@@ -283,3 +283,66 @@ def test_model_and_config_errors_name_the_file(campaign_dir, models_dir,
                  "--config", str(config), "--out", str(tmp_path / "m")]) == 3
     err = capsys.readouterr().err
     assert "gen_config.json" in err and "psi must be > 0" in err
+
+
+def _shorten_points(doc):
+    doc["points"] = [p[:-1] for p in doc["points"]]
+
+
+def _zero_first_label(doc):
+    doc["labels"][0] = 0
+
+
+def _zero_first_std(doc):
+    doc["standardization"]["std"][0] = 0.0
+
+
+def _bad_rule(feature, op, klass=-1, threshold=0.0):
+    def spoil(doc):
+        doc["rules"].insert(0, {"conditions": [[feature, op, threshold]],
+                                "class": klass, "error": 0.0})
+    return spoil
+
+
+MISFIT_MODELS = {
+    "svm": (("weights", lambda doc: doc["weights"].pop()),
+            ("weights", lambda doc: doc.update(weights=[float("nan")]
+                                               * len(doc["weights"]))),
+            ("standardization",
+             lambda doc: doc["standardization"]["std"].pop()),
+            ("standardization", _zero_first_std)),
+    "knn": (("points", _shorten_points),
+            ("points", lambda doc: doc.update(points=doc["points"][0])),
+            ("labels", lambda doc: doc["labels"].pop()),
+            ("labels", _zero_first_label),
+            ("metric", lambda doc: doc.update(metric="cosine"))),
+    "c45": (("rules", _bad_rule(99, "<=")),
+            ("rules", _bad_rule(-1, ">")),
+            ("rules", _bad_rule(0, "<")),
+            ("rules", _bad_rule(0, ">", klass=5)),
+            ("rules", _bad_rule(0, ">", threshold=float("nan"))),
+            ("default_class", lambda doc: doc.update(default_class=0))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MISFIT_MODELS))
+def test_detect_rejects_model_arrays_that_do_not_fit(kind, campaign_dir,
+                                                     tmp_path, capsys):
+    trained = tmp_path / "trained"
+    detect = ["detect", "--data", str(campaign_dir / "MD_test.csv"),
+              "--events", str(campaign_dir / "MD_test.events")]
+    assert main(["train", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--algo", kind, "--out", str(trained)]) == 0
+    assert main(detect + ["--models", str(trained)]) == 0
+    capsys.readouterr()
+    name = "model_%s.json" % kind
+    for i, (key, spoil) in enumerate(MISFIT_MODELS[kind]):
+        models = tmp_path / ("spoiled%d" % i)
+        shutil.copytree(trained, models)
+        doc = json.loads((models / name).read_text())
+        spoil(doc)
+        (models / name).write_text(json.dumps(doc))
+        assert main(detect + ["--models", str(models)]) == 3, key
+        err = capsys.readouterr().err
+        assert name in err and key in err, err

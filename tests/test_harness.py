@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from icn_sentinel.classifiers import LabeledSet, train_classifier
+from icn_sentinel import harness
+from icn_sentinel.classifiers import (CLASSIFIER_KINDS, LabeledSet,
+                                      train_classifier)
 from icn_sentinel.core import (ANOMALOUS, NORMAL, ConfigError, DataRow,
                                EventTrace, GROUPS, MetricError,
-                               SensitivityDegree)
-from icn_sentinel.harness import (EvaluationReport, MatrixConfig, dual_detect,
+                               SensitivityDegree, derive_seed)
+from icn_sentinel.harness import (DATASET_KINDS, SENSITIVITIES,
+                                  EvaluationReport, MatrixConfig, dual_detect,
                                   event_chunks, label_ground_truth, metrics,
                                   run_matrix)
 from icn_sentinel.iac import train_iac_model
-from icn_sentinel.synth import default_config, gen_campaign, group_profile
+from icn_sentinel.synth import (default_config, gen_campaign, group_profile,
+                                inject_attacks)
 
 
 @pytest.fixture(scope="module")
@@ -215,3 +219,53 @@ def test_report_csv_and_tables(tmp_path, report):
     assert "KNN, sensitivity 100%" in text
     assert "full/MD" in text and "reduced/avg" in text
     assert "ADR" in text and "FPR" in text and "SA" in text
+
+
+def distinct_training_sets(campaign):
+    """(classifier, view, group, training labels) keys over the matrix,
+    labelled the way run_matrix labels each cell."""
+    config = campaign.config
+    signal = list(campaign.signal)
+    keys = set()
+    for group in GROUPS:
+        data = campaign.groups[group]
+        train_mixed, _ = inject_attacks(
+            data.train, None, data.profile, config.attack_pattern,
+            config.attack_rate,
+            seed=derive_seed(config.seed, group, "train-attack"),
+            signal=signal, burst_len=config.burst_len)
+        for s_pct in SENSITIVITIES:
+            sens = SensitivityDegree(s_pct)
+            labels = tuple(label_ground_truth(r, data.profile, signal, sens)
+                           for r in train_mixed.rows)
+            keys.update((clf, dataset, group, labels)
+                        for clf in CLASSIFIER_KINDS
+                        for dataset in DATASET_KINDS)
+    return len(keys)
+
+
+def test_run_matrix_trains_each_distinct_set_once(campaign, monkeypatch):
+    calls = []
+    train = harness.train_classifier
+
+    def counting_train(kind, data):
+        calls.append(kind)
+        return train(kind, data)
+
+    monkeypatch.setattr(harness, "train_classifier", counting_train)
+    mixed = gen_campaign(default_config(seed=0, attack_pattern="mixed",
+                                        rows_per_group=90))
+    # "five" attacks compromise every signal parameter, so a group's
+    # labels are the same at every sensitivity
+    for camp, want in ((campaign, 24), (mixed, distinct_training_sets(mixed))):
+        del calls[:]
+        full = run_matrix(camp)
+        assert len(full.results) == 72
+        assert len(calls) == want
+        # one sensitivity per call leaves nothing to reuse: a cold reference
+        cold = {s: run_matrix(camp, sensitivities=[s]) for s in SENSITIVITIES}
+        expected = [r for clf in CLASSIFIER_KINDS for dataset in DATASET_KINDS
+                    for s in SENSITIVITIES
+                    for r in cold[s].rows(classifier=clf, dataset=dataset)]
+        assert full.results == tuple(expected)
+    assert distinct_training_sets(campaign) == 24
