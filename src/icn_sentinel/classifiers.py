@@ -13,7 +13,7 @@ signature holds its classifier's default hyperparameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.stats import beta as beta_dist
@@ -57,12 +57,19 @@ class Standardization:
 
 @dataclass(frozen=True)
 class LabeledSet:
-    """Feature matrix with +1/-1 labels and the fitted standardization."""
+    """Feature matrix with +1/-1 labels and the fitted standardization.
+
+    Treat a built set as read-only: cross-validation remembers its folds
+    on the set, so changing ``x`` or ``y`` afterwards would go unseen.
+    """
 
     x: np.ndarray
     y: np.ndarray
     standardization: Standardization
     xz: np.ndarray  # standardized copy of x
+    # featsel's cross-validation folds, one (folds, seed) key at a time
+    _folds: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     @classmethod
     def from_raw(cls, x, y) -> "LabeledSet":

@@ -18,9 +18,9 @@ import os
 import sys
 from dataclasses import replace
 
-from .core import (NORMAL, ConfigError, DataTrace, SensitivityDegree,
-                   SentinelError, infer_schema, parse_data_trace,
-                   parse_event_trace, read_json, write_json)
+from .core import (NORMAL, ConfigError, DataTrace, SchemaError,
+                   SensitivityDegree, SentinelError, infer_schema,
+                   parse_data_trace, parse_event_trace, read_json, write_json)
 from .classifiers import (CLASSIFIER_KINDS, LabeledSet, load_model,
                           save_model, train_classifier)
 from .featsel import GaConfig, genetic_select, greedy_select
@@ -115,12 +115,17 @@ def _parse_meta(doc):
 
 
 def cmd_detect(args):
-    schema, features, algo = read_json(os.path.join(args.models, "meta.json"),
-                                       _parse_meta)
+    meta_path = os.path.join(args.models, "meta.json")
+    schema, features, algo = read_json(meta_path, _parse_meta)
     algo = args.algo or algo
     profile = ThresholdProfile.load(os.path.join(args.models, "profile.json"))
     iac_model = IacModel.load(os.path.join(args.models, "iac_model.json"))
-    model = load_model(os.path.join(args.models, "model_%s.json" % algo))
+    model_name = "model_%s.json" % algo
+    model = load_model(os.path.join(args.models, model_name))
+    width = len(model.standardization.mean)
+    if len(features) != width:
+        raise SchemaError("%s: features lists %d names, but %s takes %d"
+                          % (meta_path, len(features), model_name, width))
 
     trace = parse_data_trace(args.data, schema)
     chunks = event_chunks(parse_event_trace(args.events), len(schema))
@@ -152,6 +157,9 @@ def cmd_detect(args):
 
 def cmd_select(args):
     seed = _resolve_seed(args.seed)
+    if args.method == "genetic" and args.max_features is not None:
+        raise ConfigError("--max-features applies to --method greedy only, "
+                          "not --method genetic")
     schema = infer_schema(args.data)
     trace = parse_data_trace(args.data, schema)
     data = LabeledSet.from_raw(trace.to_matrix(), trace.labels())

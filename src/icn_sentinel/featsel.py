@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, DegenerateDataError, InsufficientDataError
-from .classifiers import (CLASSIFIER_KINDS, LabeledSet, predict_labels,
-                          train_classifier)
+from .classifiers import (CLASSIFIER_KINDS, LabeledSet, Standardization,
+                          predict_labels, train_classifier)
 
 PARSIMONY_PENALTY = 0.002
 
@@ -38,6 +38,7 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _check_seed(self.seed)
         if self.population < 2:
             raise ConfigError("population must be >= 2")
         if self.generations < 1:
@@ -48,8 +49,14 @@ class GaConfig:
                 raise ConfigError("%s must be in [0, 1], got %r" % (name, v))
 
 
+def _check_seed(seed):
+    if seed < 0:
+        raise ConfigError("seed must be >= 0, got %r" % (seed,))
+
+
 def stratified_folds(y, folds=5, seed=0):
     """Per-class round-robin fold assignment; deterministic under seed."""
+    _check_seed(seed)
     y = np.asarray(y)
     rng = np.random.default_rng(seed)
     assignment = np.empty(len(y), dtype=int)
@@ -60,36 +67,76 @@ def stratified_folds(y, folds=5, seed=0):
     return assignment
 
 
+@dataclass(frozen=True)
+class _Fold:
+    """One CV fold at full width: C-ordered raw train and test rows, their
+    labels, and the standardization fit on the training rows."""
+
+    train_x: np.ndarray
+    train_y: np.ndarray
+    test_x: np.ndarray
+    test_y: np.ndarray
+    standardization: Standardization
+
+
+def _cv_folds(data: LabeledSet, folds, seed):
+    """The non-empty folds of data, split and standardized once per
+    (folds, seed); the memo on data keeps the latest key only."""
+    key = (folds, seed)
+    memo = data._folds
+    if key not in memo:
+        y = data.y
+        counts = np.unique(y, return_counts=True)[1]
+        if counts.min() < 2:
+            raise DegenerateDataError(
+                "cross-validation needs >= 2 members per class")
+        assignment = stratified_folds(y, folds=folds, seed=seed)
+        split = []
+        for fold in range(folds):
+            mask = assignment == fold
+            if not mask.any():
+                continue
+            train_x = np.ascontiguousarray(data.x[~mask])
+            split.append(_Fold(train_x, y[~mask],
+                               np.ascontiguousarray(data.x[mask]), y[mask],
+                               Standardization.fit(train_x)))
+        memo.clear()
+        memo[key] = split
+    return memo[key]
+
+
 def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
                        seed=0) -> float:
     """Pooled accuracy of the evaluator over stratified CV folds.
 
     Standardization is refit on each training fold; folds whose training
     side lost a class are impossible by the round-robin construction for
-    classes with >= 2 members.
+    classes with >= 2 members.  The folds are split and fit at full width
+    once per (data, folds, seed); a subset slices its columns from them.
     """
     indices = sorted(indices)
     if not indices:
         raise ConfigError("cannot evaluate an empty feature subset")
     if evaluator not in CLASSIFIER_KINDS:
         raise ConfigError("unknown evaluator %r" % (evaluator,))
-    x = data.x[:, indices]
-    y = data.y
-    counts = np.unique(y, return_counts=True)[1]
-    if counts.min() < 2:
-        raise DegenerateDataError(
-            "cross-validation needs >= 2 members per class")
-    assignment = stratified_folds(y, folds=folds, seed=seed)
     correct = 0
-    for fold in range(folds):
-        mask = assignment == fold
-        if not mask.any():
-            continue
-        train = LabeledSet.from_raw(x[~mask], y[~mask])
+    for fold in _cv_folds(data, folds, seed):
+        # C order keeps numpy's summation order, and with it every bit,
+        # equal to fitting and scoring the subset's own columns
+        x = np.ascontiguousarray(fold.train_x[:, indices])
+        if len(indices) == 1:
+            # numpy sums a lone contiguous column pairwise rather than row
+            # by row, so the full-width mean and std differ in the last bits
+            std = Standardization.fit(x)
+        else:
+            full = fold.standardization
+            std = Standardization(full.mean[indices], full.std[indices])
+        train = LabeledSet(x, fold.train_y, std, std.apply(x))
         model = train_classifier(evaluator, train,
                                  **_EVAL_HYPER.get(evaluator, {}))
-        correct += int((predict_labels(model, x[mask]) == y[mask]).sum())
-    return correct / len(y)
+        test_x = np.ascontiguousarray(fold.test_x[:, indices])
+        correct += int((predict_labels(model, test_x) == fold.test_y).sum())
+    return correct / len(data.y)
 
 
 def greedy_select(data: LabeledSet, evaluator="knn", max_features=None,

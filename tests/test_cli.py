@@ -98,6 +98,24 @@ def test_select_reduces_to_single_signal(campaign_dir, tmp_path):
     assert doc["score"] == 1.0
 
 
+def test_select_rejects_negative_seed(campaign_dir, monkeypatch, capsys):
+    select = ["select", "--data", str(campaign_dir / "MD_test.csv")]
+    for method in ("greedy", "genetic"):
+        assert main(select + ["--method", method, "--seed", "-1"]) == 3
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err and "Traceback" not in err
+    monkeypatch.setenv("ICN_SENTINEL_SEED", "-1")
+    assert main(select + ["--method", "genetic"]) == 3
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_select_genetic_rejects_max_features(campaign_dir, capsys):
+    assert main(["select", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--method", "genetic", "--max-features", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "--max-features" in err and "--method genetic" in err
+
+
 def test_evaluate_meets_default_acceptance(campaign_dir, tmp_path, capsys):
     out = tmp_path / "report"
     rc = main(["evaluate", "--campaign", str(campaign_dir),
@@ -283,6 +301,21 @@ def test_model_and_config_errors_name_the_file(campaign_dir, models_dir,
                  "--config", str(config), "--out", str(tmp_path / "m")]) == 3
     err = capsys.readouterr().err
     assert "gen_config.json" in err and "psi must be > 0" in err
+
+
+def test_detect_checks_model_width_against_meta(campaign_dir, models_dir,
+                                                tmp_path, capsys):
+    models = tmp_path / "models"
+    shutil.copytree(models_dir, models)
+    meta = json.loads((models / "meta.json").read_text())
+    meta["features"] = meta["features"][:-1]
+    (models / "meta.json").write_text(json.dumps(meta))
+    assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--models", str(models)]) == 3
+    err = capsys.readouterr().err
+    assert "meta.json" in err and "features lists 17 names" in err
+    assert "model_knn.json takes 18" in err
 
 
 def _shorten_points(doc):

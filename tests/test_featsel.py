@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from icn_sentinel.classifiers import LabeledSet
+from icn_sentinel import featsel
+from icn_sentinel.classifiers import (CLASSIFIER_KINDS, LabeledSet,
+                                      predict_labels, train_classifier)
 from icn_sentinel.core import (ConfigError, DegenerateDataError)
 from icn_sentinel.featsel import (FeatureSubset, GaConfig, cross_val_accuracy,
                                   genetic_select, greedy_select,
@@ -90,6 +92,109 @@ def test_cross_val_matches_restricted_set():
         assert direct == restricted
 
 
+def cold_cross_val(data, indices, evaluator, folds, seed):
+    """Cross-validation that splits, checks and standardizes from scratch
+    for every subset: the reference the fold memo must equal."""
+    indices = sorted(indices)
+    x = data.x[:, indices]
+    y = data.y
+    assignment = stratified_folds(y, folds=folds, seed=seed)
+    correct = 0
+    for fold in range(folds):
+        mask = assignment == fold
+        if not mask.any():
+            continue
+        train = LabeledSet.from_raw(x[~mask], y[~mask])
+        model = train_classifier(evaluator, train,
+                                 **featsel._EVAL_HYPER.get(evaluator, {}))
+        correct += int((predict_labels(model, x[mask]) == y[mask]).sum())
+    return correct / len(y)
+
+
+def wide_data(seed=0, n=48, width=12):
+    """Two shifted classes over columns of mixed scale, wide enough for
+    subsets on both sides of numpy's 8-element pairwise-sum block."""
+    rng = np.random.default_rng(seed)
+    y = np.where(np.arange(n) % 3 == 0, -1, 1)
+    scale = 10.0 ** rng.uniform(-2, 3, size=width)
+    x = (rng.normal(size=(n, width)) + 0.8 * y[:, None]) * scale
+    return LabeledSet.from_raw(x, y)
+
+
+SUBSET_SIZES = (1, 2, 7, 8, 9, 12)
+
+
+def assert_bitwise(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    # the layout fixes numpy's summation order
+    assert a.flags.c_contiguous == b.flags.c_contiguous
+    assert a.flags.f_contiguous == b.flags.f_contiguous
+    assert a.tobytes() == b.tobytes()
+
+
+def test_cross_val_fold_memo_equals_cold_path():
+    data = wide_data(seed=1, n=36)
+    rng = np.random.default_rng(1)
+    for folds, seed in ((5, 0), (3, 4), (4, 9)):
+        for size in SUBSET_SIZES:
+            subset = rng.choice(data.n_features, size=size,
+                                replace=False).tolist()
+            for evaluator in CLASSIFIER_KINDS:
+                assert cross_val_accuracy(data, subset, evaluator,
+                                          folds=folds, seed=seed) \
+                    == cold_cross_val(data, subset, evaluator, folds, seed)
+
+
+def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
+    """Each fold trains on exactly the set from_raw builds from the
+    subset's columns and scores exactly the subset's test rows."""
+    seen = []
+
+    def train_spy(kind, train, **hyper):
+        seen.append(("train", train))
+        return train_classifier(kind, train, **hyper)
+
+    def predict_spy(model, x):
+        seen.append(("predict", x))
+        return predict_labels(model, x)
+
+    monkeypatch.setattr(featsel, "train_classifier", train_spy)
+    monkeypatch.setattr(featsel, "predict_labels", predict_spy)
+    data = wide_data(seed=3)
+    rng = np.random.default_rng(3)
+    for folds, seed in ((5, 0), (4, 2)):
+        assignment = stratified_folds(data.y, folds=folds, seed=seed)
+        for size in SUBSET_SIZES:
+            idx = sorted(rng.choice(data.n_features, size=size,
+                                    replace=False).tolist())
+            seen.clear()
+            cross_val_accuracy(data, idx, "knn", folds=folds, seed=seed)
+            assert len(seen) == 2 * folds
+            for fold in range(folds):
+                mask = assignment == fold
+                (_, train), (_, test_x) = seen[2 * fold:2 * fold + 2]
+                ref = LabeledSet.from_raw(data.x[:, idx][~mask],
+                                          data.y[~mask])
+                assert_bitwise(train.x, ref.x)
+                assert_bitwise(train.y, ref.y)
+                assert_bitwise(train.standardization.mean,
+                               ref.standardization.mean)
+                assert_bitwise(train.standardization.std,
+                               ref.standardization.std)
+                assert_bitwise(train.xz, ref.xz)
+                assert_bitwise(test_x, data.x[:, idx][mask])
+
+
+def test_cross_val_fold_memo_keeps_one_key():
+    data = wide_data(seed=5)
+    subset = [0, 3, 4, 7, 10]
+    for folds, seed in ((5, 0), (3, 1), (5, 0), (2, 7), (3, 1)):
+        assert cross_val_accuracy(data, subset, "knn", folds=folds,
+                                  seed=seed) \
+            == cold_cross_val(data, subset, "knn", folds, seed)
+        assert list(data._folds) == [(folds, seed)]
+
+
 def test_cross_val_errors():
     data = planted_data()
     with pytest.raises(ConfigError):
@@ -173,6 +278,10 @@ def test_ga_config_validation():
         GaConfig(generations=0)
     with pytest.raises(ConfigError):
         GaConfig(mutation_rate=1.5)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        GaConfig(seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
+        stratified_folds(np.array([1, -1] * 5), seed=-3)
     data = planted_data()
     with pytest.raises(ConfigError):
         genetic_select(data, initial_masks=[np.zeros(data.n_features,
