@@ -19,11 +19,11 @@ from .iac import (EventVerdict, IacCurve, IacModel, TraceVerdict, aggregate,
                   classify_trace, mann_whitney_u, min_max_curves,
                   select_feature_events, train_iac_model)
 from .classifiers import (C45Model, KnnModel, LabeledSet, Rule,
-                          Standardization, SvmModel, c45_predict, c45_train,
-                          knn_predict, knn_train, load_model, model_from_json,
-                          model_kind, model_to_json, predict_label,
-                          predict_labels, save_model, svm_objective,
-                          svm_predict, svm_train, train_classifier)
+                          Standardization, SvmModel, c45_train, knn_predict,
+                          knn_train, load_model, model_from_json, model_kind,
+                          model_to_json, predict_label, predict_labels,
+                          save_model, svm_objective, svm_predict, svm_train,
+                          train_classifier)
 from .featsel import (FeatureSubset, GaConfig, cross_val_accuracy,
                       genetic_select, greedy_select, stratified_folds)
 from .synth import (Campaign, GeneratorConfig, GroupData, ParamModel,
@@ -52,7 +52,7 @@ __all__ = [
     "select_feature_events", "train_iac_model",
     "LabeledSet", "Standardization", "SvmModel", "KnnModel", "C45Model",
     "Rule", "svm_train", "svm_predict", "svm_objective", "knn_train",
-    "knn_predict", "c45_train", "c45_predict", "train_classifier",
+    "knn_predict", "c45_train", "train_classifier",
     "predict_label", "predict_labels", "model_kind", "model_to_json",
     "model_from_json", "save_model", "load_model",
     "FeatureSubset", "GaConfig", "cross_val_accuracy", "genetic_select",

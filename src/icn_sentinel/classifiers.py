@@ -2,12 +2,12 @@
 
 Three classifiers label standardized feature vectors +1 (normal) or -1
 (anomalous): a linear soft-margin SVM fit by deterministic subgradient
-descent, a nearest-neighbor memorizer fixed at k=1, and a decision tree
-grown on gain ratio whose branches are flattened into ordered, pruned
-if-then rules.  ``predict_labels`` scores a whole feature matrix in one
-call per model.  Training uses no randomness: identical data and
-hyperparameters give bit-identical models.  Each train function's
-signature holds its classifier's default hyperparameters.
+descent, a Euclidean nearest-neighbor memorizer fixed at k=1, and a
+decision tree grown on gain ratio whose branches are flattened into
+ordered, pruned if-then rules.  ``predict_labels`` scores a whole
+feature matrix in one call per model.  Training uses no randomness:
+identical data and hyperparameters give bit-identical models.  Each train
+function's signature holds its classifier's default hyperparameters.
 """
 
 from __future__ import annotations
@@ -20,9 +20,6 @@ from scipy.stats import beta as beta_dist
 
 from .core import (ConfigError, DegenerateDataError, NORMAL, ANOMALOUS,
                    SchemaError, SentinelError, read_json, write_json)
-
-CLASSIFIER_KINDS = ("svm", "knn", "c45")
-
 
 @dataclass(frozen=True)
 class Standardization:
@@ -116,15 +113,37 @@ class SvmModel:
     c_param: float
     standardization: Standardization
 
+    kind = "svm"
 
-def svm_objective(model_or_w, data, bias=None, c_param=None):
+    def _labels(self, z) -> np.ndarray:
+        """Sign of the margin per standardized row; a zero score is NORMAL.
+
+        Each row keeps its own dot product: a matrix-vector product rounds
+        differently and would move rows that sit on the boundary.
+        """
+        w = self.weights
+        scores = np.fromiter((w @ zi for zi in z), dtype=float, count=len(z))
+        return np.where(scores + self.bias >= 0.0, NORMAL, ANOMALOUS)
+
+    def _body(self) -> dict:
+        return {"weights": self.weights.tolist(), "bias": self.bias,
+                "c_param": self.c_param}
+
+    @classmethod
+    def _from_body(cls, doc, std, d):
+        weights = np.asarray(doc["weights"], dtype=float)
+        if weights.shape != (d,) or not np.isfinite(weights).all():
+            raise SchemaError("weights: expected %d finite values" % d)
+        bias = float(doc["bias"])
+        if not math.isfinite(bias):
+            raise SchemaError("bias: expected a finite value, got %r" % bias)
+        return cls(weights, bias, float(doc["c_param"]), std)
+
+
+def svm_objective(w, data, bias, c_param):
     """Primal objective ||w||^2 / 2 + C * sum hinge on standardized data."""
-    if isinstance(model_or_w, SvmModel):
-        w, b, c = model_or_w.weights, model_or_w.bias, model_or_w.c_param
-    else:
-        w, b, c = np.asarray(model_or_w, dtype=float), bias, c_param
-    margins = 1.0 - data.y * (data.xz @ w + b)
-    return 0.5 * float(w @ w) + c * float(np.clip(margins, 0.0, None).sum())
+    margins = 1.0 - data.y * (data.xz @ w + bias)
+    return 0.5 * float(w @ w) + c_param * float(np.clip(margins, 0.0, None).sum())
 
 
 def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
@@ -168,39 +187,8 @@ def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
     return SvmModel(best_w, best_b, c_param, data.standardization)
 
 
-def _svm_labels(model: SvmModel, z) -> np.ndarray:
-    """Sign of the margin per standardized row; a zero score is NORMAL.
-
-    Each row keeps its own dot product: a matrix-vector product rounds
-    differently and would move rows that sit on the boundary.
-    """
-    w = model.weights
-    scores = np.fromiter((w @ zi for zi in z), dtype=float, count=len(z))
-    return np.where(scores + model.bias >= 0.0, NORMAL, ANOMALOUS)
-
-
 # ---------------------------------------------------------------------------
-# nearest neighbor (k fixed at 1)
-
-
-@dataclass(frozen=True)
-class KnnModel:
-    points: np.ndarray  # standardized stored vectors
-    labels: np.ndarray
-    metric: str
-    standardization: Standardization
-
-
-KNN_METRICS = ("euclidean", "manhattan")
-
-
-def knn_train(data: LabeledSet, metric="euclidean") -> KnnModel:
-    if metric not in KNN_METRICS:
-        raise ConfigError("metric must be euclidean or manhattan, got %r"
-                          % (metric,))
-    _require_two_classes(data)
-    return KnnModel(data.xz.copy(), data.y.copy(), metric,
-                    data.standardization)
+# nearest neighbor (Euclidean, k fixed at 1)
 
 
 # kNN scores queries in blocks whose (rows, stored, features) difference
@@ -208,23 +196,53 @@ def knn_train(data: LabeledSet, metric="euclidean") -> KnnModel:
 KNN_BLOCK_FLOATS = 65536
 
 
-def _knn_labels(model: KnnModel, z) -> np.ndarray:
-    """Label of the nearest stored vector per standardized row; distance
-    ties pick the lowest stored index."""
-    if model.metric not in KNN_METRICS:
-        raise ConfigError("metric must be euclidean or manhattan, got %r"
-                          % (model.metric,))
-    points = model.points
-    block = max(1, KNN_BLOCK_FLOATS // max(points.size, 1))
-    nearest = np.empty(len(z), dtype=np.intp)
-    for start in range(0, len(z), block):
-        diff = points[None] - z[start:start + block, None]
-        if model.metric == "euclidean":
+@dataclass(frozen=True)
+class KnnModel:
+    points: np.ndarray  # standardized stored vectors
+    labels: np.ndarray
+    standardization: Standardization
+
+    kind = "knn"
+
+    def _labels(self, z) -> np.ndarray:
+        """Label of the nearest stored vector per standardized row; distance
+        ties pick the lowest stored index."""
+        points = self.points
+        block = max(1, KNN_BLOCK_FLOATS // max(points.size, 1))
+        nearest = np.empty(len(z), dtype=np.intp)
+        for start in range(0, len(z), block):
+            diff = points[None] - z[start:start + block, None]
             dist = np.sqrt((diff * diff).sum(axis=2))
-        else:
-            dist = np.abs(diff).sum(axis=2)
-        nearest[start:start + block] = dist.argmin(axis=1)
-    return model.labels[nearest]
+            nearest[start:start + block] = dist.argmin(axis=1)
+        return self.labels[nearest]
+
+    def _body(self) -> dict:
+        return {"points": self.points.tolist(), "labels": self.labels.tolist(),
+                "k": 1, "metric": "euclidean"}
+
+    @classmethod
+    def _from_body(cls, doc, std, d):
+        if doc["k"] != 1:
+            raise ConfigError("only k=1 is supported, got k=%r" % (doc["k"],))
+        points = np.asarray(doc["points"], dtype=float)
+        labels = np.asarray(doc["labels"], dtype=int)
+        if points.ndim != 2 or points.shape[1] != d or not len(points) \
+                or not np.isfinite(points).all():
+            raise SchemaError("points: expected a non-empty, finite (m, %d) "
+                              "matrix" % d)
+        if labels.shape != (len(points),) or \
+                not np.all((labels == NORMAL) | (labels == ANOMALOUS)):
+            raise SchemaError("labels: expected %d values of +1 or -1"
+                              % len(points))
+        if doc["metric"] != "euclidean":
+            raise SchemaError("metric: expected euclidean, got %r"
+                              % (doc["metric"],))
+        return cls(points, labels, std)
+
+
+def knn_train(data: LabeledSet) -> KnnModel:
+    _require_two_classes(data)
+    return KnnModel(data.xz.copy(), data.y.copy(), data.standardization)
 
 
 # ---------------------------------------------------------------------------
@@ -240,15 +258,53 @@ class Rule:
     klass: int
     error: float = 0.0
 
-    def matches(self, z) -> bool:
-        return bool(_coverage(self.conditions, np.asarray([z], float))[0])
-
 
 @dataclass(frozen=True)
 class C45Model:
     rules: tuple
     default_class: int
     standardization: Standardization
+
+    kind = "c45"
+
+    def _labels(self, z) -> np.ndarray:
+        """Class of the first rule matching each standardized row, or the
+        default class."""
+        labels = np.full(len(z), self.default_class, dtype=int)
+        unassigned = np.ones(len(z), dtype=bool)
+        for rule in self.rules:
+            hit = unassigned & _coverage(rule.conditions, z)
+            labels[hit] = rule.klass
+            unassigned &= ~hit
+        return labels
+
+    def _body(self) -> dict:
+        return {"rules": [{"conditions": [list(c) for c in r.conditions],
+                           "class": r.klass, "error": r.error}
+                          for r in self.rules],
+                "default_class": self.default_class}
+
+    @classmethod
+    def _from_body(cls, doc, std, d):
+        rules = tuple(Rule(tuple((int(f), op, float(thr))
+                                 for f, op, thr in r["conditions"]),
+                           int(r["class"]), float(r["error"]))
+                      for r in doc["rules"])
+        default_class = int(doc["default_class"])
+        if default_class not in (NORMAL, ANOMALOUS):
+            raise SchemaError("default_class: expected +1 or -1, got %r"
+                              % default_class)
+        for rule in rules:
+            if rule.klass not in (NORMAL, ANOMALOUS):
+                raise SchemaError("rules: class must be +1 or -1, got %r"
+                                  % rule.klass)
+            for f, op, thr in rule.conditions:
+                if not 0 <= f < d or op not in ("<=", ">") \
+                        or not math.isfinite(thr):
+                    raise SchemaError("rules: condition (%r, %r, %r) needs "
+                                      "a feature in [0, %d), <= or > and a "
+                                      "finite threshold" % (f, op, thr, d))
+        return cls(rules, default_class, std)
 
 
 def _entropy(counts):
@@ -450,23 +506,12 @@ def c45_train(data: LabeledSet, min_leaf=2, cf=0.25) -> C45Model:
     return C45Model(tuple(rules), default, data.standardization)
 
 
-def _c45_labels(model: C45Model, z) -> np.ndarray:
-    """Class of the first rule matching each standardized row, or the
-    default class."""
-    labels = np.full(len(z), model.default_class, dtype=int)
-    unassigned = np.ones(len(z), dtype=bool)
-    for rule in model.rules:
-        hit = unassigned & _coverage(rule.conditions, z)
-        labels[hit] = rule.klass
-        unassigned &= ~hit
-    return labels
-
-
 # ---------------------------------------------------------------------------
 # dispatch and model files
 
 
 def train_classifier(kind, data, **hyper):
+    # trainers resolve by module name at call time, so wrappers see them
     if kind == "svm":
         return svm_train(data, **hyper)
     if kind == "knn":
@@ -476,19 +521,24 @@ def train_classifier(kind, data, **hyper):
     raise ConfigError("unknown classifier kind %r" % (kind,))
 
 
-_LABELERS = {SvmModel: _svm_labels, KnnModel: _knn_labels,
-             C45Model: _c45_labels}
+_MODELS = {cls.kind: cls for cls in (SvmModel, KnnModel, C45Model)}
+CLASSIFIER_KINDS = tuple(_MODELS)
+
+
+def model_kind(model) -> str:
+    """Kind string of a trained model; ConfigError for any other object."""
+    if type(model) not in _MODELS.values():
+        raise ConfigError("unknown model type %r" % type(model).__name__)
+    return model.kind
 
 
 def predict_labels(model, x) -> np.ndarray:
     """Label (+1 or -1) of every row of the 2-D feature matrix ``x``."""
-    labeler = _LABELERS.get(type(model))
-    if labeler is None:
-        raise ConfigError("unknown model type %r" % type(model).__name__)
+    model_kind(model)
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise SchemaError("feature matrix must be 2-D")
-    return labeler(model, model.standardization.apply(x))
+    return model._labels(model.standardization.apply(x))
 
 
 def predict_label(model, x) -> int:
@@ -505,32 +555,9 @@ def knn_predict(model: KnnModel, x) -> int:
     return predict_label(model, x)
 
 
-def c45_predict(model: C45Model, x) -> int:
-    return predict_label(model, x)
-
-
-def model_kind(model) -> str:
-    return {SvmModel: "svm", KnnModel: "knn", C45Model: "c45"}[type(model)]
-
-
 def model_to_json(model) -> dict:
-    if isinstance(model, SvmModel):
-        return {"kind": "svm", "weights": model.weights.tolist(),
-                "bias": model.bias, "c_param": model.c_param,
-                "standardization": model.standardization.to_json()}
-    if isinstance(model, KnnModel):
-        return {"kind": "knn", "points": model.points.tolist(),
-                "labels": model.labels.tolist(), "k": 1,
-                "metric": model.metric,
-                "standardization": model.standardization.to_json()}
-    if isinstance(model, C45Model):
-        return {"kind": "c45",
-                "rules": [{"conditions": [[f, op, thr] for f, op, thr in r.conditions],
-                           "class": r.klass, "error": r.error}
-                          for r in model.rules],
-                "default_class": model.default_class,
-                "standardization": model.standardization.to_json()}
-    raise ConfigError("unknown model type %r" % type(model).__name__)
+    return {"kind": model_kind(model), **model._body(),
+            "standardization": model.standardization.to_json()}
 
 
 def model_from_json(doc):
@@ -544,51 +571,9 @@ def model_from_json(doc):
             or not (np.isfinite(std.std) & (std.std > 0)).all():
         raise SchemaError("standardization: mean and std must be lists of "
                           "equal length, finite, with std > 0")
-    d = len(std.mean)
-    if kind == "svm":
-        weights = np.asarray(doc["weights"], dtype=float)
-        if weights.shape != (d,) or not np.isfinite(weights).all():
-            raise SchemaError("weights: expected %d finite values" % d)
-        return SvmModel(weights, float(doc["bias"]), float(doc["c_param"]),
-                        std)
-    if kind == "knn":
-        if doc["k"] != 1:
-            raise ConfigError("only k=1 is supported, got k=%r" % (doc["k"],))
-        points = np.asarray(doc["points"], dtype=float)
-        labels = np.asarray(doc["labels"], dtype=int)
-        if points.ndim != 2 or points.shape[1] != d or not len(points) \
-                or not np.isfinite(points).all():
-            raise SchemaError("points: expected a non-empty, finite (m, %d) "
-                              "matrix" % d)
-        if labels.shape != (len(points),) or \
-                not np.all((labels == NORMAL) | (labels == ANOMALOUS)):
-            raise SchemaError("labels: expected %d values of +1 or -1"
-                              % len(points))
-        if doc["metric"] not in KNN_METRICS:
-            raise SchemaError("metric: expected euclidean or manhattan, "
-                              "got %r" % (doc["metric"],))
-        return KnnModel(points, labels, doc["metric"], std)
-    if kind == "c45":
-        rules = tuple(Rule(tuple((int(f), op, float(thr))
-                                 for f, op, thr in r["conditions"]),
-                           int(r["class"]), float(r["error"]))
-                      for r in doc["rules"])
-        default_class = int(doc["default_class"])
-        if default_class not in (NORMAL, ANOMALOUS):
-            raise SchemaError("default_class: expected +1 or -1, got %r"
-                              % default_class)
-        for rule in rules:
-            if rule.klass not in (NORMAL, ANOMALOUS):
-                raise SchemaError("rules: class must be +1 or -1, got %r"
-                                  % rule.klass)
-            for f, op, thr in rule.conditions:
-                if not 0 <= f < d or op not in ("<=", ">") \
-                        or not math.isfinite(thr):
-                    raise SchemaError("rules: condition (%r, %r, %r) needs "
-                                      "a feature in [0, %d), <= or > and a "
-                                      "finite threshold" % (f, op, thr, d))
-        return C45Model(rules, default_class, std)
-    raise ConfigError("unknown model kind %r" % (kind,))
+    if kind not in CLASSIFIER_KINDS:
+        raise ConfigError("unknown model kind %r" % (kind,))
+    return _MODELS[kind]._from_body(doc, std, len(std.mean))
 
 
 def save_model(model, path):

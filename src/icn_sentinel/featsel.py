@@ -57,6 +57,8 @@ def _check_seed(seed):
 def stratified_folds(y, folds=5, seed=0):
     """Per-class round-robin fold assignment; deterministic under seed."""
     _check_seed(seed)
+    if folds < 2:
+        raise ConfigError("folds must be >= 2, got %r" % (folds,))
     y = np.asarray(y)
     rng = np.random.default_rng(seed)
     assignment = np.empty(len(y), dtype=int)

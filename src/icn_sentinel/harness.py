@@ -108,8 +108,7 @@ def event_chunks(events: EventTrace, symbols_per_row) -> list:
 
 
 def dual_detect(rows, windows, profile, iac_model, model, features,
-                sensitivity: SensitivityDegree, alpha=None, sigma_th=None,
-                events=None) -> list:
+                sensitivity: SensitivityDegree, alpha=None, sigma_th=None) -> list:
     """Joint threshold/event verdicts, one DualVerdict per row.
 
     ``windows[i]`` is the event window aligned with ``rows[i]``.  The
@@ -129,8 +128,7 @@ def dual_detect(rows, windows, profile, iac_model, model, features,
     verdicts = []
     for window, threshold_pass in zip(windows, threshold.tolist()):
         detail = classify_trace(window, iac_model, alpha=alpha,
-                                sigma_th=sigma_th, sensitivity=sensitivity,
-                                events=events)
+                                sigma_th=sigma_th, sensitivity=sensitivity)
         iac_pass = not detail.anomalous
         verdicts.append(DualVerdict(threshold_pass, iac_pass,
                                     threshold_pass and iac_pass, detail))

@@ -23,8 +23,8 @@ import numpy as np
 from scipy.stats import t as student_t
 
 from .core import (ConfigError, EventNotFoundError, EventTrace,
-                   InsufficientDataError, SensitivityDegree, SentinelError,
-                   read_json, write_json)
+                   InsufficientDataError, SchemaError, SensitivityDegree,
+                   SentinelError, read_json, write_json)
 
 DEFAULT_W_DELTA = 25
 DEFAULT_CONFIDENCE = 0.95
@@ -258,6 +258,24 @@ class TraceVerdict:
         object.__setattr__(self, "events", MappingProxyType(dict(self.events)))
 
 
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
+def _bands_from_json(event, bands) -> dict:
+    """One event's window -> band map: windows w >= 1, each band the six
+    finite numbers (min mean, lo, hi, max mean, lo, hi)."""
+    if not isinstance(bands, dict) or not all(
+            str(w).isdecimal() and int(w) >= 1
+            and isinstance(band, (list, tuple)) and len(band) == 6
+            and all(_finite(v) for v in band)
+            for w, band in bands.items()):
+        raise SchemaError("events: %r needs windows w >= 1 with 6 finite "
+                          "numbers each" % (event,))
+    return {int(w): tuple(band) for w, band in bands.items()}
+
+
 @dataclass(frozen=True)
 class IacModel:
     """Aggregated normal-behavior curves plus the test configuration.
@@ -292,14 +310,35 @@ class IacModel:
 
     @classmethod
     def from_json(cls, doc) -> "IacModel":
-        curves = {e: {int(w): tuple(band) for w, band in bands.items()}
-                  for e, bands in doc["events"].items()}
+        """Rebuild a model; a value that does not fit raises SchemaError
+        naming its key.  An infinite sigma_th stays legal."""
+        events = doc["events"]
+        if not isinstance(events, dict):
+            raise SchemaError("events: expected an object of event -> bands")
+        curves = {e: _bands_from_json(e, bands) for e, bands in events.items()}
+        feature_events = doc["feature_events"]
+        if not isinstance(feature_events, list) or not feature_events \
+                or not all(isinstance(e, str) for e in feature_events):
+            raise SchemaError("feature_events: expected a non-empty list of "
+                              "strings")
+        w_delta = doc["w_delta"]
+        if type(w_delta) is not int or w_delta < 1:
+            raise SchemaError("w_delta: expected an integer >= 1, got %r"
+                              % (w_delta,))
+        confidence = float(doc["confidence"])
+        if not 0 < confidence < 1:
+            raise SchemaError("confidence: expected a value in (0, 1), got %r"
+                              % confidence)
+        alpha, sigma_th = float(doc["alpha"]), float(doc["sigma_th"])
+        for name, value in (("alpha", alpha), ("sigma_th", sigma_th)):
+            if math.isnan(value):
+                raise SchemaError("%s: expected a number, got NaN" % name)
         return cls(curves,
-                   w_delta=int(doc["w_delta"]),
-                   confidence=float(doc["confidence"]),
-                   alpha=float(doc["alpha"]),
-                   sigma_th=float(doc["sigma_th"]),
-                   feature_events=tuple(doc["feature_events"]),
+                   w_delta=w_delta,
+                   confidence=confidence,
+                   alpha=alpha,
+                   sigma_th=sigma_th,
+                   feature_events=tuple(feature_events),
                    frequencies={k: int(v) for k, v in doc.get("frequencies", {}).items()})
 
     def save(self, path):

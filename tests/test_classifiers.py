@@ -8,9 +8,9 @@ from scipy.stats import binom
 from icn_sentinel import classifiers
 from icn_sentinel.classifiers import (C45Model, KnnModel, LabeledSet, Rule,
                                       Standardization, SvmModel, binom_upper,
-                                      c45_predict, c45_train, knn_predict,
-                                      knn_train, load_model, model_from_json,
-                                      model_kind, model_to_json, predict_label,
+                                      c45_train, knn_predict, knn_train,
+                                      load_model, model_from_json, model_kind,
+                                      model_to_json, predict_label,
                                       predict_labels, save_model,
                                       svm_objective, svm_predict, svm_train,
                                       train_classifier)
@@ -67,7 +67,8 @@ def test_svm_symmetric_pair():
     model = svm_train(data, c_param=1.0, epochs=200)
     assert model.weights[0] == pytest.approx(1.0, abs=0.05)
     assert model.bias == pytest.approx(0.0, abs=0.05)
-    assert svm_objective(model, data) == pytest.approx(0.5, abs=0.02)
+    assert svm_objective(model.weights, data, model.bias, model.c_param) \
+        == pytest.approx(0.5, abs=0.02)
     assert svm_predict(model, [1.0]) == NORMAL
     assert svm_predict(model, [-1.0]) == ANOMALOUS
 
@@ -98,7 +99,9 @@ def test_svm_objective_never_exceeds_start():
             continue
         data = LabeledSet.from_raw(x, y)
         model = svm_train(data, c_param=c_param, epochs=50)
-        assert svm_objective(model, data) <= c_param * len(data) + 1e-9
+        objective = svm_objective(model.weights, data, model.bias,
+                                  model.c_param)
+        assert objective <= c_param * len(data) + 1e-9
 
 
 def test_svm_deterministic():
@@ -173,11 +176,11 @@ def test_svm_config_errors():
 def test_knn_only_k1():
     data = blob_data()
     doc = model_to_json(knn_train(data))
-    assert doc["k"] == 1
+    assert doc["k"] == 1 and doc["metric"] == "euclidean"
     with pytest.raises(ConfigError):
         model_from_json(dict(doc, k=3))
-    with pytest.raises(ConfigError):
-        knn_train(data, metric="cosine")
+    with pytest.raises(SchemaError, match="metric"):
+        model_from_json(dict(doc, metric="manhattan"))
 
 
 def test_knn_tie_breaks_to_lowest_index():
@@ -191,25 +194,21 @@ def test_knn_tie_breaks_to_lowest_index():
 
 def test_knn_matches_distance_oracle():
     rng = np.random.default_rng(8)
-    for metric in ("euclidean", "manhattan"):
-        for _ in range(15):
-            n = int(rng.integers(4, 25))
-            x = rng.normal(size=(n, 3))
-            y = np.where(rng.random(n) < 0.5, NORMAL, ANOMALOUS)
-            if len(np.unique(y)) < 2:
-                continue
-            data = LabeledSet.from_raw(x, y)
-            model = knn_train(data, metric=metric)
-            mean, std = x.mean(axis=0), x.std(axis=0)
-            std = np.where(std > 0, std, 1.0)
-            for _ in range(5):
-                q = rng.normal(size=3)
-                diff = (x - mean) / std - (q - mean) / std
-                if metric == "euclidean":
-                    dist = np.sqrt((diff ** 2).sum(axis=1))
-                else:
-                    dist = np.abs(diff).sum(axis=1)
-                assert knn_predict(model, q) == y[int(np.argmin(dist))]
+    for _ in range(15):
+        n = int(rng.integers(4, 25))
+        x = rng.normal(size=(n, 3))
+        y = np.where(rng.random(n) < 0.5, NORMAL, ANOMALOUS)
+        if len(np.unique(y)) < 2:
+            continue
+        data = LabeledSet.from_raw(x, y)
+        model = knn_train(data)
+        mean, std = x.mean(axis=0), x.std(axis=0)
+        std = np.where(std > 0, std, 1.0)
+        for _ in range(5):
+            q = rng.normal(size=3)
+            diff = (x - mean) / std - (q - mean) / std
+            dist = np.sqrt((diff ** 2).sum(axis=1))
+            assert knn_predict(model, q) == y[int(np.argmin(dist))]
 
 
 def test_knn_invariant_to_affine_feature_rescaling():
@@ -232,16 +231,16 @@ def test_c45_single_threshold_rules():
     for rule in model.rules:
         assert len(rule.conditions) == 1
         assert rule.error == 0.0
-    preds = [c45_predict(model, row) for row in x]
+    preds = [predict_label(model, row) for row in x]
     assert preds == list(y)
-    assert c45_predict(model, [50.0]) == ANOMALOUS
-    assert c45_predict(model, [-50.0]) == NORMAL
+    assert predict_label(model, [50.0]) == ANOMALOUS
+    assert predict_label(model, [-50.0]) == NORMAL
 
 
 def test_c45_pure_pair_min_leaf_one():
     data = LabeledSet.from_raw([[0.0], [1.0]], [1, -1])
     model = c45_train(data, min_leaf=1)
-    preds = [c45_predict(model, row) for row in data.x]
+    preds = [predict_label(model, row) for row in data.x]
     assert preds == [1, -1]
 
 
@@ -250,7 +249,7 @@ def test_c45_constant_feature_majority():
     model = c45_train(data)
     assert model.rules == ()
     assert model.default_class == NORMAL
-    assert c45_predict(model, [1.0]) == NORMAL
+    assert predict_label(model, [1.0]) == NORMAL
 
 
 def test_binom_upper_matches_bisection():
@@ -304,7 +303,9 @@ def test_c45_rule_errors_sorted_and_recomputable():
     errs = [r.error for r in model.rules]
     assert errs == sorted(errs)
     for rule in model.rules:
-        covered = [i for i in range(len(data)) if rule.matches(data.xz[i])]
+        covered = [i for i, z in enumerate(data.xz)
+                   if all(z[f] <= t if op == "<=" else z[f] > t
+                          for f, op, t in rule.conditions)]
         assert covered, "published rules must cover something"
         want = np.mean([data.y[i] != rule.klass for i in covered])
         assert rule.error == pytest.approx(float(want))
@@ -349,11 +350,11 @@ def test_dispatch():
     q = data.x[0]
     assert predict_label(svm, q) == svm_predict(svm, q)
     assert predict_label(knn, q) == knn_predict(knn, q)
-    assert predict_label(c45, q) == c45_predict(c45, q)
     with pytest.raises(ConfigError):
         train_classifier("forest", data)
-    with pytest.raises(ConfigError):
-        predict_label(object(), q)
+    for call in (model_kind, model_to_json, lambda m: predict_label(m, q)):
+        with pytest.raises(ConfigError):
+            call(object())
     with pytest.raises(ConfigError):
         model_from_json({"kind": "forest", "standardization":
                          {"mean": [0.0], "std": [1.0]}})
@@ -361,9 +362,10 @@ def test_dispatch():
 
 def test_rule_matches():
     rule = Rule(((0, "<=", 1.0), (1, ">", 0.0)), ANOMALOUS)
-    assert rule.matches(np.array([0.5, 2.0]))
-    assert not rule.matches(np.array([1.5, 2.0]))
-    assert not rule.matches(np.array([0.5, 0.0]))
+    model = C45Model((rule,), NORMAL,
+                     Standardization(np.zeros(2), np.ones(2)))
+    assert predict_labels(model, [[0.5, 2.0], [1.5, 2.0], [0.5, 0.0]]
+                          ).tolist() == [ANOMALOUS, NORMAL, NORMAL]
 
 
 def reference_labels(model, x):
@@ -376,10 +378,7 @@ def reference_labels(model, x):
             out.append(NORMAL if score >= 0.0 else ANOMALOUS)
         elif isinstance(model, KnnModel):
             diff = model.points - z
-            if model.metric == "euclidean":
-                dist = np.sqrt((diff * diff).sum(axis=1))
-            else:
-                dist = np.abs(diff).sum(axis=1)
+            dist = np.sqrt((diff * diff).sum(axis=1))
             out.append(int(model.labels[int(np.argmin(dist))]))
         else:
             for rule in model.rules:
@@ -419,7 +418,7 @@ def test_predict_labels_matches_per_row_reference():
                              (data.x[:-1] + data.x[1:]) / 2.0])
         models = [train_classifier("svm", data, epochs=20),
                   train_classifier("c45", data),
-                  knn_train(data), knn_train(data, metric="manhattan")]
+                  knn_train(data)]
         for model in models:
             got = predict_labels(model, queries)
             assert got.shape == (len(queries),)
@@ -461,20 +460,15 @@ def test_knn_blocks_cross_boundaries(monkeypatch):
     rng = np.random.default_rng(32)
     data = random_labeled(rng, 200, 4)
     queries = rng.normal(size=(500, 4)) * data.x.std(axis=0)
-    expected = reference_labels(knn_train(data), queries)
+    model = knn_train(data)
+    want = reference_labels(model, queries)
     block = classifiers.KNN_BLOCK_FLOATS // data.x.size
     assert 1 < block < len(queries) and len(queries) % block
-    for metric in ("euclidean", "manhattan"):
-        model = knn_train(data, metric=metric)
-        want = reference_labels(model, queries)
-        if metric == "euclidean":
-            assert np.array_equal(want, expected)
+    assert np.array_equal(predict_labels(model, queries), want)
+    # tiny blocks: one row per block, and blocks that end mid-input
+    for limit in (1, 7 * data.x.size, 13 * data.x.size + 1):
+        monkeypatch.setattr(classifiers, "KNN_BLOCK_FLOATS", limit)
         assert np.array_equal(predict_labels(model, queries), want)
-        # tiny blocks: one row per block, and blocks that end mid-input
-        for limit in (1, 7 * data.x.size, 13 * data.x.size + 1):
-            monkeypatch.setattr(classifiers, "KNN_BLOCK_FLOATS", limit)
-            assert np.array_equal(predict_labels(model, queries), want)
-        monkeypatch.undo()
 
 
 def test_predict_labels_shapes():

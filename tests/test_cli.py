@@ -343,7 +343,9 @@ MISFIT_MODELS = {
                                                * len(doc["weights"]))),
             ("standardization",
              lambda doc: doc["standardization"]["std"].pop()),
-            ("standardization", _zero_first_std)),
+            ("standardization", _zero_first_std),
+            ("bias", lambda doc: doc.update(bias=float("nan"))),
+            ("bias", lambda doc: doc.update(bias=float("inf")))),
     "knn": (("points", _shorten_points),
             ("points", lambda doc: doc.update(points=doc["points"][0])),
             ("labels", lambda doc: doc["labels"].pop()),
@@ -379,3 +381,43 @@ def test_detect_rejects_model_arrays_that_do_not_fit(kind, campaign_dir,
         assert main(detect + ["--models", str(models)]) == 3, key
         err = capsys.readouterr().err
         assert name in err and key in err, err
+
+
+def _set_band(edit):
+    def spoil(doc):
+        doc["events"]["FGF"]["1"] = edit(doc["events"]["FGF"]["1"])
+    return spoil
+
+
+MISFIT_IAC = {
+    "short-band": ("events", _set_band(lambda band: band[:3])),
+    "string-band": ("events", _set_band(lambda band: ["x"] + band[1:])),
+    "nan-band": ("events", _set_band(lambda band: band[:5] + [float("nan")])),
+    "events-list": ("events", lambda doc: doc.update(events=[])),
+    "feature-events-string": ("feature_events",
+                              lambda doc: doc.update(feature_events="FGF")),
+    "feature-events-empty": ("feature_events",
+                             lambda doc: doc.update(feature_events=[])),
+    "zero-w-delta": ("w_delta", lambda doc: doc.update(w_delta=0)),
+    "confidence-one": ("confidence", lambda doc: doc.update(confidence=1.0)),
+    "nan-alpha": ("alpha", lambda doc: doc.update(alpha=float("nan"))),
+    "nan-sigma-th": ("sigma_th",
+                     lambda doc: doc.update(sigma_th=float("nan"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISFIT_IAC))
+def test_detect_rejects_malformed_iac_model(case, campaign_dir, models_dir,
+                                            tmp_path, capsys):
+    key, spoil = MISFIT_IAC[case]
+    models = tmp_path / "models"
+    shutil.copytree(models_dir, models)
+    path = models / "iac_model.json"
+    doc = json.loads(path.read_text())
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--models", str(models)]) == 3
+    err = capsys.readouterr().err
+    assert "iac_model.json" in err and key in err, err

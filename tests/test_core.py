@@ -165,3 +165,10 @@ def test_event_trace_ops():
     assert len(trace) == 4
     assert trace.alphabet() == {"A", "B"}
     assert trace.slice(1, 3).events == ("B", "A")
+
+
+def test_star_import_binds_every_exported_name():
+    import icn_sentinel
+    namespace = {}
+    exec("from icn_sentinel import *", namespace)
+    assert [n for n in icn_sentinel.__all__ if n not in namespace] == []

@@ -204,6 +204,14 @@ def test_cross_val_errors():
     lone = LabeledSet.from_raw([[0.0], [1.0], [2.0]], [1, 1, -1])
     with pytest.raises(DegenerateDataError):
         cross_val_accuracy(lone, [0])
+    for folds in (1, 0, -2):
+        message = "folds must be >= 2, got %d" % folds
+        for call in (lambda: stratified_folds(data.y, folds=folds),
+                     lambda: cross_val_accuracy(data, [0, 1], folds=folds),
+                     lambda: greedy_select(data, folds=folds),
+                     lambda: genetic_select(data, folds=folds)):
+            with pytest.raises(ConfigError, match=message):
+                call()
 
 
 def test_greedy_finds_planted_feature():

@@ -371,6 +371,9 @@ def test_model_json_round_trip(tmp_path):
     assert loaded.sigma_th == model.sigma_th
     assert set(loaded.feature_events) == set(model.feature_events)
     assert loaded.frequencies == model.frequencies
+    # an infinite sigma_th (never flag on band deviation) is a legal file
+    train_iac_model(traces, sigma_th=math.inf).save(path)
+    assert IacModel.load(path).sigma_th == math.inf
 
 
 def test_trace_verdict_events_read_only():
