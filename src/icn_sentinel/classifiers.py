@@ -196,6 +196,17 @@ def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
 KNN_BLOCK_FLOATS = 65536
 
 
+def _nearest(sq) -> np.ndarray:
+    """Index of the nearest stored vector per query, from the C-ordered
+    (queries, stored, features) squared differences; distance ties pick
+    the lowest stored index.
+
+    The square root is kept: it can round two different sums to one
+    distance, and so decide a tie.
+    """
+    return np.sqrt(sq.sum(axis=2)).argmin(axis=1)
+
+
 @dataclass(frozen=True)
 class KnnModel:
     points: np.ndarray  # standardized stored vectors
@@ -212,8 +223,7 @@ class KnnModel:
         nearest = np.empty(len(z), dtype=np.intp)
         for start in range(0, len(z), block):
             diff = points[None] - z[start:start + block, None]
-            dist = np.sqrt((diff * diff).sum(axis=2))
-            nearest[start:start + block] = dist.argmin(axis=1)
+            nearest[start:start + block] = _nearest(diff * diff)
         return self.labels[nearest]
 
     def _body(self) -> dict:

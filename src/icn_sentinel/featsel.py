@@ -8,14 +8,20 @@ provided.  Both are deterministic for a fixed dataset and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import ConfigError, DegenerateDataError, InsufficientDataError
 from .classifiers import (CLASSIFIER_KINDS, LabeledSet, Standardization,
-                          predict_labels, train_classifier)
+                          _nearest, predict_labels, train_classifier)
 
 PARSIMONY_PENALTY = 0.002
+
+# kNN cross-validation keeps each fold's squared-difference tensor while
+# all folds' tensors together hold at most this many floats (about
+# 0.8 * rows**2 * features for 5 folds)
+KNN_TENSOR_FLOATS = 2 ** 22
 
 # the inner CV loop trains the SVM for fewer epochs than its default
 _EVAL_HYPER = {"svm": {"epochs": 60}}
@@ -72,13 +78,26 @@ def stratified_folds(y, folds=5, seed=0):
 @dataclass(frozen=True)
 class _Fold:
     """One CV fold at full width: C-ordered raw train and test rows, their
-    labels, and the standardization fit on the training rows."""
+    labels, the standardization fit on the training rows and, once k-NN
+    asks for it, the squared-difference tensor."""
 
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
     standardization: Standardization
+
+    @cached_property
+    def sq_diff(self) -> np.ndarray:
+        """Squared differences of the standardized test and training rows,
+        one C-ordered (test, train) plane per feature, built on first use.
+        From two columns up a subset's planes equal those of its own fit."""
+        if len(np.unique(self.train_y)) < 2:
+            raise DegenerateDataError(
+                "training data must contain both classes")
+        std = self.standardization
+        diff = std.apply(self.train_x)[None] - std.apply(self.test_x)[:, None]
+        return np.ascontiguousarray((diff * diff).transpose(2, 0, 1))
 
 
 def _cv_folds(data: LabeledSet, folds, seed):
@@ -115,14 +134,29 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
     side lost a class are impossible by the round-robin construction for
     classes with >= 2 members.  The folds are split and fit at full width
     once per (data, folds, seed); a subset slices its columns from them.
+    A k-NN subset of two or more columns is scored from each fold's
+    squared-difference tensor while the tensors fit KNN_TENSOR_FLOATS.
     """
     indices = sorted(indices)
     if not indices:
         raise ConfigError("cannot evaluate an empty feature subset")
     if evaluator not in CLASSIFIER_KINDS:
         raise ConfigError("unknown evaluator %r" % (evaluator,))
+    split = _cv_folds(data, folds, seed)
     correct = 0
-    for fold in _cv_folds(data, folds, seed):
+    if evaluator == "knn" and len(indices) > 1 and sum(
+            len(f.test_y) * f.train_x.size for f in split) \
+            <= KNN_TENSOR_FLOATS:
+        columns = np.asarray(indices)
+        for fold in split:
+            # lay the planes out C-ordered (test, train, feature), as
+            # predict_labels lays its squared differences: the layout fixes
+            # numpy's summation order, and with it every bit of the sums
+            sq = np.ascontiguousarray(fold.sq_diff[columns].transpose(1, 2, 0))
+            correct += np.count_nonzero(
+                fold.train_y[_nearest(sq)] == fold.test_y)
+        return correct / len(data.y)
+    for fold in split:
         # C order keeps numpy's summation order, and with it every bit,
         # equal to fitting and scoring the subset's own columns
         x = np.ascontiguousarray(fold.train_x[:, indices])

@@ -333,13 +333,18 @@ class IacModel:
         for name, value in (("alpha", alpha), ("sigma_th", sigma_th)):
             if math.isnan(value):
                 raise SchemaError("%s: expected a number, got NaN" % name)
+        frequencies = doc.get("frequencies", {})
+        if not isinstance(frequencies, dict) or not all(
+                type(n) is int and n >= 0 for n in frequencies.values()):
+            raise SchemaError("frequencies: expected an object of event -> "
+                              "integer >= 0")
         return cls(curves,
                    w_delta=w_delta,
                    confidence=confidence,
                    alpha=alpha,
                    sigma_th=sigma_th,
                    feature_events=tuple(feature_events),
-                   frequencies={k: int(v) for k, v in doc.get("frequencies", {}).items()})
+                   frequencies=dict(frequencies))
 
     def save(self, path):
         write_json(path, self.to_json())

@@ -403,6 +403,14 @@ MISFIT_IAC = {
     "nan-alpha": ("alpha", lambda doc: doc.update(alpha=float("nan"))),
     "nan-sigma-th": ("sigma_th",
                      lambda doc: doc.update(sigma_th=float("nan"))),
+    "frequencies-list": ("frequencies",
+                         lambda doc: doc.update(frequencies=[])),
+    "frequencies-string": ("frequencies",
+                           lambda doc: doc["frequencies"].update(AFR="x")),
+    "frequencies-fraction": ("frequencies",
+                             lambda doc: doc["frequencies"].update(AFR=1.7)),
+    "frequencies-negative": ("frequencies",
+                             lambda doc: doc["frequencies"].update(AFR=-3)),
 }
 
 

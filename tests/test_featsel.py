@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from icn_sentinel import featsel
+from icn_sentinel import classifiers, featsel
 from icn_sentinel.classifiers import (CLASSIFIER_KINDS, LabeledSet,
                                       predict_labels, train_classifier)
 from icn_sentinel.core import (ConfigError, DegenerateDataError)
@@ -147,7 +148,8 @@ def test_cross_val_fold_memo_equals_cold_path():
 
 def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
     """Each fold trains on exactly the set from_raw builds from the
-    subset's columns and scores exactly the subset's test rows."""
+    subset's columns and scores exactly the subset's test rows (c45 runs
+    the path every evaluator but multi-column k-NN takes)."""
     seen = []
 
     def train_spy(kind, train, **hyper):
@@ -168,7 +170,7 @@ def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
             idx = sorted(rng.choice(data.n_features, size=size,
                                     replace=False).tolist())
             seen.clear()
-            cross_val_accuracy(data, idx, "knn", folds=folds, seed=seed)
+            cross_val_accuracy(data, idx, "c45", folds=folds, seed=seed)
             assert len(seen) == 2 * folds
             for fold in range(folds):
                 mask = assignment == fold
@@ -183,6 +185,95 @@ def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
                                ref.standardization.std)
                 assert_bitwise(train.xz, ref.xz)
                 assert_bitwise(test_x, data.x[:, idx][mask])
+
+
+def test_cross_val_knn_tensor_equals_from_raw(monkeypatch):
+    """Each fold's k-NN gather is bit for bit the squared differences
+    between the subset's own standardized training and test rows; a
+    one-column subset fits its own column and never gathers."""
+    seen = []
+
+    def nearest_spy(sq):
+        seen.append(sq)
+        return classifiers._nearest(sq)
+
+    monkeypatch.setattr(featsel, "_nearest", nearest_spy)
+    data = wide_data(seed=3)
+    rng = np.random.default_rng(3)
+    for folds, seed in ((5, 0), (4, 2)):
+        assignment = stratified_folds(data.y, folds=folds, seed=seed)
+        for size in SUBSET_SIZES:
+            idx = sorted(rng.choice(data.n_features, size=size,
+                                    replace=False).tolist())
+            seen.clear()
+            cross_val_accuracy(data, idx, "knn", folds=folds, seed=seed)
+            assert len(seen) == (0 if size == 1 else folds)
+            for fold, sq in enumerate(seen):
+                mask = assignment == fold
+                ref = LabeledSet.from_raw(data.x[:, idx][~mask],
+                                          data.y[~mask])
+                diff = ref.xz[None] \
+                    - ref.standardization.apply(data.x[:, idx][mask])[:, None]
+                assert_bitwise(sq, diff * diff)
+
+
+@st.composite
+def knn_cv_cases(draw):
+    """A small labelled set whose rows repeat (distance ties), a few
+    (folds, seed) keys in turn, subsets of every size, and a tensor cap
+    relative to the set's tensor size."""
+    d = draw(st.integers(1, 10))
+    n_pos, n_neg = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    n = n_pos + n_neg
+    value = st.floats(-1e3, 1e3, allow_subnormal=False)
+    distinct = draw(st.lists(st.lists(value, min_size=d, max_size=d),
+                             min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1),
+                          min_size=n, max_size=n))
+    y = draw(st.permutations([1] * n_pos + [-1] * n_neg))
+    keys = draw(st.lists(st.tuples(st.integers(2, 5), st.integers(0, 99)),
+                         min_size=1, max_size=3))
+    subsets = draw(st.lists(st.sets(st.integers(0, d - 1), min_size=1),
+                            min_size=1, max_size=4))
+    cap = draw(st.sampled_from(["default", "zero", "below", "at", "above"]))
+    data = LabeledSet.from_raw(np.array([distinct[i] for i in picks]),
+                               np.array(y))
+    return data, keys, subsets, cap
+
+
+def tensor_floats(data, folds, seed):
+    """Floats in all folds' (test, train, feature) tensors."""
+    sizes = np.bincount(stratified_folds(data.y, folds, seed),
+                        minlength=folds)
+    return int((sizes * (len(data.y) - sizes)).sum()) * data.n_features
+
+
+@settings(max_examples=80, deadline=None)
+@given(knn_cv_cases())
+def test_knn_cross_val_equals_cold_path_property(case):
+    data, keys, subsets, cap = case
+    default = featsel.KNN_TENSOR_FLOATS
+    calls = []
+
+    def nearest_spy(sq):
+        calls.append(sq.shape)
+        return classifiers._nearest(sq)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(featsel, "_nearest", nearest_spy)
+        for folds, seed in keys:
+            size = tensor_floats(data, folds, seed)
+            limit = {"default": default, "zero": 0,
+                     "below": size - 1, "at": size, "above": size + 1}[cap]
+            mp.setattr(featsel, "KNN_TENSOR_FLOATS", limit)
+            for subset in subsets:
+                calls.clear()
+                assert cross_val_accuracy(data, subset, "knn", folds=folds,
+                                          seed=seed) \
+                    == cold_cross_val(data, subset, "knn", folds, seed)
+                tensor_path = len(subset) > 1 and size <= limit
+                assert bool(calls) == tensor_path
+            assert list(data._folds) == [(folds, seed)]
 
 
 def test_cross_val_fold_memo_keeps_one_key():
