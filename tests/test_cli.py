@@ -149,6 +149,21 @@ def test_evaluate_unmeetable_rule_exits_one(campaign_dir, tmp_path, capsys):
     assert "acceptance failure" in capsys.readouterr().err
 
 
+def test_evaluate_prints_each_failed_rule(campaign_dir, tmp_path, capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps(
+        {"acceptance": [{"min_sa": 100.5, "max_fpr": -0.5,
+                         "min_adr": 100.5}]}))
+    rc = main(["evaluate", "--campaign", str(campaign_dir), "--groups", "MD",
+               "--algo", "knn", "--dataset", "reduced", "--sensitivity", "60",
+               "--config", str(rules)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "acceptance failure: knn/reduced/S60/MD: ADR 100.00 < 100.50",
+        "acceptance failure: knn/reduced/S60/MD: FPR 0.00 > -0.50",
+        "acceptance failure: knn/reduced/S60/MD: SA 100.00 < 100.50"]
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -277,6 +292,31 @@ def test_oversized_csv_fields_exit_three(campaign_dir, models_dir, tmp_path,
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err
         assert "field limit" in err and "Traceback" not in err
+
+
+def test_train_config_without_a_limit_exits_three(campaign_dir, tmp_path,
+                                                 capsys):
+    # a config whose signal names FGF only has no psi for MSV, GBV, ...
+    config = tmp_path / "gen_config.json"
+    config.write_text(json.dumps({"signal": {"FGF": {"psi": 600.0,
+                                                      "mu": 300.0}}}))
+    assert main(["train", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--config", str(config), "--out", str(tmp_path / "m")]) == 3
+    err = capsys.readouterr().err
+    assert "psi" in err and "MSV" in err, err
+    assert not (tmp_path / "m").exists()
+
+
+def test_detect_rejects_events_one_row_short(campaign_dir, models_dir,
+                                             tmp_path, capsys):
+    lines = (campaign_dir / "MD_test.events").read_text().splitlines()
+    width = len(json.loads((models_dir / "meta.json").read_text())["schema"])
+    short = tmp_path / "short.events"
+    short.write_text("\n".join(lines[:-width]) + "\n")
+    assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(short), "--models", str(models_dir)]) == 3
+    assert "does not pair" in capsys.readouterr().err
 
 
 def test_model_and_config_errors_name_the_file(campaign_dir, models_dir,
