@@ -67,32 +67,29 @@ def cmd_gen(args):
     return 0
 
 
-def _limits_from_config(config, schema):
-    known = {name: pm.psi for name, pm in config.parameters().items()}
-    missing = [n for n in schema if n not in known]
-    if missing:
-        raise ConfigError("no psi limit configured for %s" % missing)
-    return {n: known[n] for n in schema}
+def _read_paired(data, events, schema):
+    """The data trace and its event windows, one window per row."""
+    trace = parse_data_trace(data, schema)
+    chunks = event_chunks(parse_event_trace(events), len(schema))
+    if len(chunks) != len(trace):
+        raise ConfigError("event trace does not pair with the data rows")
+    return trace, chunks
 
 
 def cmd_train(args):
     seed = _resolve_seed(args.seed)
     schema = infer_schema(args.data)
-    trace = parse_data_trace(args.data, schema)
+    trace, chunks = _read_paired(args.data, args.events, schema)
     if not trace.is_labeled():
         raise ConfigError("training data must be labeled")
-    events = parse_event_trace(args.events)
-    chunks = event_chunks(events, len(schema))
-    if len(chunks) != len(trace):
-        raise ConfigError("event trace does not pair with the data rows")
 
     normal_rows = [i for i, r in enumerate(trace.rows) if r.label == NORMAL]
     if not normal_rows:
         raise ConfigError("no normal rows to profile")
     normal_trace = DataTrace(trace.schema, [trace.rows[i] for i in normal_rows])
     config = _generator_config(args.config)
-    limits = _limits_from_config(config, schema)
-    profile = build_profile(normal_trace, limits)
+    profile = build_profile(normal_trace, {name: pm.psi for name, pm
+                                           in config.parameters().items()})
     iac_model = train_iac_model([chunks[i] for i in normal_rows],
                                 w_delta=args.w_delta, alpha=args.alpha,
                                 sigma_th=args.sigma_th)
@@ -127,10 +124,7 @@ def cmd_detect(args):
         raise SchemaError("%s: features lists %d names, but %s takes %d"
                           % (meta_path, len(features), model_name, width))
 
-    trace = parse_data_trace(args.data, schema)
-    chunks = event_chunks(parse_event_trace(args.events), len(schema))
-    if len(chunks) != len(trace):
-        raise ConfigError("event trace does not pair with the data rows")
+    trace, chunks = _read_paired(args.data, args.events, schema)
     sens = SensitivityDegree(args.sensitivity)
 
     verdicts = dual_detect(trace.rows, chunks, profile, iac_model, model,
@@ -178,35 +172,34 @@ def cmd_select(args):
     return 0
 
 
+# acceptance rule key -> the report metric it limits and the comparison
+# by which a row fails it
+_LIMITS = {"min_adr": ("adr", "<"), "max_fpr": ("fpr", ">"),
+           "min_sa": ("sa", "<")}
+
+
 def _check_acceptance(report, rules):
     failures = []
     for rule in rules:
-        match = {}
-        for key in ("dataset", "s_pct", "classifier", "group"):
-            if key in rule:
-                match[key] = rule[key]
-        rows = report.rows(**match)
-        for r in rows:
-            if "min_adr" in rule and r.adr < rule["min_adr"] - 1e-9:
-                failures.append("%s/%s/S%d/%s: ADR %.2f < %.2f"
-                                % (r.classifier, r.dataset, r.s_pct, r.group,
-                                   r.adr, rule["min_adr"]))
-            if "max_fpr" in rule and r.fpr > rule["max_fpr"] + 1e-9:
-                failures.append("%s/%s/S%d/%s: FPR %.2f > %.2f"
-                                % (r.classifier, r.dataset, r.s_pct, r.group,
-                                   r.fpr, rule["max_fpr"]))
-            if "min_sa" in rule and r.sa < rule["min_sa"] - 1e-9:
-                failures.append("%s/%s/S%d/%s: SA %.2f < %.2f"
-                                % (r.classifier, r.dataset, r.s_pct, r.group,
-                                   r.sa, rule["min_sa"]))
+        match = {key: rule[key] for key in ("dataset", "s_pct", "classifier",
+                                            "group") if key in rule}
+        for r in report.rows(**match):
+            for key, (metric, op) in _LIMITS.items():
+                if key not in rule:
+                    continue
+                value, limit = getattr(r, metric), rule[key]
+                if value < limit - 1e-9 if op == "<" else value > limit + 1e-9:
+                    failures.append("%s/%s/S%d/%s: %s %.2f %s %.2f"
+                                    % (r.classifier, r.dataset, r.s_pct,
+                                       r.group, metric.upper(), value, op,
+                                       limit))
     return failures
 
 
 def _parse_acceptance(doc):
     """Acceptance rules with their thresholds as floats."""
     return [dict(rule, **{key: float(rule[key])
-                          for key in ("min_adr", "max_fpr", "min_sa")
-                          if key in rule})
+                          for key in _LIMITS if key in rule})
             for rule in doc.get("acceptance", DEFAULT_ACCEPTANCE)]
 
 

@@ -126,27 +126,21 @@ class DataTrace:
     def __len__(self):
         return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def to_matrix(self, features=None) -> np.ndarray:
         """Rows as a float matrix; columns follow schema order.
 
         ``features`` restricts the columns but never reorders them: the
         schema order is canonical for vectorization.
         """
-        names = self.feature_order(features)
+        names = self.schema
+        if features is not None:
+            wanted = set(features)
+            unknown = wanted - set(names)
+            if unknown:
+                raise SchemaError("unknown features %s" % sorted(unknown))
+            names = [n for n in names if n in wanted]
         return np.array([[row.values[n] for n in names] for row in self.rows],
                         dtype=float)
-
-    def feature_order(self, features=None) -> tuple:
-        if features is None:
-            return self.schema
-        wanted = set(features)
-        unknown = wanted - set(self.schema)
-        if unknown:
-            raise SchemaError("unknown features %s" % sorted(unknown))
-        return tuple(n for n in self.schema if n in wanted)
 
     def labels(self) -> np.ndarray:
         """Label vector; raises when any row is unlabeled."""
@@ -172,9 +166,6 @@ class EventTrace:
 
     def __len__(self):
         return len(self.events)
-
-    def __iter__(self):
-        return iter(self.events)
 
     def alphabet(self) -> set:
         return set(self.events)

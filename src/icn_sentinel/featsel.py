@@ -78,14 +78,12 @@ def stratified_folds(y, folds=5, seed=0):
 @dataclass(frozen=True)
 class _Fold:
     """One CV fold at full width: C-ordered raw train and test rows, their
-    labels, the standardization fit on the training rows and, once k-NN
-    asks for it, the squared-difference tensor."""
+    labels and, once k-NN asks for it, the squared-difference tensor."""
 
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
-    standardization: Standardization
 
     @cached_property
     def sq_diff(self) -> np.ndarray:
@@ -95,14 +93,14 @@ class _Fold:
         if len(np.unique(self.train_y)) < 2:
             raise DegenerateDataError(
                 "training data must contain both classes")
-        std = self.standardization
+        std = Standardization.fit(self.train_x)
         diff = std.apply(self.train_x)[None] - std.apply(self.test_x)[:, None]
         return np.ascontiguousarray((diff * diff).transpose(2, 0, 1))
 
 
 def _cv_folds(data: LabeledSet, folds, seed):
-    """The non-empty folds of data, split and standardized once per
-    (folds, seed); the memo on data keeps the latest key only."""
+    """The non-empty folds of data, split once per (folds, seed); the memo
+    on data keeps the latest key only."""
     key = (folds, seed)
     memo = data._folds
     if key not in memo:
@@ -117,10 +115,8 @@ def _cv_folds(data: LabeledSet, folds, seed):
             mask = assignment == fold
             if not mask.any():
                 continue
-            train_x = np.ascontiguousarray(data.x[~mask])
-            split.append(_Fold(train_x, y[~mask],
-                               np.ascontiguousarray(data.x[mask]), y[mask],
-                               Standardization.fit(train_x)))
+            split.append(_Fold(np.ascontiguousarray(data.x[~mask]), y[~mask],
+                               np.ascontiguousarray(data.x[mask]), y[mask]))
         memo.clear()
         memo[key] = split
     return memo[key]
@@ -132,10 +128,10 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
 
     Standardization is refit on each training fold; folds whose training
     side lost a class are impossible by the round-robin construction for
-    classes with >= 2 members.  The folds are split and fit at full width
-    once per (data, folds, seed); a subset slices its columns from them.
-    A k-NN subset of two or more columns is scored from each fold's
-    squared-difference tensor while the tensors fit KNN_TENSOR_FLOATS.
+    classes with >= 2 members.  The folds are split once per (data, folds,
+    seed).  A k-NN subset of two or more columns is scored from each
+    fold's squared-difference tensor while the tensors fit
+    KNN_TENSOR_FLOATS; any other subset refits its own columns per fold.
     """
     indices = sorted(indices)
     if not indices:
@@ -143,35 +139,26 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
     if evaluator not in CLASSIFIER_KINDS:
         raise ConfigError("unknown evaluator %r" % (evaluator,))
     split = _cv_folds(data, folds, seed)
+    planes = evaluator == "knn" and len(indices) > 1 and sum(
+        len(f.test_y) * f.train_x.size for f in split) <= KNN_TENSOR_FLOATS
     correct = 0
-    if evaluator == "knn" and len(indices) > 1 and sum(
-            len(f.test_y) * f.train_x.size for f in split) \
-            <= KNN_TENSOR_FLOATS:
-        columns = np.asarray(indices)
-        for fold in split:
+    for fold in split:
+        if planes:
             # lay the planes out C-ordered (test, train, feature), as
             # predict_labels lays its squared differences: the layout fixes
             # numpy's summation order, and with it every bit of the sums
-            sq = np.ascontiguousarray(fold.sq_diff[columns].transpose(1, 2, 0))
-            correct += np.count_nonzero(
-                fold.train_y[_nearest(sq)] == fold.test_y)
-        return correct / len(data.y)
-    for fold in split:
-        # C order keeps numpy's summation order, and with it every bit,
-        # equal to fitting and scoring the subset's own columns
-        x = np.ascontiguousarray(fold.train_x[:, indices])
-        if len(indices) == 1:
-            # numpy sums a lone contiguous column pairwise rather than row
-            # by row, so the full-width mean and std differ in the last bits
-            std = Standardization.fit(x)
+            sq = np.ascontiguousarray(fold.sq_diff[indices].transpose(1, 2, 0))
+            predicted = fold.train_y[_nearest(sq)]
         else:
-            full = fold.standardization
-            std = Standardization(full.mean[indices], full.std[indices])
-        train = LabeledSet(x, fold.train_y, std, std.apply(x))
-        model = train_classifier(evaluator, train,
-                                 **_EVAL_HYPER.get(evaluator, {}))
-        test_x = np.ascontiguousarray(fold.test_x[:, indices])
-        correct += int((predict_labels(model, test_x) == fold.test_y).sum())
+            x = np.ascontiguousarray(fold.train_x[:, indices])
+            std = Standardization.fit(x)
+            model = train_classifier(evaluator,
+                                     LabeledSet(x, fold.train_y, std,
+                                                std.apply(x)),
+                                     **_EVAL_HYPER.get(evaluator, {}))
+            predicted = predict_labels(
+                model, np.ascontiguousarray(fold.test_x[:, indices]))
+        correct += int((predicted == fold.test_y).sum())
     return correct / len(data.y)
 
 
@@ -265,12 +252,14 @@ def genetic_select(data: LabeledSet, evaluator="knn", config=None,
     best_mask = None
     best_fit = -np.inf
     history = []
-    for _ in range(config.generations):
+    for generation in range(config.generations + 1):
         scores = [fitness(m)[0] for m in population]
         top = int(np.argmax(scores))
         if scores[top] > best_fit:
             best_fit = scores[top]
             best_mask = population[top].copy()
+        if generation == config.generations:
+            break  # the final population counts toward best-ever only
         history.append(best_fit)
 
         nxt = [best_mask.copy()]  # elitism
@@ -288,13 +277,6 @@ def genetic_select(data: LabeledSet, evaluator="knn", config=None,
                 child[rng.integers(0, n)] = True
             nxt.append(child)
         population = nxt
-
-    # final population still counts toward best-ever
-    scores = [fitness(m)[0] for m in population]
-    top = int(np.argmax(scores))
-    if scores[top] > best_fit:
-        best_fit = scores[top]
-        best_mask = population[top].copy()
 
     accuracy = fitness(best_mask)[1]
     subset = FeatureSubset(tuple(np.flatnonzero(best_mask).tolist()), accuracy)

@@ -138,7 +138,6 @@ def dual_detect(rows, windows, profile, iac_model, model, features,
 @dataclass(frozen=True)
 class EvaluationReport:
     results: tuple
-    groups: tuple = GROUPS
 
     def rows(self, **match) -> list:
         out = []
@@ -283,4 +282,4 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
                     adr, fpr, sa = metrics(tp, fp, tn, fn)
                     results.append(ScenarioResult(group, dataset, s_pct, clf,
                                                   tp, fp, tn, fn, adr, fpr, sa))
-    return EvaluationReport(tuple(results), groups=groups)
+    return EvaluationReport(tuple(results))

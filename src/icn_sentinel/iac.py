@@ -383,19 +383,18 @@ def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, confidence=DEFAULT_CONFIDEN
                     frequencies=dict(counts))
 
 
-def _band_deviation(values, bands, pick):
-    """Mean relative exceedance of the test curve outside its band.
-
-    pick 0 compares against the min-curve band, pick 1 against max.
-    """
+def _curve_test(curve, bands, pick, shared):
+    """(p, deviation) of one test curve over the shared windows: the
+    Mann-Whitney p-value against the model mean curve and the mean
+    relative exceedance outside its band.  pick 0 tests against the
+    min-curve band, pick 1 against max."""
+    values = [float(curve.values[w]) for w in shared]
+    _, p = mann_whitney_u(values, [bands[w][3 * pick] for w in shared])
     total = 0.0
-    windows = sorted(values)
-    for w in windows:
+    for w, x in zip(shared, values):
         mean, lo, hi = bands[w][3 * pick:3 * pick + 3]
-        x = values[w]
-        outside = max(0.0, lo - x, x - hi)
-        total += outside / max(mean, 1.0)
-    return total / len(windows)
+        total += max(0.0, lo - x, x - hi) / max(mean, 1.0)
+    return p, total / len(shared)
 
 
 def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
@@ -432,25 +431,16 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
     verdicts = {}
     for event in tested:
         bands = model.curves.get(event)
-        if not bands or event not in alphabet:
-            verdicts[event] = EventVerdict(event, False, False, 0.0, 0.0,
-                                           math.inf, math.inf, True)
-            continue
-        c_min, c_max = min_max_curves(test, event, model.w_delta)
-        shared = sorted(set(c_min.values) & set(bands))
+        shared = ()
+        if bands and event in alphabet:
+            c_min, c_max = min_max_curves(test, event, model.w_delta)
+            shared = sorted(set(c_min.values) & set(bands))
         if not shared:
             verdicts[event] = EventVerdict(event, False, False, 0.0, 0.0,
                                            math.inf, math.inf, True)
             continue
-
-        test_min = {w: float(c_min.values[w]) for w in shared}
-        test_max = {w: float(c_max.values[w]) for w in shared}
-        _, p_min = mann_whitney_u([test_min[w] for w in shared],
-                                  [bands[w][0] for w in shared])
-        _, p_max = mann_whitney_u([test_max[w] for w in shared],
-                                  [bands[w][3] for w in shared])
-        dev_min = _band_deviation(test_min, bands, 0)
-        dev_max = _band_deviation(test_max, bands, 1)
+        p_min, dev_min = _curve_test(c_min, bands, 0, shared)
+        p_max, dev_max = _curve_test(c_max, bands, 1, shared)
         passed_min, passed_max = p_min >= alpha, p_max >= alpha
         anomalous = ((not passed_min and dev_min >= sigma_th)
                      or (not passed_max and dev_max >= sigma_th))
