@@ -107,15 +107,36 @@ def cmd_train(args):
     return 0
 
 
+def _names(doc, key):
+    names = doc[key]
+    if not isinstance(names, list) or not names \
+            or not all(isinstance(n, str) for n in names) \
+            or len(set(names)) != len(names):
+        raise SchemaError("%s: expected a non-empty list of distinct "
+                          "strings, got %r" % (key, names))
+    return tuple(names)
+
+
 def _parse_meta(doc):
-    return tuple(doc["schema"]), tuple(doc["features"]), doc["algo"]
+    schema, features = _names(doc, "schema"), _names(doc, "features")
+    unknown = sorted(set(features) - set(schema))
+    if unknown:
+        raise SchemaError("features: %s not in schema" % unknown)
+    if doc["algo"] not in CLASSIFIER_KINDS:
+        raise SchemaError("algo: expected one of %s, got %r"
+                          % (", ".join(CLASSIFIER_KINDS), doc["algo"]))
+    return schema, features, doc["algo"]
 
 
 def cmd_detect(args):
     meta_path = os.path.join(args.models, "meta.json")
     schema, features, algo = read_json(meta_path, _parse_meta)
     algo = args.algo or algo
-    profile = ThresholdProfile.load(os.path.join(args.models, "profile.json"))
+    profile_path = os.path.join(args.models, "profile.json")
+    profile = ThresholdProfile.load(profile_path)
+    missing = [n for n in schema if n not in profile.parameters]
+    if missing:
+        raise SchemaError("%s: no parameter %s" % (profile_path, missing))
     iac_model = IacModel.load(os.path.join(args.models, "iac_model.json"))
     model_name = "model_%s.json" % algo
     model = load_model(os.path.join(args.models, model_name))

@@ -63,6 +63,12 @@ class MetricError(SentinelError):
     """A rate metric was requested with an empty denominator."""
 
 
+def is_finite_number(value) -> bool:
+    """True for a finite int or float from a JSON artifact (not a bool)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
 def group_for_timestamp(ts) -> str:
     """Demand group for a time of day: 06-12 MD, 12-18 AD, 18-24 ED, 00-06 ND."""
     hour = (int(ts) % 86400) // 3600

@@ -138,6 +138,12 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
         raise ConfigError("cannot evaluate an empty feature subset")
     if evaluator not in CLASSIFIER_KINDS:
         raise ConfigError("unknown evaluator %r" % (evaluator,))
+    for before, j in zip([None] + indices, indices):
+        if not 0 <= j < data.n_features:
+            raise ConfigError("feature index %r is outside [0, %d)"
+                              % (j, data.n_features))
+        if j == before:
+            raise ConfigError("feature index %r is repeated" % (j,))
     split = _cv_folds(data, folds, seed)
     planes = evaluator == "knn" and len(indices) > 1 and sum(
         len(f.test_y) * f.train_x.size for f in split) <= KNN_TENSOR_FLOATS

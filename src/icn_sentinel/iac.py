@@ -24,7 +24,7 @@ from scipy.stats import t as student_t
 
 from .core import (ConfigError, EventNotFoundError, EventTrace,
                    InsufficientDataError, SchemaError, SensitivityDegree,
-                   SentinelError, read_json, write_json)
+                   SentinelError, is_finite_number, read_json, write_json)
 
 DEFAULT_W_DELTA = 25
 DEFAULT_CONFIDENCE = 0.95
@@ -258,18 +258,13 @@ class TraceVerdict:
         object.__setattr__(self, "events", MappingProxyType(dict(self.events)))
 
 
-def _finite(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
-
-
 def _bands_from_json(event, bands) -> dict:
     """One event's window -> band map: windows w >= 1, each band the six
     finite numbers (min mean, lo, hi, max mean, lo, hi)."""
     if not isinstance(bands, dict) or not all(
             str(w).isdecimal() and int(w) >= 1
             and isinstance(band, (list, tuple)) and len(band) == 6
-            and all(_finite(v) for v in band)
+            and all(is_finite_number(v) for v in band)
             for w, band in bands.items()):
         raise SchemaError("events: %r needs windows w >= 1 with 6 finite "
                           "numbers each" % (event,))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigError, InsufficientDataError, ParameterSpec,
-                   SchemaError, read_json, write_json)
+                   SchemaError, is_finite_number, read_json, write_json)
 
 DEFAULT_TRIM_FRACTION = 0.1
 DEFAULT_WINDOW_LEN = 1440
@@ -94,16 +94,33 @@ class ThresholdProfile:
 
     @classmethod
     def from_json(cls, doc) -> "ThresholdProfile":
+        """Rebuild a profile; a value that does not fit raises SchemaError
+        naming its key."""
         settings = doc.get("_settings", {})
+        if not isinstance(settings, dict):
+            raise SchemaError("_settings: expected an object")
+        trim_fraction = settings.get("trim_fraction", DEFAULT_TRIM_FRACTION)
+        if not is_finite_number(trim_fraction) or not 0 <= trim_fraction < 0.5:
+            raise SchemaError("_settings: trim_fraction must be in [0, 0.5), "
+                              "got %r" % (trim_fraction,))
+        window_len = settings.get("window_len", DEFAULT_WINDOW_LEN)
+        if type(window_len) is not int or window_len < 1:
+            raise SchemaError("_settings: window_len must be an integer >= 1, "
+                              "got %r" % (window_len,))
         params = {}
         for name, body in doc.items():
             if name == "_settings":
                 continue
+            for key in ("psi", "mu", "delta", "p_th"):
+                if not is_finite_number(body[key]):
+                    raise SchemaError("%s: %s must be a finite number, got %r"
+                                      % (name, key, body[key]))
+            if not body["psi"] > 0:
+                raise SchemaError("%s: psi must be > 0, got %r"
+                                  % (name, body["psi"]))
             params[name] = ParameterSpec(name, body["psi"], body["mu"],
                                          body["delta"], body["p_th"])
-        return cls(params,
-                   trim_fraction=settings.get("trim_fraction", DEFAULT_TRIM_FRACTION),
-                   window_len=settings.get("window_len", DEFAULT_WINDOW_LEN))
+        return cls(params, trim_fraction=trim_fraction, window_len=window_len)
 
     def save(self, path):
         write_json(path, self.to_json())

@@ -469,3 +469,60 @@ def test_detect_rejects_malformed_iac_model(case, campaign_dir, models_dir,
                  "--models", str(models)]) == 3
     err = capsys.readouterr().err
     assert "iac_model.json" in err and key in err, err
+
+
+def _set_settings(**settings):
+    def spoil(doc):
+        doc["_settings"].update(settings)
+    return spoil
+
+
+MISFIT_META = {
+    "schema-string": ("schema", lambda doc: doc.update(schema="FGF")),
+    "schema-empty": ("schema", lambda doc: doc.update(schema=[])),
+    "schema-numbers": ("schema", lambda doc: doc.update(
+        schema=list(range(len(doc["schema"]))))),
+    "schema-repeats": ("schema",
+                       lambda doc: doc["schema"].append(doc["schema"][0])),
+    "features-unknown": ("features",
+                         lambda doc: doc["features"].__setitem__(0, "XYZ")),
+    "features-repeats": ("features", lambda doc: doc["features"].__setitem__(
+        -1, doc["features"][0])),
+    "algo-unknown": ("algo", lambda doc: doc.update(algo="foo")),
+}
+
+MISFIT_PROFILE = {
+    "nan-mu": ("mu", lambda doc: doc["FGF"].update(mu=float("nan"))),
+    "nan-p-th": ("p_th", lambda doc: doc["FGF"].update(p_th=float("nan"))),
+    "nan-delta": ("delta",
+                  lambda doc: doc["FGF"].update(delta=float("nan"))),
+    "inf-psi": ("psi", lambda doc: doc["FGF"].update(psi=float("inf"))),
+    "missing-parameter": ("AFR", lambda doc: doc.pop("AFR")),
+    "settings-list": ("_settings", lambda doc: doc.update(_settings=[])),
+    "trim-string": ("trim_fraction", _set_settings(trim_fraction="x")),
+    "trim-half": ("trim_fraction", _set_settings(trim_fraction=0.5)),
+    "window-negative": ("window_len", _set_settings(window_len=-5)),
+    "window-fraction": ("window_len", _set_settings(window_len=2.5)),
+}
+
+
+@pytest.mark.parametrize("name, case", [("meta.json", c) for c in
+                                        sorted(MISFIT_META)]
+                         + [("profile.json", c) for c in
+                            sorted(MISFIT_PROFILE)])
+def test_detect_rejects_malformed_meta_and_profile(name, case, campaign_dir,
+                                                   models_dir, tmp_path,
+                                                   capsys):
+    key, spoil = {"meta.json": MISFIT_META,
+                  "profile.json": MISFIT_PROFILE}[name][case]
+    models = tmp_path / "models"
+    shutil.copytree(models_dir, models)
+    path = models / name
+    doc = json.loads(path.read_text())
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--models", str(models)]) == 3
+    err = capsys.readouterr().err
+    assert name in err and key in err, err

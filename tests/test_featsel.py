@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,6 +305,19 @@ def test_cross_val_errors():
                      lambda: genetic_select(data, folds=folds)):
             with pytest.raises(ConfigError, match=message):
                 call()
+
+
+@pytest.mark.parametrize("evaluator", ["knn", "svm"])
+@pytest.mark.parametrize("indices, message", [
+    ([0, 9], "feature index 9 is outside [0, 4)"),
+    ([4], "feature index 4 is outside [0, 4)"),
+    ([-1, 3], "feature index -1 is outside [0, 4)"),
+    ([3, 3], "feature index 3 is repeated"),
+    ([1, 0, 1], "feature index 1 is repeated")])
+def test_cross_val_rejects_bad_indices(evaluator, indices, message):
+    data = planted_data(noise_features=3)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cross_val_accuracy(data, indices, evaluator)
 
 
 def test_greedy_finds_planted_feature():
