@@ -209,7 +209,8 @@ def _check_acceptance(report, rules):
                 if key not in rule:
                     continue
                 value, limit = getattr(r, metric), rule[key]
-                if value < limit - 1e-9 if op == "<" else value > limit + 1e-9:
+                if op == "<" and value < limit - 1e-9 \
+                        or op == ">" and value > limit + 1e-9:
                     failures.append("%s/%s/S%d/%s: %s %.2f %s %.2f"
                                     % (r.classifier, r.dataset, r.s_pct,
                                        r.group, metric.upper(), value, op,
