@@ -144,6 +144,7 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
                               % (j, data.n_features))
         if j == before:
             raise ConfigError("feature index %r is repeated" % (j,))
+    columns = np.asarray(indices)
     split = _cv_folds(data, folds, seed)
     planes = evaluator == "knn" and len(indices) > 1 and sum(
         len(f.test_y) * f.train_x.size for f in split) <= KNN_TENSOR_FLOATS
@@ -153,18 +154,18 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
             # lay the planes out C-ordered (test, train, feature), as
             # predict_labels lays its squared differences: the layout fixes
             # numpy's summation order, and with it every bit of the sums
-            sq = np.ascontiguousarray(fold.sq_diff[indices].transpose(1, 2, 0))
+            sq = np.ascontiguousarray(fold.sq_diff[columns].transpose(1, 2, 0))
             predicted = fold.train_y[_nearest(sq)]
         else:
-            x = np.ascontiguousarray(fold.train_x[:, indices])
+            x = np.ascontiguousarray(fold.train_x[:, columns])
             std = Standardization.fit(x)
             model = train_classifier(evaluator,
                                      LabeledSet(x, fold.train_y, std,
                                                 std.apply(x)),
                                      **_EVAL_HYPER.get(evaluator, {}))
             predicted = predict_labels(
-                model, np.ascontiguousarray(fold.test_x[:, indices]))
-        correct += int((predicted == fold.test_y).sum())
+                model, np.ascontiguousarray(fold.test_x[:, columns]))
+        correct += np.count_nonzero(predicted == fold.test_y)
     return correct / len(data.y)
 
 

@@ -111,6 +111,9 @@ class ThresholdProfile:
         for name, body in doc.items():
             if name == "_settings":
                 continue
+            if not isinstance(body, dict):
+                raise SchemaError("%s: expected an object with psi, mu, delta "
+                                  "and p_th" % (name,))
             for key in ("psi", "mu", "delta", "p_th"):
                 if not is_finite_number(body[key]):
                     raise SchemaError("%s: %s must be a finite number, got %r"

@@ -498,6 +498,7 @@ MISFIT_PROFILE = {
                   lambda doc: doc["FGF"].update(delta=float("nan"))),
     "inf-psi": ("psi", lambda doc: doc["FGF"].update(psi=float("inf"))),
     "missing-parameter": ("AFR", lambda doc: doc.pop("AFR")),
+    "parameter-list": ("FGF", lambda doc: doc.update(FGF=[1.0, 2.0])),
     "settings-list": ("_settings", lambda doc: doc.update(_settings=[])),
     "trim-string": ("trim_fraction", _set_settings(trim_fraction="x")),
     "trim-half": ("trim_fraction", _set_settings(trim_fraction=0.5)),
