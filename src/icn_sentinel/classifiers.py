@@ -196,15 +196,54 @@ def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
 KNN_BLOCK_FLOATS = 65536
 
 
-def _nearest(sq) -> np.ndarray:
-    """Index of the nearest stored vector per query, from the C-ordered
-    (queries, stored, features) squared differences; distance ties pick
-    the lowest stored index.
+def _nearest(d2) -> np.ndarray:
+    """Index of the nearest stored vector per query, from the (queries,
+    stored) summed squared differences; distance ties pick the lowest
+    stored index.
 
     The square root is kept: it can round two different sums to one
     distance, and so decide a tie.
     """
-    return np.sqrt(sq.sum(axis=2)).argmin(axis=1)
+    return np.sqrt(d2).argmin(axis=1)
+
+
+def _plane_sum(planes, columns) -> np.ndarray:
+    """Sum of the squared-difference planes ``planes[c]`` over ``columns``,
+    added in the order numpy's pairwise summation (``pairwise_sum`` in its
+    ``loops_utils.h.src``) adds a contiguous axis of that many terms: so
+    the sum equals ``(diff * diff).sum(axis=2)`` over the same columns bit
+    for bit, without laying the planes out along that axis.
+
+    Fewer than 8 terms add in turn; up to 128, term i goes to accumulator
+    i % 8 and the remainder adds in turn after the eight are combined;
+    above 128 the terms split at a multiple of 8 near the middle.
+    """
+    n = len(columns)
+    if n < 8:
+        # numpy starts from 0.0, which adds nothing to a square
+        total = planes[columns[0]].copy()
+        for c in columns[1:]:
+            total += planes[c]
+        return total
+    if n <= 128:
+        end = n - n % 8
+        acc = [planes[c] for c in columns[:8]]
+        if end > 8:
+            acc = [a + planes[c] for a, c in zip(acc, columns[8:16])]
+            for i in range(16, end):
+                acc[i % 8] += planes[columns[i]]
+        total = acc[0] + acc[1]
+        total += acc[2] + acc[3]
+        high = acc[4] + acc[5]
+        high += acc[6] + acc[7]
+        total += high
+        for c in columns[end:]:
+            total += planes[c]
+        return total
+    half = n // 2 - n // 2 % 8
+    total = _plane_sum(planes, columns[:half])
+    total += _plane_sum(planes, columns[half:])
+    return total
 
 
 @dataclass(frozen=True)
@@ -223,7 +262,8 @@ class KnnModel:
         nearest = np.empty(len(z), dtype=np.intp)
         for start in range(0, len(z), block):
             diff = points[None] - z[start:start + block, None]
-            nearest[start:start + block] = _nearest(diff * diff)
+            nearest[start:start + block] = _nearest(
+                (diff * diff).sum(axis=2))
         return self.labels[nearest]
 
     def _body(self) -> dict:

@@ -14,7 +14,8 @@ import numpy as np
 
 from .core import ConfigError, DegenerateDataError, InsufficientDataError
 from .classifiers import (CLASSIFIER_KINDS, LabeledSet, Standardization,
-                          _nearest, predict_labels, train_classifier)
+                          _nearest, _plane_sum, predict_labels,
+                          train_classifier)
 
 PARSIMONY_PENALTY = 0.002
 
@@ -151,11 +152,10 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
     correct = 0
     for fold in split:
         if planes:
-            # lay the planes out C-ordered (test, train, feature), as
-            # predict_labels lays its squared differences: the layout fixes
-            # numpy's summation order, and with it every bit of the sums
-            sq = np.ascontiguousarray(fold.sq_diff[columns].transpose(1, 2, 0))
-            predicted = fold.train_y[_nearest(sq)]
+            # added in numpy's pairwise order, the planes sum to the bits
+            # predict_labels sums from the subset's own fit
+            predicted = fold.train_y[_nearest(_plane_sum(fold.sq_diff,
+                                                         indices))]
         else:
             x = np.ascontiguousarray(fold.train_x[:, columns])
             std = Standardization.fit(x)
@@ -252,7 +252,7 @@ def genetic_select(data: LabeledSet, evaluator="knn", config=None,
     population = population[:config.population]
 
     def tournament(scores):
-        picks = rng.integers(0, len(population), size=3)
+        picks = rng.integers(0, len(population), size=3).tolist()
         best = min(picks, key=lambda i: (-scores[i], i))
         return population[best]
 

@@ -115,6 +115,8 @@ class ThresholdProfile:
                 raise SchemaError("%s: expected an object with psi, mu, delta "
                                   "and p_th" % (name,))
             for key in ("psi", "mu", "delta", "p_th"):
+                if key not in body:
+                    raise SchemaError("%s: missing key %r" % (name, key))
                 if not is_finite_number(body[key]):
                     raise SchemaError("%s: %s must be a finite number, got %r"
                                       % (name, key, body[key]))

@@ -471,6 +471,28 @@ def test_knn_blocks_cross_boundaries(monkeypatch):
         assert np.array_equal(predict_labels(model, queries), want)
 
 
+@pytest.mark.parametrize("width", list(range(1, 41)) + [64, 127, 128, 129,
+                                                       130, 257, 300])
+def test_plane_sum_is_numpy_pairwise_sum(width):
+    """A subset's planes add up bit for bit to numpy's sum over a
+    contiguous feature axis: sequential below 8 terms, eight accumulators
+    and a remainder up to 128, split in two above.  Columns at mixed
+    magnitudes round differently under any other order, so a numpy that
+    changes its order fails here."""
+    rng = np.random.default_rng(width)
+    stored = width + 5
+    scale = rng.choice([1e-3, 1.0, 1e3], size=stored)
+    sq = (rng.normal(size=(6, 9, stored)) * scale) ** 2
+    columns = sorted(rng.choice(stored, size=width, replace=False).tolist())
+    planes = np.ascontiguousarray(sq.transpose(2, 0, 1))
+    before = planes.copy()
+    got = classifiers._plane_sum(planes, columns)
+    want = np.ascontiguousarray(sq[..., columns]).sum(axis=-1)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert planes.tobytes() == before.tobytes()  # no plane is written
+
+
 def test_predict_labels_shapes():
     data = blob_data(seed=15)
     for kind in ("svm", "knn", "c45"):

@@ -498,6 +498,8 @@ MISFIT_PROFILE = {
                   lambda doc: doc["FGF"].update(delta=float("nan"))),
     "inf-psi": ("psi", lambda doc: doc["FGF"].update(psi=float("inf"))),
     "missing-parameter": ("AFR", lambda doc: doc.pop("AFR")),
+    "missing-psi": ("MSV: missing key 'psi'",
+                    lambda doc: doc["MSV"].pop("psi")),
     "parameter-list": ("FGF", lambda doc: doc.update(FGF=[1.0, 2.0])),
     "settings-list": ("_settings", lambda doc: doc.update(_settings=[])),
     "trim-string": ("trim_fraction", _set_settings(trim_fraction="x")),

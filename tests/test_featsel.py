@@ -189,34 +189,50 @@ def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
                 assert_bitwise(test_x, data.x[:, idx][mask])
 
 
-def test_cross_val_knn_tensor_equals_from_raw(monkeypatch):
-    """Each fold's k-NN gather is bit for bit the squared differences
-    between the subset's own standardized training and test rows; a
-    one-column subset fits its own column and never gathers."""
+def check_knn_planes_equal_from_raw(monkeypatch, data, sizes, keys):
+    """For random subsets of each size, each fold's k-NN plane sum is bit
+    for bit the summed squared differences between the subset's own
+    standardized training and test rows, and the accuracy is the cold
+    path's; a one-column subset fits its own column and never sums
+    planes."""
     seen = []
 
-    def nearest_spy(sq):
-        seen.append(sq)
-        return classifiers._nearest(sq)
+    def nearest_spy(d2):
+        seen.append(d2)
+        return classifiers._nearest(d2)
 
     monkeypatch.setattr(featsel, "_nearest", nearest_spy)
-    data = wide_data(seed=3)
     rng = np.random.default_rng(3)
-    for folds, seed in ((5, 0), (4, 2)):
+    for folds, seed in keys:
         assignment = stratified_folds(data.y, folds=folds, seed=seed)
-        for size in SUBSET_SIZES:
+        for size in sizes:
             idx = sorted(rng.choice(data.n_features, size=size,
                                     replace=False).tolist())
             seen.clear()
-            cross_val_accuracy(data, idx, "knn", folds=folds, seed=seed)
+            assert cross_val_accuracy(data, idx, "knn", folds=folds,
+                                      seed=seed) \
+                == cold_cross_val(data, idx, "knn", folds, seed)
             assert len(seen) == (0 if size == 1 else folds)
-            for fold, sq in enumerate(seen):
+            for fold, d2 in enumerate(seen):
                 mask = assignment == fold
                 ref = LabeledSet.from_raw(data.x[:, idx][~mask],
                                           data.y[~mask])
                 diff = ref.xz[None] \
                     - ref.standardization.apply(data.x[:, idx][mask])[:, None]
-                assert_bitwise(sq, diff * diff)
+                assert_bitwise(d2, (diff * diff).sum(axis=2))
+
+
+def test_cross_val_knn_tensor_equals_from_raw(monkeypatch):
+    check_knn_planes_equal_from_raw(monkeypatch, wide_data(seed=3),
+                                    SUBSET_SIZES, ((5, 0), (4, 2)))
+
+
+def test_cross_val_knn_above_128_columns(monkeypatch):
+    """Above 128 columns numpy splits the sum in two and recurses; the
+    plane sum splits at the same place."""
+    check_knn_planes_equal_from_raw(monkeypatch,
+                                    wide_data(seed=7, n=40, width=140),
+                                    (129, 136, 137, 140), ((5, 1),))
 
 
 @st.composite
@@ -224,7 +240,7 @@ def knn_cv_cases(draw):
     """A small labelled set whose rows repeat (distance ties), a few
     (folds, seed) keys in turn, subsets of every size, and a tensor cap
     relative to the set's tensor size."""
-    d = draw(st.integers(1, 10))
+    d = draw(st.integers(1, 20))
     n_pos, n_neg = draw(st.integers(2, 7)), draw(st.integers(2, 7))
     n = n_pos + n_neg
     value = st.floats(-1e3, 1e3, allow_subnormal=False)
@@ -257,9 +273,9 @@ def test_knn_cross_val_equals_cold_path_property(case):
     default = featsel.KNN_TENSOR_FLOATS
     calls = []
 
-    def nearest_spy(sq):
-        calls.append(sq.shape)
-        return classifiers._nearest(sq)
+    def nearest_spy(d2):
+        calls.append(d2.shape)
+        return classifiers._nearest(d2)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(featsel, "_nearest", nearest_spy)
@@ -275,6 +291,7 @@ def test_knn_cross_val_equals_cold_path_property(case):
                     == cold_cross_val(data, subset, "knn", folds, seed)
                 tensor_path = len(subset) > 1 and size <= limit
                 assert bool(calls) == tensor_path
+                assert all(len(shape) == 2 for shape in calls)
             assert list(data._folds) == [(folds, seed)]
 
 
