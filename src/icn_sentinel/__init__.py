@@ -17,7 +17,7 @@ from .profiler import (ThresholdProfile, build_profile, compute_threshold,
                        count_compromised, invert_threshold, trim_mean)
 from .iac import (EventVerdict, IacCurve, IacModel, TraceVerdict, aggregate,
                   classify_trace, mann_whitney_u, min_max_curves,
-                  select_feature_events, train_iac_model)
+                  train_iac_model)
 from .classifiers import (C45Model, KnnModel, LabeledSet, Rule,
                           Standardization, SvmModel, c45_train, knn_predict,
                           knn_train, load_model, model_from_json, model_kind,
@@ -48,8 +48,7 @@ __all__ = [
     "ThresholdProfile", "build_profile", "compute_threshold",
     "count_compromised", "invert_threshold", "trim_mean",
     "IacCurve", "IacModel", "EventVerdict", "TraceVerdict", "aggregate",
-    "classify_trace", "mann_whitney_u", "min_max_curves",
-    "select_feature_events", "train_iac_model",
+    "classify_trace", "mann_whitney_u", "min_max_curves", "train_iac_model",
     "LabeledSet", "Standardization", "SvmModel", "KnnModel", "C45Model",
     "Rule", "svm_train", "svm_predict", "svm_objective", "knn_train",
     "knn_predict", "c45_train", "train_classifier",

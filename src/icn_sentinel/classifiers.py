@@ -191,59 +191,31 @@ def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
 # nearest neighbor (Euclidean, k fixed at 1)
 
 
-# kNN scores queries in blocks whose (rows, stored, features) difference
-# array holds at most this many floats
+# kNN scores queries in blocks whose squared-difference planes hold at
+# most this many floats
 KNN_BLOCK_FLOATS = 65536
 
 
-def _nearest(d2) -> np.ndarray:
-    """Index of the nearest stored vector per query, from the (queries,
-    stored) summed squared differences; distance ties pick the lowest
-    stored index.
+def _sq_planes(stored, queries) -> np.ndarray:
+    """Squared differences ``(stored - query) ** 2`` of the (stored,
+    features) and (queries, features) rows, as one C-ordered (queries,
+    stored) plane per feature."""
+    diff = np.subtract(stored.T[:, None, :], queries.T[:, :, None], order="C")
+    return diff * diff
+
+
+def _nearest(planes, columns) -> np.ndarray:
+    """Index of the nearest stored vector per query, from the sum of the
+    squared-difference planes ``planes[c]`` added in ``columns`` order;
+    distance ties pick the lowest stored index.
 
     The square root is kept: it can round two different sums to one
     distance, and so decide a tie.
     """
-    return np.sqrt(d2).argmin(axis=1)
-
-
-def _plane_sum(planes, columns) -> np.ndarray:
-    """Sum of the squared-difference planes ``planes[c]`` over ``columns``,
-    added in the order numpy's pairwise summation (``pairwise_sum`` in its
-    ``loops_utils.h.src``) adds a contiguous axis of that many terms: so
-    the sum equals ``(diff * diff).sum(axis=2)`` over the same columns bit
-    for bit, without laying the planes out along that axis.
-
-    Fewer than 8 terms add in turn; up to 128, term i goes to accumulator
-    i % 8 and the remainder adds in turn after the eight are combined;
-    above 128 the terms split at a multiple of 8 near the middle.
-    """
-    n = len(columns)
-    if n < 8:
-        # numpy starts from 0.0, which adds nothing to a square
-        total = planes[columns[0]].copy()
-        for c in columns[1:]:
-            total += planes[c]
-        return total
-    if n <= 128:
-        end = n - n % 8
-        acc = [planes[c] for c in columns[:8]]
-        if end > 8:
-            acc = [a + planes[c] for a, c in zip(acc, columns[8:16])]
-            for i in range(16, end):
-                acc[i % 8] += planes[columns[i]]
-        total = acc[0] + acc[1]
-        total += acc[2] + acc[3]
-        high = acc[4] + acc[5]
-        high += acc[6] + acc[7]
-        total += high
-        for c in columns[end:]:
-            total += planes[c]
-        return total
-    half = n // 2 - n // 2 % 8
-    total = _plane_sum(planes, columns[:half])
-    total += _plane_sum(planes, columns[half:])
-    return total
+    total = np.zeros(planes.shape[1:])
+    for c in columns:
+        total += planes[c]
+    return np.sqrt(total).argmin(axis=1)
 
 
 @dataclass(frozen=True)
@@ -261,9 +233,8 @@ class KnnModel:
         block = max(1, KNN_BLOCK_FLOATS // max(points.size, 1))
         nearest = np.empty(len(z), dtype=np.intp)
         for start in range(0, len(z), block):
-            diff = points[None] - z[start:start + block, None]
             nearest[start:start + block] = _nearest(
-                (diff * diff).sum(axis=2))
+                _sq_planes(points, z[start:start + block]), range(z.shape[1]))
         return self.labels[nearest]
 
     def _body(self) -> dict:

@@ -119,9 +119,10 @@ def _names(doc, key):
 
 def _parse_meta(doc):
     schema, features = _names(doc, "schema"), _names(doc, "features")
-    unknown = sorted(set(features) - set(schema))
-    if unknown:
-        raise SchemaError("features: %s not in schema" % unknown)
+    # dual_detect builds the classifier's columns in features order
+    if list(features) != [n for n in schema if n in features]:
+        raise SchemaError("features: expected schema names in schema "
+                          "order, got %r" % (list(features),))
     if doc["algo"] not in CLASSIFIER_KINDS:
         raise SchemaError("algo: expected one of %s, got %r"
                           % (", ".join(CLASSIFIER_KINDS), doc["algo"]))
@@ -197,13 +198,14 @@ def cmd_select(args):
 # by which a row fails it
 _LIMITS = {"min_adr": ("adr", "<"), "max_fpr": ("fpr", ">"),
            "min_sa": ("sa", "<")}
+# acceptance rule keys that pick the report rows a rule applies to
+_MATCH_KEYS = ("dataset", "s_pct", "classifier", "group")
 
 
 def _check_acceptance(report, rules):
     failures = []
     for rule in rules:
-        match = {key: rule[key] for key in ("dataset", "s_pct", "classifier",
-                                            "group") if key in rule}
+        match = {key: rule[key] for key in _MATCH_KEYS if key in rule}
         for r in report.rows(**match):
             for key, (metric, op) in _LIMITS.items():
                 if key not in rule:
@@ -219,10 +221,19 @@ def _check_acceptance(report, rules):
 
 
 def _parse_acceptance(doc):
-    """Acceptance rules with their thresholds as floats."""
+    """Acceptance rules with their thresholds as floats; a key that is
+    neither a match key nor a limit raises SchemaError."""
+    rules = doc.get("acceptance", DEFAULT_ACCEPTANCE)
+    known = _MATCH_KEYS + tuple(_LIMITS)
+    for rule in rules:
+        unknown = sorted(set(rule) - set(known))
+        if unknown:
+            raise SchemaError("acceptance: unknown rule key %s, expected "
+                              "one of %s" % (", ".join(unknown),
+                                             ", ".join(known)))
     return [dict(rule, **{key: float(rule[key])
                           for key in _LIMITS if key in rule})
-            for rule in doc.get("acceptance", DEFAULT_ACCEPTANCE)]
+            for rule in rules]
 
 
 def cmd_evaluate(args):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import ConfigError, DegenerateDataError, InsufficientDataError
 from .classifiers import (CLASSIFIER_KINDS, LabeledSet, Standardization,
-                          _nearest, _plane_sum, predict_labels,
+                          _nearest, _sq_planes, predict_labels,
                           train_classifier)
 
 PARSIMONY_PENALTY = 0.002
@@ -95,8 +95,7 @@ class _Fold:
             raise DegenerateDataError(
                 "training data must contain both classes")
         std = Standardization.fit(self.train_x)
-        diff = std.apply(self.train_x)[None] - std.apply(self.test_x)[:, None]
-        return np.ascontiguousarray((diff * diff).transpose(2, 0, 1))
+        return _sq_planes(std.apply(self.train_x), std.apply(self.test_x))
 
 
 def _cv_folds(data: LabeledSet, folds, seed):
@@ -152,10 +151,7 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
     correct = 0
     for fold in split:
         if planes:
-            # added in numpy's pairwise order, the planes sum to the bits
-            # predict_labels sums from the subset's own fit
-            predicted = fold.train_y[_nearest(_plane_sum(fold.sq_diff,
-                                                         indices))]
+            predicted = fold.train_y[_nearest(fold.sq_diff, indices)]
         else:
             x = np.ascontiguousarray(fold.train_x[:, columns])
             std = Standardization.fit(x)

@@ -82,6 +82,8 @@ def min_max_curves(trace: EventTrace, event, w_delta):
 
 
 def _select_from_counts(counts: Counter, significance_pct) -> set:
+    """Smallest most-frequent event set covering ``significance_pct`` of
+    all occurrences; frequency-descending with lexicographic tie-break."""
     if not 0 < significance_pct <= 100:
         raise ConfigError("significance_pct must be in (0, 100], got %r"
                           % (significance_pct,))
@@ -97,15 +99,6 @@ def _select_from_counts(counts: Counter, significance_pct) -> set:
         if cum >= need - 1e-9:
             break
     return selected
-
-
-def select_feature_events(traces, significance_pct) -> set:
-    """Smallest most-frequent event set covering ``significance_pct`` of
-    all occurrences; frequency-descending with lexicographic tie-break."""
-    counts = Counter()
-    for trace in traces:
-        counts.update(trace.events)
-    return _select_from_counts(counts, significance_pct)
 
 
 def aggregate(curve_pairs, confidence=DEFAULT_CONFIDENCE) -> dict:

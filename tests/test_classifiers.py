@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -377,9 +378,17 @@ def reference_labels(model, x):
             score = float(model.weights @ z + model.bias)
             out.append(NORMAL if score >= 0.0 else ANOMALOUS)
         elif isinstance(model, KnnModel):
-            diff = model.points - z
-            dist = np.sqrt((diff * diff).sum(axis=1))
-            out.append(int(model.labels[int(np.argmin(dist))]))
+            # squares added in column order, one float at a time: neither
+            # numpy's pairwise reduction nor sum(), which compensates from
+            # Python 3.12 on
+            query, dist = z.tolist(), []
+            for point in model.points.tolist():
+                total = 0.0
+                for p, q in zip(point, query):
+                    d = p - q
+                    total += d * d
+                dist.append(math.sqrt(total))
+            out.append(int(model.labels[dist.index(min(dist))]))
         else:
             for rule in model.rules:
                 if all(z[f] <= t if op == "<=" else z[f] > t
@@ -469,28 +478,6 @@ def test_knn_blocks_cross_boundaries(monkeypatch):
     for limit in (1, 7 * data.x.size, 13 * data.x.size + 1):
         monkeypatch.setattr(classifiers, "KNN_BLOCK_FLOATS", limit)
         assert np.array_equal(predict_labels(model, queries), want)
-
-
-@pytest.mark.parametrize("width", list(range(1, 41)) + [64, 127, 128, 129,
-                                                       130, 257, 300])
-def test_plane_sum_is_numpy_pairwise_sum(width):
-    """A subset's planes add up bit for bit to numpy's sum over a
-    contiguous feature axis: sequential below 8 terms, eight accumulators
-    and a remainder up to 128, split in two above.  Columns at mixed
-    magnitudes round differently under any other order, so a numpy that
-    changes its order fails here."""
-    rng = np.random.default_rng(width)
-    stored = width + 5
-    scale = rng.choice([1e-3, 1.0, 1e3], size=stored)
-    sq = (rng.normal(size=(6, 9, stored)) * scale) ** 2
-    columns = sorted(rng.choice(stored, size=width, replace=False).tolist())
-    planes = np.ascontiguousarray(sq.transpose(2, 0, 1))
-    before = planes.copy()
-    got = classifiers._plane_sum(planes, columns)
-    want = np.ascontiguousarray(sq[..., columns]).sum(axis=-1)
-    assert got.dtype == want.dtype and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()
-    assert planes.tobytes() == before.tobytes()  # no plane is written
 
 
 def test_predict_labels_shapes():

@@ -164,6 +164,20 @@ def test_evaluate_prints_each_failed_rule(campaign_dir, tmp_path, capsys):
         "acceptance failure: knn/reduced/S60/MD: SA 100.00 < 100.50"]
 
 
+@pytest.mark.parametrize("rule, key", [
+    ({"min_saa": 101}, "min_saa"),
+    ({"datset": "reduced", "min_sa": 101}, "datset")],
+    ids=["min_saa", "datset"])
+def test_evaluate_rejects_unknown_rule_key(rule, key, campaign_dir, tmp_path,
+                                           capsys):
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps({"acceptance": [rule]}))
+    assert main(["evaluate", "--campaign", str(campaign_dir),
+                 "--config", str(rules)]) == 3
+    err = capsys.readouterr().err
+    assert "rules.json" in err and key in err, err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -488,6 +502,8 @@ MISFIT_META = {
                          lambda doc: doc["features"].__setitem__(0, "XYZ")),
     "features-repeats": ("features", lambda doc: doc["features"].__setitem__(
         -1, doc["features"][0])),
+    "features-reordered": ("features",
+                           lambda doc: doc["features"].reverse()),
     "algo-unknown": ("algo", lambda doc: doc.update(algo="foo")),
 }
 

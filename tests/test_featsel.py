@@ -116,7 +116,8 @@ def cold_cross_val(data, indices, evaluator, folds, seed):
 
 def wide_data(seed=0, n=48, width=12):
     """Two shifted classes over columns of mixed scale, wide enough for
-    subsets on both sides of numpy's 8-element pairwise-sum block."""
+    subsets of up to 12 columns, where adding in another order than
+    column order would round differently."""
     rng = np.random.default_rng(seed)
     y = np.where(np.arange(n) % 3 == 0, -1, 1)
     scale = 10.0 ** rng.uniform(-2, 3, size=width)
@@ -189,22 +190,40 @@ def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
                 assert_bitwise(test_x, data.x[:, idx][mask])
 
 
+def assert_own_fit_planes(seen, data, indices, folds, seed):
+    """The (planes, columns) pairs a featsel._nearest spy recorded, one per
+    non-empty fold, name the subset's sorted columns and hold, bit for
+    bit, the squared-difference planes of the subset's own from_raw fit."""
+    indices = sorted(indices)
+    x = data.x[:, indices]
+    assignment = stratified_folds(data.y, folds=folds, seed=seed)
+    masks = [m for m in (assignment == f for f in range(folds)) if m.any()]
+    assert len(seen) == len(masks)
+    for (planes, columns), mask in zip(seen, masks):
+        assert columns == indices
+        ref = LabeledSet.from_raw(x[~mask], data.y[~mask])
+        assert_bitwise(planes, classifiers._sq_planes(
+            ref.xz, ref.standardization.apply(x[mask])))
+
+
+def spy_nearest(seen):
+    """A featsel._nearest that records the planes it adds and their
+    columns."""
+    def nearest_spy(planes, columns):
+        seen.append((planes[columns], list(columns)))
+        return classifiers._nearest(planes, columns)
+    return nearest_spy
+
+
 def check_knn_planes_equal_from_raw(monkeypatch, data, sizes, keys):
-    """For random subsets of each size, each fold's k-NN plane sum is bit
-    for bit the summed squared differences between the subset's own
-    standardized training and test rows, and the accuracy is the cold
-    path's; a one-column subset fits its own column and never sums
-    planes."""
+    """For random subsets of each size, each fold's k-NN planes over the
+    subset's columns are bit for bit those of the subset's own fit, and
+    the accuracy is the cold path's; a one-column subset fits its own
+    column and never reaches the planes."""
     seen = []
-
-    def nearest_spy(d2):
-        seen.append(d2)
-        return classifiers._nearest(d2)
-
-    monkeypatch.setattr(featsel, "_nearest", nearest_spy)
+    monkeypatch.setattr(featsel, "_nearest", spy_nearest(seen))
     rng = np.random.default_rng(3)
     for folds, seed in keys:
-        assignment = stratified_folds(data.y, folds=folds, seed=seed)
         for size in sizes:
             idx = sorted(rng.choice(data.n_features, size=size,
                                     replace=False).tolist())
@@ -213,13 +232,8 @@ def check_knn_planes_equal_from_raw(monkeypatch, data, sizes, keys):
                                       seed=seed) \
                 == cold_cross_val(data, idx, "knn", folds, seed)
             assert len(seen) == (0 if size == 1 else folds)
-            for fold, d2 in enumerate(seen):
-                mask = assignment == fold
-                ref = LabeledSet.from_raw(data.x[:, idx][~mask],
-                                          data.y[~mask])
-                diff = ref.xz[None] \
-                    - ref.standardization.apply(data.x[:, idx][mask])[:, None]
-                assert_bitwise(d2, (diff * diff).sum(axis=2))
+            if seen:
+                assert_own_fit_planes(seen, data, idx, folds, seed)
 
 
 def test_cross_val_knn_tensor_equals_from_raw(monkeypatch):
@@ -228,8 +242,8 @@ def test_cross_val_knn_tensor_equals_from_raw(monkeypatch):
 
 
 def test_cross_val_knn_above_128_columns(monkeypatch):
-    """Above 128 columns numpy splits the sum in two and recurses; the
-    plane sum splits at the same place."""
+    """Subsets of 129 to 140 columns: the planes still equal those of the
+    subset's own fit, and the accuracy the cold path's."""
     check_knn_planes_equal_from_raw(monkeypatch,
                                     wide_data(seed=7, n=40, width=140),
                                     (129, 136, 137, 140), ((5, 1),))
@@ -272,13 +286,8 @@ def test_knn_cross_val_equals_cold_path_property(case):
     data, keys, subsets, cap = case
     default = featsel.KNN_TENSOR_FLOATS
     calls = []
-
-    def nearest_spy(d2):
-        calls.append(d2.shape)
-        return classifiers._nearest(d2)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(featsel, "_nearest", nearest_spy)
+        mp.setattr(featsel, "_nearest", spy_nearest(calls))
         for folds, seed in keys:
             size = tensor_floats(data, folds, seed)
             limit = {"default": default, "zero": 0,
@@ -291,7 +300,8 @@ def test_knn_cross_val_equals_cold_path_property(case):
                     == cold_cross_val(data, subset, "knn", folds, seed)
                 tensor_path = len(subset) > 1 and size <= limit
                 assert bool(calls) == tensor_path
-                assert all(len(shape) == 2 for shape in calls)
+                if calls:
+                    assert_own_fit_planes(calls, data, subset, folds, seed)
             assert list(data._folds) == [(folds, seed)]
 
 

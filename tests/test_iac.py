@@ -10,7 +10,7 @@ from icn_sentinel.core import (ConfigError, EventNotFoundError, EventTrace,
                                SentinelError)
 from icn_sentinel.iac import (VERDICT_MEMO_LIMIT, IacModel, aggregate,
                               classify_trace, mann_whitney_u, min_max_curves,
-                              select_feature_events, train_iac_model)
+                              train_iac_model)
 
 FIG_TRACE = "BBEBCABEABDBBBEBCBAABBBEB"
 
@@ -103,28 +103,37 @@ def test_curves_errors():
         min_max_curves(EventTrace(tuple("AB")), "A", 0)
 
 
+def selected(traces, significance_pct):
+    return set(train_iac_model(traces,
+                               significance_pct=significance_pct
+                               ).feature_events)
+
+
 def test_select_feature_events():
-    traces = [EventTrace(tuple(FIG_TRACE))]
-    assert select_feature_events(traces, 20) == {"B"}
-    assert select_feature_events(traces, 60) == {"B", "A"}
-    assert select_feature_events(traces, 100) == set(FIG_TRACE)
+    # counts add up over the traces: B 14, A 4, E 4, C 2, D 1 in total
+    traces = [EventTrace(tuple(FIG_TRACE[:12])),
+              EventTrace(tuple(FIG_TRACE[12:]))]
+    assert selected(traces, 20) == {"B"}
+    assert selected(traces, 60) == {"B", "A"}
+    assert selected(traces, 100) == set(FIG_TRACE)
 
 
 def test_select_tie_break_lexicographic():
-    traces = [EventTrace(tuple("BABA"))]
-    assert select_feature_events(traces, 25) == {"A"}
-    traces = [EventTrace(tuple("CCBAAB"))]
+    traces = [EventTrace(tuple("BA")), EventTrace(tuple("BA"))]
+    assert selected(traces, 25) == {"A"}
+    traces = [EventTrace(tuple("CCB")), EventTrace(tuple("AAB"))]
     # all tied at 2; need 50% -> A then B
-    assert select_feature_events(traces, 50) == {"A", "B"}
+    assert selected(traces, 50) == {"A", "B"}
 
 
 def test_select_errors():
+    traces = [EventTrace(tuple("AB")), EventTrace(tuple("BA"))]
     with pytest.raises(ConfigError):
-        select_feature_events([EventTrace(tuple("AB"))], 0)
+        selected(traces, 0)
     with pytest.raises(ConfigError):
-        select_feature_events([EventTrace(tuple("AB"))], 101)
-    with pytest.raises(InsufficientDataError):
-        select_feature_events([], 50)
+        selected(traces, 101)
+    with pytest.raises(InsufficientDataError, match="no events"):
+        selected([EventTrace(()), EventTrace(())], 50)
 
 
 def pairs_for(traces, event, w_delta):
