@@ -480,6 +480,43 @@ def test_knn_blocks_cross_boundaries(monkeypatch):
         assert np.array_equal(predict_labels(model, queries), want)
 
 
+@pytest.mark.parametrize("width", list(range(1, 41)) + [64, 127, 128, 129,
+                                                       130, 257, 300])
+def test_plane_sum_is_numpy_pairwise_sum(width):
+    """``_nearest`` scores a sorted subset of a wider plane stack by the
+    column-order sum of its planes.  Below 8 terms that sum is numpy's sum
+    over a contiguous feature axis bit for bit; at every wider width,
+    across numpy's 8-term block and its 128 split, it stays within
+    summation rounding of numpy's, and so does the distance of the pick.
+    Columns at mixed magnitudes round differently under other orders.
+    No plane is written."""
+    rng = np.random.default_rng(width)
+    stored = width + 5
+    scale = rng.choice([1e-3, 1.0, 1e3], size=stored)
+    sq = (rng.normal(size=(6, 9, stored)) * scale) ** 2
+    columns = sorted(rng.choice(stored, size=width, replace=False).tolist())
+    planes = np.ascontiguousarray(sq.transpose(2, 0, 1))
+    before = planes.copy()
+    got = classifiers._nearest(planes, columns)
+    # column order, one float at a time
+    total = np.empty(sq.shape[:2])
+    for row, point in np.ndindex(*total.shape):
+        acc = 0.0
+        for c in columns:
+            acc += float(sq[row, point, c])
+        total[row, point] = acc
+    assert got.tolist() == np.sqrt(total).argmin(axis=1).tolist()
+    numpy_sum = np.ascontiguousarray(sq[..., columns]).sum(axis=-1)
+    if width < 8:
+        assert total.tobytes() == numpy_sum.tobytes()
+    bound = width * np.finfo(float).eps
+    assert np.all(np.abs(total - numpy_sum) <= bound * numpy_sum)
+    dist = np.sqrt(numpy_sum)
+    picked = dist[np.arange(len(dist)), got]
+    assert np.all(picked <= dist.min(axis=1) * (1 + bound))
+    assert planes.tobytes() == before.tobytes()  # no plane is written
+
+
 def test_predict_labels_shapes():
     data = blob_data(seed=15)
     for kind in ("svm", "knn", "c45"):
