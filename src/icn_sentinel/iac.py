@@ -13,6 +13,7 @@ stays below a tunable deviation threshold sigma_th.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -51,6 +52,49 @@ class IacCurve:
         return tuple(sorted(self.values))
 
 
+# Stands in for a count at a start or end that cannot bound a full window.
+_NO_WINDOW = 1 << 40
+
+
+def _curve_arrays(traces, events, w_delta):
+    """Min and max curves of every event over a batch of symbol sequences.
+
+    Returns int arrays ``(mins, maxs, present)`` of shape (events, traces,
+    widths), index w - 1 for width w, up to w_delta or the longest
+    sequence, whichever is less: no window is wider than that.  ``present``
+    marks the widths with at least one full window starting at an
+    occurrence of the event; the counts elsewhere are meaningless.
+    Sequences may differ in length.  Each event gets one prefix-count
+    array over the padded batch, and the loop runs over widths, so
+    temporaries stay (symbols, events, traces) in size.
+    """
+    codes = {event: k for k, event in enumerate(events)}
+    longest = max((len(symbols) for symbols in traces), default=0)
+    lengths = np.array([len(symbols) for symbols in traces])
+    padded = np.full((longest, len(traces)), -1)
+    for t, symbols in enumerate(traces):
+        padded[:len(symbols), t] = [codes.get(s, -1) for s in symbols]
+    hits = padded[:, None, :] == np.arange(len(events))[:, None]
+    prefix = np.zeros((longest + 1,) + hits.shape[1:], dtype=np.int64)
+    np.cumsum(hits, axis=0, out=prefix[1:])
+    # Plane 0 holds counts and plane 1 negated counts, so one min over the
+    # starts gives both the min and the negated max.  A window [i, i + w)
+    # counts only when it starts at an occurrence and ends inside its own
+    # trace: every other start or end is pushed far out of range.
+    signed = np.stack((prefix, -prefix), axis=1)
+    past_end = np.arange(longest + 1)[:, None] > lengths
+    ends = np.where(past_end[:, None, None], _NO_WINDOW, signed)
+    starts = np.where(hits[:, None], signed[:-1], -_NO_WINDOW)
+
+    widths = min(w_delta, longest)
+    out = np.empty((widths, 2, len(events), len(traces)), dtype=np.int64)
+    for w in range(1, widths + 1):
+        np.minimum.reduce(ends[w:] - starts[:longest - w + 1], axis=0,
+                          out=out[w - 1])
+    mins, maxs = out.transpose(1, 2, 3, 0)
+    return mins, -maxs, mins <= longest
+
+
 def min_max_curves(trace: EventTrace, event, w_delta):
     """Lower and upper inter-arrival curves of ``event`` up to width w_delta.
 
@@ -60,25 +104,13 @@ def min_max_curves(trace: EventTrace, event, w_delta):
     """
     if w_delta < 1:
         raise ConfigError("w_delta must be >= 1, got %r" % (w_delta,))
-    symbols = trace.events
-    n = len(symbols)
-    positions = [i for i, s in enumerate(symbols) if s == event]
-    if not positions:
+    if event not in trace.events:
         raise EventNotFoundError("event %r does not occur in the trace" % (event,))
-
-    # prefix[i] = occurrences of event in symbols[:i]
-    prefix = [0] * (n + 1)
-    for i, s in enumerate(symbols):
-        prefix[i + 1] = prefix[i] + (1 if s == event else 0)
-
-    mins, maxs = {}, {}
-    for w in range(1, w_delta + 1):
-        counts = [prefix[i + w] - prefix[i] for i in positions if i + w <= n]
-        if not counts:
-            continue
-        mins[w] = min(counts)
-        maxs[w] = max(counts)
-    return (IacCurve(event, "min", mins), IacCurve(event, "max", maxs))
+    mins, maxs, present = (a[0, 0].tolist() for a in
+                           _curve_arrays([trace.events], [event], w_delta))
+    widths = [w for w in range(1, len(present) + 1) if present[w - 1]]
+    return (IacCurve(event, "min", {w: mins[w - 1] for w in widths}),
+            IacCurve(event, "max", {w: maxs[w - 1] for w in widths}))
 
 
 def _select_from_counts(counts: Counter, significance_pct) -> set:
@@ -101,6 +133,33 @@ def _select_from_counts(counts: Counter, significance_pct) -> set:
     return selected
 
 
+def _check_confidence(confidence):
+    if not 0 < confidence < 1:
+        raise ConfigError("confidence must be in (0, 1), got %r" % (confidence,))
+
+
+@functools.lru_cache(maxsize=256)
+def _t_quantile(confidence, n):
+    """Two-sided Student-t quantile for a mean over n samples."""
+    return float(student_t.ppf(0.5 + confidence / 2.0, n - 1))
+
+
+def _bands(windows, sample, quantile) -> dict:
+    """{w: (min_mean, min_lo, min_hi, max_mean, max_lo, max_hi)} from a
+    (2, windows, traces) sample of min (0) and max (1) curve values.
+
+    Each (pick, window) row is contiguous, so numpy reduces it exactly as
+    it would reduce that row as a 1-D array.
+    """
+    sample = np.ascontiguousarray(sample, dtype=float)
+    n = sample.shape[2]
+    mean = sample.mean(axis=2)
+    half = quantile * sample.std(axis=2, ddof=1) / math.sqrt(n)
+    rows = np.stack((mean[0], mean[0] - half[0], mean[0] + half[0],
+                     mean[1], mean[1] - half[1], mean[1] + half[1]), axis=1)
+    return {w: tuple(row) for w, row in zip(windows, rows.tolist())}
+
+
 def aggregate(curve_pairs, confidence=DEFAULT_CONFIDENCE) -> dict:
     """Six-curve aggregation over per-trace (min, max) curve pairs.
 
@@ -109,8 +168,7 @@ def aggregate(curve_pairs, confidence=DEFAULT_CONFIDENCE) -> dict:
     Student-t confidence limits of the mean at ``confidence``.  Needs at
     least two pairs.
     """
-    if not 0 < confidence < 1:
-        raise ConfigError("confidence must be in (0, 1), got %r" % (confidence,))
+    _check_confidence(confidence)
     pairs = list(curve_pairs)
     if len(pairs) < 2:
         raise InsufficientDataError(
@@ -124,19 +182,11 @@ def aggregate(curve_pairs, confidence=DEFAULT_CONFIDENCE) -> dict:
     for cmin, cmax in pairs:
         windows = set(cmin.values) & set(cmax.values)
         shared = windows if shared is None else shared & windows
-    n = len(pairs)
-    quantile = float(student_t.ppf(0.5 + confidence / 2.0, n - 1))
-
-    bands = {}
-    for w in sorted(shared):
-        entry = []
-        for pick in (0, 1):  # 0 -> min curves, 1 -> max curves
-            sample = np.array([pair[pick].values[w] for pair in pairs], dtype=float)
-            mean = float(sample.mean())
-            half = quantile * float(sample.std(ddof=1)) / math.sqrt(n)
-            entry += [mean, mean - half, mean + half]
-        bands[w] = tuple(entry)
-    return bands
+    windows = sorted(shared)
+    sample = [[[pair[pick].values[w] for pair in pairs] for w in windows]
+              for pick in (0, 1)]
+    return _bands(windows, np.reshape(sample, (2, len(windows), len(pairs))),
+                  _t_quantile(confidence, len(pairs)))
 
 
 def _twice_u(a, b):
@@ -349,8 +399,15 @@ def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, confidence=DEFAULT_CONFIDEN
 
     Curves are kept for the feature events selected at significance_pct;
     an event present in fewer than two traces gets an empty band map and
-    will fail closed at classification time.
+    will fail closed at classification time.  The arguments must pass the
+    checks IacModel.from_json applies, else ConfigError.
     """
+    if type(w_delta) is not int or w_delta < 1:
+        raise ConfigError("w_delta must be an integer >= 1, got %r" % (w_delta,))
+    _check_confidence(confidence)
+    for name, value in (("alpha", alpha), ("sigma_th", sigma_th)):
+        if math.isnan(value):
+            raise ConfigError("%s must be a number, got NaN" % name)
     traces = list(traces)
     if len(traces) < 2:
         raise InsufficientDataError(
@@ -358,25 +415,33 @@ def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, confidence=DEFAULT_CONFIDEN
     counts = Counter()
     for trace in traces:
         counts.update(trace.events)
-    feature_events = _select_from_counts(counts, significance_pct)
+    events = sorted(_select_from_counts(counts, significance_pct))
 
+    mins, maxs, present = _curve_arrays([t.events for t in traces], events,
+                                        w_delta)
     curves = {}
-    for event in sorted(feature_events):
-        pairs = [min_max_curves(trace, event, w_delta)
-                 for trace in traces if event in trace.alphabet()]
-        curves[event] = aggregate(pairs, confidence) if len(pairs) >= 2 else {}
+    for k, event in enumerate(events):
+        has = present[k, :, 0]  # width 1 has a window at every occurrence
+        n = int(has.sum())
+        if n < 2:
+            curves[event] = {}
+            continue
+        shared = present[k, has].all(axis=0)
+        sample = np.stack((mins[k, has][:, shared].T, maxs[k, has][:, shared].T))
+        curves[event] = _bands((np.flatnonzero(shared) + 1).tolist(), sample,
+                               _t_quantile(confidence, n))
     return IacModel(curves, w_delta=w_delta, confidence=confidence,
                     alpha=alpha, sigma_th=sigma_th,
-                    feature_events=tuple(sorted(feature_events)),
+                    feature_events=tuple(events),
                     frequencies=dict(counts))
 
 
 def _curve_test(curve, bands, pick, shared):
-    """(p, deviation) of one test curve over the shared windows: the
-    Mann-Whitney p-value against the model mean curve and the mean
-    relative exceedance outside its band.  pick 0 tests against the
-    min-curve band, pick 1 against max."""
-    values = [float(curve.values[w]) for w in shared]
+    """(p, deviation) of one test curve, a list of counts by width - 1,
+    over the shared windows: the Mann-Whitney p-value against the model
+    mean curve and the mean relative exceedance outside its band.  pick 0
+    tests against the min-curve band, pick 1 against max."""
+    values = [float(curve[w - 1]) for w in shared]
     _, p = mann_whitney_u(values, [bands[w][3 * pick] for w in shared])
     total = 0.0
     for w, x in zip(shared, values):
@@ -416,13 +481,17 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
         return cached
 
     alphabet = test.alphabet()
+    built = [e for e in tested if model.curves.get(e) and e in alphabet]
+    arrays = _curve_arrays([test.events], built, model.w_delta)
+    curves = dict(zip(built, zip(*(a[:, 0].tolist() for a in arrays))))
     verdicts = {}
     for event in tested:
-        bands = model.curves.get(event)
         shared = ()
-        if bands and event in alphabet:
-            c_min, c_max = min_max_curves(test, event, model.w_delta)
-            shared = sorted(set(c_min.values) & set(bands))
+        if event in curves:
+            c_min, c_max, present = curves[event]
+            bands = model.curves[event]
+            shared = [w for w in sorted(bands)
+                      if w <= len(present) and present[w - 1]]
         if not shared:
             verdicts[event] = EventVerdict(event, False, False, 0.0, 0.0,
                                            math.inf, math.inf, True)

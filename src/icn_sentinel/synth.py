@@ -105,9 +105,10 @@ class GeneratorConfig:
         if self.burst_len < 1:
             raise ConfigError("burst_len must be >= 1")
         # every group-effective baseline must stay strictly inside (0, psi)
+        params = self.parameters()
         for group in GROUPS:
-            for name, pm in self.parameters().items():
-                mu = self.effective_mu(name, group)
+            for name, pm in params.items():
+                mu = self._group_mu(name, pm, group)
                 if not 0 < mu < pm.psi:
                     raise ConfigError(
                         "effective mu %g for %r in group %s outside (0, psi)"
@@ -140,7 +141,9 @@ class GeneratorConfig:
 
     def effective_mu(self, name, group) -> float:
         """Group demand scaling applies to the Power channel only."""
-        pm = self.parameters()[name]
+        return self._group_mu(name, self.parameters()[name], group)
+
+    def _group_mu(self, name, pm, group) -> float:
         if name == "Power":
             return pm.mu * self.power_offsets[group]
         return pm.mu
@@ -192,7 +195,7 @@ def group_profile(config: GeneratorConfig, group) -> ThresholdProfile:
         raise ConfigError("unknown group %r" % (group,))
     params = {}
     for name, pm in config.parameters().items():
-        mu = config.effective_mu(name, group)
+        mu = config._group_mu(name, pm, group)
         delta, p_th = compute_threshold(pm.psi, mu)
         params[name] = ParameterSpec(name, pm.psi, mu, delta, p_th)
     return ThresholdProfile(params)
@@ -229,11 +232,12 @@ def gen_normal(config: GeneratorConfig, group, n, seed=None, start_row=0):
         seed = derive_seed(config.seed, group, "normal")
     rng = np.random.default_rng(seed)
     profile = group_profile(config, group)
-    schema = config.schema()
+    params = config.parameters()
+    schema = tuple(params)
 
     columns = {}
-    for name, pm in config.parameters().items():
-        mu = config.effective_mu(name, group)
+    for name, pm in params.items():
+        mu = config._group_mu(name, pm, group)
         sd = pm.rel_std * mu
         columns[name] = _truncated_normal(rng, mu, sd, profile.threshold(name), n)
 

@@ -322,6 +322,27 @@ def test_train_config_without_a_limit_exits_three(campaign_dir, tmp_path,
     assert not (tmp_path / "m").exists()
 
 
+@pytest.mark.parametrize("flag, value, key", [
+    ("--sigma-th", "nan", "sigma_th"), ("--alpha", "nan", "alpha"),
+    ("--w-delta", "0", "w_delta")])
+def test_train_rejects_settings_detect_would_refuse(flag, value, key,
+                                                    campaign_dir, tmp_path,
+                                                    capsys):
+    # a model detect refuses to load must not be written in the first place
+    out = tmp_path / "m"
+    assert main(["train", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--algo", "knn", flag, value, "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+    # an infinite sigma_th stays legal and loads back
+    if flag == "--sigma-th":
+        assert main(["train", "--data", str(campaign_dir / "MD_test.csv"),
+                     "--events", str(campaign_dir / "MD_test.events"),
+                     "--algo", "knn", flag, "inf", "--out", str(out)]) == 0
+        assert IacModel.load(out / "iac_model.json").sigma_th == float("inf")
+
+
 def test_detect_rejects_events_one_row_short(campaign_dir, models_dir,
                                              tmp_path, capsys):
     lines = (campaign_dir / "MD_test.events").read_text().splitlines()

@@ -1,16 +1,21 @@
 import itertools
+import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
-from scipy.stats import mannwhitneyu
+from hypothesis import given, settings, strategies as st
+from scipy.stats import mannwhitneyu, t as t_dist
 
 from icn_sentinel.core import (ConfigError, EventNotFoundError, EventTrace,
                                InsufficientDataError, SensitivityDegree,
                                SentinelError)
-from icn_sentinel.iac import (VERDICT_MEMO_LIMIT, IacModel, aggregate,
-                              classify_trace, mann_whitney_u, min_max_curves,
-                              train_iac_model)
+from icn_sentinel.harness import event_chunks
+from icn_sentinel.iac import (VERDICT_MEMO_LIMIT, IacModel, _curve_arrays,
+                              _select_from_counts, aggregate, classify_trace,
+                              mann_whitney_u, min_max_curves, train_iac_model)
+from icn_sentinel.synth import default_config, gen_campaign
 
 FIG_TRACE = "BBEBCABEABDBBBEBCBAABBBEB"
 
@@ -101,6 +106,35 @@ def test_curves_errors():
         min_max_curves(EventTrace(tuple("AAA")), "B", 3)
     with pytest.raises(ConfigError):
         min_max_curves(EventTrace(tuple("AB")), "A", 0)
+
+
+@st.composite
+def curve_batches(draw):
+    """Traces of 0-30 symbols over 1-4 letters, mixed lengths in one
+    batch, tested on events that may be missing from some or all traces."""
+    letters = "ABCD"[:draw(st.integers(1, 4))]
+    traces = draw(st.lists(st.text(letters, max_size=30).map(tuple),
+                           min_size=1, max_size=6))
+    events = draw(st.lists(st.sampled_from(letters + "Z"), min_size=1,
+                           max_size=5, unique=True))
+    return traces, events, draw(st.integers(1, 35))
+
+
+@settings(max_examples=300, deadline=None)
+@given(curve_batches())
+def test_curve_arrays_equal_window_oracle(case):
+    traces, events, w_delta = case
+    mins, maxs, present = _curve_arrays(traces, events, w_delta)
+    shape = (len(events), len(traces), min(w_delta, max(map(len, traces))))
+    assert mins.shape == maxs.shape == present.shape == shape
+    for k, event in enumerate(events):
+        for t, symbols in enumerate(traces):
+            want_min, want_max = naive_curves(symbols, event, w_delta)
+            widths = np.flatnonzero(present[k, t]) + 1
+            assert widths.tolist() == sorted(want_min)
+            got_min = {w: int(mins[k, t, w - 1]) for w in widths}
+            got_max = {w: int(maxs[k, t, w - 1]) for w in widths}
+            assert got_min == want_min and got_max == want_max
 
 
 def selected(traces, significance_pct):
@@ -354,6 +388,113 @@ def test_classify_no_events_error():
 def test_train_needs_two_traces():
     with pytest.raises(InsufficientDataError):
         train_iac_model([EventTrace(tuple("ABAB"))])
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    (dict(w_delta=0), "w_delta"), (dict(w_delta=2.0), "w_delta"),
+    (dict(w_delta=True), "w_delta"),
+    (dict(confidence=0.0), "confidence"), (dict(confidence=1.0), "confidence"),
+    (dict(confidence=math.nan), "confidence"),
+    (dict(alpha=math.nan), "alpha"), (dict(sigma_th=math.nan), "sigma_th")])
+def test_train_checks_settings_first(kwargs, key):
+    # the checks IacModel.from_json applies, made before any work: even a
+    # single trace, or one whose events never repeat, fails on the setting
+    for traces in ([EventTrace(tuple("AB"))],
+                   [EventTrace(tuple("AB")), EventTrace(tuple("CD"))]):
+        with pytest.raises(ConfigError, match=key):
+            train_iac_model(traces, **kwargs)
+
+
+def reference_curves(symbols, event, w_delta):
+    """Per-trace curves from one prefix-count list over the trace."""
+    n = len(symbols)
+    positions = [i for i, s in enumerate(symbols) if s == event]
+    prefix = [0]
+    for s in symbols:
+        prefix.append(prefix[-1] + (s == event))
+    mins, maxs = {}, {}
+    for w in range(1, w_delta + 1):
+        counts = [prefix[i + w] - prefix[i] for i in positions if i + w <= n]
+        if counts:
+            mins[w], maxs[w] = min(counts), max(counts)
+    return mins, maxs
+
+
+def reference_bands(curves, confidence):
+    """Bands from 1-D numpy mean and std, one sample per (window, pick)."""
+    shared = set.intersection(*(set(c[0]) for c in curves))
+    n = len(curves)
+    quantile = float(t_dist.ppf(0.5 + confidence / 2.0, n - 1))
+    bands = {}
+    for w in sorted(shared):
+        entry = []
+        for pick in (0, 1):
+            sample = np.array([c[pick][w] for c in curves], dtype=float)
+            mean = float(sample.mean())
+            half = quantile * float(sample.std(ddof=1)) / math.sqrt(n)
+            entry += [mean, mean - half, mean + half]
+        bands[w] = tuple(entry)
+    return bands
+
+
+def reference_model_json(traces, w_delta, confidence=0.95,
+                         significance_pct=100.0):
+    """train_iac_model's JSON, built one (event, trace) curve at a time."""
+    counts = Counter(s for trace in traces for s in trace.events)
+    events = sorted(_select_from_counts(counts, significance_pct))
+    curves = {}
+    for event in events:
+        per_trace = [reference_curves(t.events, event, w_delta)
+                     for t in traces if event in t.events]
+        curves[event] = (reference_bands(per_trace, confidence)
+                         if len(per_trace) >= 2 else {})
+    return IacModel(curves, w_delta=w_delta, confidence=confidence,
+                    feature_events=tuple(events),
+                    frequencies=dict(counts)).to_json()
+
+
+def campaign_batches(pattern, seed):
+    """Per-row windows of a campaign's attacked MD and ED test traces, plus
+    the same flat traces cut at random into windows of uneven length."""
+    campaign = gen_campaign(default_config(seed=seed, rows_per_group=60,
+                                           attack_pattern=pattern))
+    rng = np.random.default_rng(seed)
+    for group in ("MD", "ED"):
+        data = campaign.groups[group]
+        yield event_chunks(data.test_events, len(data.test.schema))
+        flat = data.test_events.events
+        cuts = sorted(set(rng.integers(1, len(flat), size=30).tolist()))
+        yield [EventTrace(flat[a:b])
+               for a, b in zip([0] + cuts, cuts + [len(flat)])]
+
+
+@pytest.mark.parametrize("pattern, seed", [
+    (pattern, seed) for pattern in ("five", "mixed") for seed in (1, 2, 3)])
+def test_model_json_equals_per_trace_reference(pattern, seed):
+    for traces in campaign_batches(pattern, seed):
+        # Q occurs in one trace only (empty band map), R in exactly two
+        traces = ([EventTrace(traces[0].events + ("Q", "R"))]
+                  + [EventTrace(traces[1].events + ("R",))] + traces[2:])
+        for w_delta in (3, 12, 25):
+            got = train_iac_model(traces, w_delta=w_delta).to_json()
+            want = reference_model_json(traces, w_delta)
+            assert got["events"]["Q"] == {}
+            assert len(got["events"]["R"]) == 1  # R starts no wider window
+            assert json.dumps(got, sort_keys=True) == \
+                json.dumps(want, sort_keys=True), (pattern, seed, w_delta)
+    got = train_iac_model(traces, w_delta=12, confidence=0.8,
+                          significance_pct=60.0).to_json()
+    want = reference_model_json(traces, 12, confidence=0.8,
+                                significance_pct=60.0)
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_trained_settings_load_back():
+    traces = [EventTrace(tuple("ABAB"))] * 3
+    for sigma_th in (math.inf, 0.0):
+        doc = train_iac_model(traces, w_delta=1, confidence=0.5, alpha=0.0,
+                              sigma_th=sigma_th).to_json()
+        assert IacModel.from_json(doc).to_json() == doc
 
 
 def test_rare_event_gets_empty_bands():
