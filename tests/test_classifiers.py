@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 from scipy.stats import binom
 
@@ -17,6 +18,8 @@ from icn_sentinel.classifiers import (C45Model, KnnModel, LabeledSet, Rule,
                                       train_classifier)
 from icn_sentinel.core import (ANOMALOUS, NORMAL, ConfigError,
                                DegenerateDataError, SchemaError, SentinelError)
+from icn_sentinel.harness import run_matrix
+from icn_sentinel.synth import default_config, gen_campaign
 
 
 def blob_data(seed=0, n=20, gap=6.0):
@@ -136,7 +139,43 @@ def reference_svm_train(data, c_param, epochs):
     return SvmModel(best_w, best_b, c_param, data.standardization)
 
 
-def test_svm_train_matches_reference_loop():
+def skipped_samples(monkeypatch):
+    """Counter of the hinge tests svm_train skips, from _decayed's calls."""
+    skipped = [0]
+    decayed = classifiers._decayed
+
+    def counting(w, decay, k):
+        skipped[0] += k
+        return decayed(w, decay, k)
+
+    monkeypatch.setattr(classifiers, "_decayed", counting)
+    return skipped
+
+
+def svm_regimes(rng):
+    """(name, data) training sets for the regimes svm_train's skip rule
+    meets: rare updates as on the campaigns, dense updates, rounded and
+    tied rows, and a zero-spread column."""
+    n = 120
+    x = np.vstack([rng.normal(4.0, 1.0, size=(n // 2, 5)),
+                   rng.normal(-4.0, 1.0, size=(n // 2, 5))])
+    yield "rare", LabeledSet.from_raw(x, [NORMAL] * (n // 2)
+                                      + [ANOMALOUS] * (n // 2))
+    x = rng.normal(size=(n, 18))
+    yield "dense", LabeledSet.from_raw(x, np.where(rng.random(n) < 0.5,
+                                                   NORMAL, ANOMALOUS))
+    x = np.round(rng.normal(size=(n, 4)) * 2.0) / 4.0
+    x[n // 2:] = x[:n // 2]  # every row twice
+    y = np.where(x[:, 0] + x[:, 1] > 0, NORMAL, ANOMALOUS)
+    yield "tied", LabeledSet.from_raw(x, y)
+    x = rng.normal(size=(n, 6)) * [1.0, 1e3, 0.0, 1e-3, 5.0, 1.0]
+    x[:, 2] = 7.25
+    y = np.where(x[:, 0] + rng.normal(scale=0.3, size=n) > 0,
+                 NORMAL, ANOMALOUS)
+    yield "zero-spread", LabeledSet.from_raw(x, y)
+
+
+def test_svm_train_matches_reference_loop(monkeypatch):
     rng = np.random.default_rng(21)
     checked = 0
     for n, d in ((2, 1), (7, 3), (40, 5), (90, 18)):
@@ -156,6 +195,140 @@ def test_svm_train_matches_reference_loop():
                     json.dumps(model_to_json(want), sort_keys=True)
                 checked += 1
     assert checked == 48
+    skipped = skipped_samples(monkeypatch)
+    share = {}
+    for name, data in svm_regimes(rng):
+        for c_param, epochs in ((1e-3, 20), (1.0, 1), (1.0, 200), (10.0, 50)):
+            skipped[0] = 0
+            got = svm_train(data, c_param=c_param, epochs=epochs)
+            want = reference_svm_train(data, c_param, epochs)
+            assert np.array_equal(got.weights, want.weights), name
+            assert got.bias == want.bias, name
+            if (c_param, epochs) == (1.0, 200):
+                share[name] = skipped[0] / (epochs * len(data))
+    # the regimes reach both paths: mostly skipped, mostly stepped
+    assert share["rare"] > 0.95 and share["dense"] < 0.05, share
+
+
+def test_decayed_equals_in_place_steps():
+    rng = np.random.default_rng(41)
+    n = 300
+    starts = (rng.normal(size=7), rng.normal(size=18) * 1e3,
+              np.array([1e-300, -3e-310, 5e-324, 0.0, -0.0, 2.0 ** -1022]))
+    for decay in (0.0, 0.5, 1e-3, 1.0 - 1.0 / 120, 1.0 - 2.0 ** -52, 1.0):
+        for start in starts:
+            w = start.copy()
+            for k in range(n + 1):
+                assert classifiers._decayed(start, decay, k).tobytes() \
+                    == w.tobytes(), (decay, k)
+                w *= decay
+
+
+@st.composite
+def hinge_cases(draw):
+    """The last m of a set of i + m samples, weights, a decay, and how to
+    choose the bias for each target sample."""
+    d = draw(st.integers(1, 20))
+    i = draw(st.integers(0, 5))
+    m = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = i + m
+    z = rng.normal(size=(n, d)) * rng.choice([1e-3, 1.0, 30.0], size=d)
+    if draw(st.booleans()):
+        z = np.round(z * 4.0) / 4.0  # ties and exact zeros
+    y = rng.choice([-1.0, 1.0], size=n)
+    w = rng.normal(size=d) * rng.choice([1e-2, 1.0, 1e2], size=d)
+    t = draw(st.integers(1, 400))
+    decay = draw(st.sampled_from([0.0, 1.0, 1e-200, 0.5,
+                                  max(1.0 - 1.0 / (0.3 * t) / n, 0.0),
+                                  1.0 - 1.0 / t / n]))
+    anchor = draw(st.sampled_from(["estimate", "exact"]))
+    high = draw(st.booleans())
+    nudge = draw(st.integers(-3, 3))
+    tiny = draw(st.booleans())
+    return z, y, i, m, w, decay, anchor, high, nudge, tiny
+
+
+def decayed_margins(z, y, i, m, w, b, decay):
+    """y * (z @ w_k + b) for samples i .. i+m-1, w_k by k in-place decays,
+    as svm_train's per-sample step computes it."""
+    w = w.copy()
+    out = []
+    for yi, zi in zip(y[i:i + m].tolist(), z[i:i + m]):
+        w *= decay
+        out.append(yi * (zi @ w + b))
+    return np.array(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hinge_cases())
+def test_hinge_skip_never_skips_a_firing_test(case):
+    """Every sample the batch check certifies keeps its hinge test from
+    firing, with the bias placed so each target sample's test value, from
+    the batch estimate or from the exact per-sample dot, is within a few
+    ulps of 1, and with a random bias on tiny or ordinary weights."""
+    z, y, i, m, w, decay, anchor, high, nudge, tiny = case
+    skip = classifiers._HingeSkip(z, y)
+    powers = np.cumprod(np.full(m, decay))
+    trials = []
+    for j in range(m):
+        estimate = (y[i:, None] * z[i:] @ w)[j] * powers[j]
+        if anchor == "exact":
+            estimate = decayed_margins(z, y, i, j + 1, w, 0.0, decay)[j]
+        if estimate == 0 or not np.isfinite(estimate):
+            continue
+        # a power of two puts the target value in [0.5, 1) or [1, 2), where
+        # 1 - value is exact
+        scale = np.sign(estimate) * 2.0 ** (int(high)
+                                            - np.frexp(estimate)[1])
+        value = estimate * scale
+        yb = 1.0 - value
+        for _ in range(abs(nudge)):
+            yb = np.nextafter(yb, np.sign(nudge) * np.inf)
+        trials.append((w * scale, y[i + j] * yb))
+    rng = np.random.default_rng(m)
+    trials.append((w * (2.0 ** -1070 if tiny else 1.0), rng.uniform(-3, 3)))
+    for weights, b in trials:
+        sure = skip.sure(i, weights, b, decay)
+        fires = decayed_margins(z, y, i, m, weights, b, decay) < 1.0
+        assert not (sure & fires).any()
+
+
+def test_hinge_skip_certifies_a_unit_margin():
+    # zero weights and bias 1 put every test value at exactly 1, which the
+    # hinge test `< 1.0` does not fire on: all of them are certified
+    z = np.random.default_rng(3).normal(size=(30, 4))
+    y = np.ones(30)
+    skip = classifiers._HingeSkip(z, y)
+    for decay in (0.0, 0.5, 1.0 - 1.0 / 30):
+        assert skip.sure(0, np.zeros(4), 1.0, decay).all()
+        assert not skip.sure(5, np.zeros(4), -1.0, decay).any()
+    assert not (decayed_margins(z, y, 0, 30, np.zeros(4), 1.0, 0.5)
+                < 1.0).any()
+
+
+def test_run_matrix_same_with_per_sample_svm_loop(monkeypatch):
+    """Every svm cell of the matrix, not just single models: svm_train's
+    skipped hinge tests leave the report as the plain per-sample loop
+    leaves it."""
+    campaigns = (gen_campaign(default_config(seed=3, rows_per_group=90)),
+                 gen_campaign(default_config(seed=0, attack_pattern="mixed",
+                                             rows_per_group=90)))
+    calls = {"svm_train": 0, "reference": 0}
+
+    def counted(name, train):
+        def wrapper(data, c_param=1.0, epochs=200):
+            calls[name] += 1
+            return train(data, c_param, epochs)
+        return wrapper
+
+    monkeypatch.setattr(classifiers, "svm_train", counted("svm_train", svm_train))
+    reports = [run_matrix(camp, classifiers=["svm"]) for camp in campaigns]
+    monkeypatch.setattr(classifiers, "svm_train",
+                        counted("reference", reference_svm_train))
+    for camp, report in zip(campaigns, reports):
+        assert run_matrix(camp, classifiers=["svm"]) == report
+    assert calls["svm_train"] == calls["reference"] > 8
 
 
 def test_svm_zero_score_ties_to_normal():
@@ -169,6 +342,14 @@ def test_svm_config_errors():
         svm_train(data, c_param=0.0)
     with pytest.raises(ConfigError):
         svm_train(data, epochs=0)
+    # NaN passes a bare `c_param <= 0`, and NaN or infinity trained an
+    # all-zero model; a fractional epoch count failed inside range()
+    for c_param in (math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(ConfigError, match="c_param"):
+            svm_train(data, c_param=c_param)
+    for epochs in (2.5, 200.0, "5", True, None):
+        with pytest.raises(ConfigError, match="epochs"):
+            svm_train(data, epochs=epochs)
     one_class = LabeledSet.from_raw([[0.0], [1.0]], [1, 1])
     with pytest.raises(DegenerateDataError):
         svm_train(one_class)
