@@ -139,19 +139,6 @@ def reference_svm_train(data, c_param, epochs):
     return SvmModel(best_w, best_b, c_param, data.standardization)
 
 
-def skipped_samples(monkeypatch):
-    """Counter of the hinge tests svm_train skips, from _decayed's calls."""
-    skipped = [0]
-    decayed = classifiers._decayed
-
-    def counting(w, decay, k):
-        skipped[0] += k
-        return decayed(w, decay, k)
-
-    monkeypatch.setattr(classifiers, "_decayed", counting)
-    return skipped
-
-
 def svm_regimes(rng):
     """(name, data) training sets for the regimes svm_train's skip rule
     meets: rare updates as on the campaigns, dense updates, rounded and
@@ -195,7 +182,15 @@ def test_svm_train_matches_reference_loop(monkeypatch):
                     json.dumps(model_to_json(want), sort_keys=True)
                 checked += 1
     assert checked == 48
-    skipped = skipped_samples(monkeypatch)
+    # the hinge tests svm_train skips, counted from _decayed's calls
+    skipped = [0]
+    decayed = classifiers._decayed
+
+    def counting(w, decay, k):
+        skipped[0] += k
+        return decayed(w, decay, k)
+
+    monkeypatch.setattr(classifiers, "_decayed", counting)
     share = {}
     for name, data in svm_regimes(rng):
         for c_param, epochs in ((1e-3, 20), (1.0, 1), (1.0, 200), (10.0, 50)):
