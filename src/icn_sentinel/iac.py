@@ -39,6 +39,10 @@ EXACT_LIMIT = 400
 # once this many distinct (window, thresholds) keys are held.
 VERDICT_MEMO_LIMIT = 1024
 
+# Most curve tests one model remembers, keyed on (event, pick, shared
+# windows, the test curve's values on them); past it tests still run.
+_CURVE_MEMO_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class IacCurve:
@@ -319,7 +323,8 @@ class IacModel:
     """Aggregated normal-behavior curves plus the test configuration.
 
     Treat a built model as read-only: classify_trace remembers its verdicts
-    on the model, so changing ``curves`` afterwards would go unseen.
+    and its per-curve test results on the model, so changing ``curves``
+    afterwards would go unseen.
     """
 
     curves: dict  # event -> {w: (min_mean, min_lo, min_hi, max_mean, max_lo, max_hi)}
@@ -332,6 +337,9 @@ class IacModel:
     # classify_trace verdicts by (window, tested, alpha, sigma_th, s_pct)
     _verdicts: dict = field(default_factory=dict, init=False, compare=False,
                             repr=False)
+    # _curve_test results by (event, pick, shared, curve values on shared)
+    _curve_tests: dict = field(default_factory=dict, init=False,
+                               compare=False, repr=False)
 
     def to_json(self) -> dict:
         events = {e: {str(w): list(band) for w, band in bands.items()}
@@ -356,9 +364,10 @@ class IacModel:
         curves = {e: _bands_from_json(e, bands) for e, bands in events.items()}
         feature_events = doc["feature_events"]
         if not isinstance(feature_events, list) or not feature_events \
-                or not all(isinstance(e, str) for e in feature_events):
+                or not all(isinstance(e, str) for e in feature_events) \
+                or len(set(feature_events)) != len(feature_events):
             raise SchemaError("feature_events: expected a non-empty list of "
-                              "strings")
+                              "distinct strings")
         w_delta = doc["w_delta"]
         if type(w_delta) is not int or w_delta < 1:
             raise SchemaError("w_delta: expected an integer >= 1, got %r"
@@ -450,6 +459,18 @@ def _curve_test(curve, bands, pick, shared):
     return p, total / len(shared)
 
 
+def _memo_curve_test(model, event, curve, pick, shared):
+    """_curve_test of one event's curve through the model's curve memo."""
+    key = (event, pick, shared, tuple([curve[w - 1] for w in shared]))
+    memo = model._curve_tests
+    result = memo.get(key)
+    if result is None:
+        result = _curve_test(curve, model.curves[event], pick, shared)
+        if len(memo) < _CURVE_MEMO_LIMIT:
+            memo[key] = result
+    return result
+
+
 def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
                    sensitivity=None, events=None) -> TraceVerdict:
     """Conformance-test a trace against a model.
@@ -466,7 +487,12 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
     Verdicts are memoized per model, keyed on the window's symbols, the
     tested events, alpha, sigma_th and the sensitivity grade, for up to
     VERDICT_MEMO_LIMIT keys: cyclic traffic repeats its windows, and a
-    repeated window gets back the same read-only verdict.
+    repeated window gets back the same read-only verdict.  Behind that memo
+    each curve's (p, deviation) is memoized per model too, keyed on the
+    event, min or max, the shared windows and the curve's values on them,
+    for up to _CURVE_MEMO_LIMIT keys: distinct windows often give one event
+    the same curve.  Both gates and the count apply after the lookup.  An
+    event named twice in ``events`` raises ConfigError.
     """
     alpha = model.alpha if alpha is None else alpha
     sigma_th = model.sigma_th if sigma_th is None else sigma_th
@@ -479,6 +505,10 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
     cached = memo.get(key)
     if cached is not None:
         return cached
+    # checked on a miss only: a key with a repeated event is never stored
+    repeated = [a for a, b in zip(tested, tested[1:]) if a == b]
+    if repeated:
+        raise ConfigError("event %r is repeated" % (repeated[0],))
 
     alphabet = test.alphabet()
     built = [e for e in tested if model.curves.get(e) and e in alphabet]
@@ -490,14 +520,14 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
         if event in curves:
             c_min, c_max, present = curves[event]
             bands = model.curves[event]
-            shared = [w for w in sorted(bands)
-                      if w <= len(present) and present[w - 1]]
+            shared = tuple(w for w in sorted(bands)
+                           if w <= len(present) and present[w - 1])
         if not shared:
             verdicts[event] = EventVerdict(event, False, False, 0.0, 0.0,
                                            math.inf, math.inf, True)
             continue
-        p_min, dev_min = _curve_test(c_min, bands, 0, shared)
-        p_max, dev_max = _curve_test(c_max, bands, 1, shared)
+        p_min, dev_min = _memo_curve_test(model, event, c_min, 0, shared)
+        p_max, dev_max = _memo_curve_test(model, event, c_max, 1, shared)
         passed_min, passed_max = p_min >= alpha, p_max >= alpha
         anomalous = ((not passed_min and dev_min >= sigma_th)
                      or (not passed_max and dev_max >= sigma_th))

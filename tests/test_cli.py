@@ -473,6 +473,8 @@ MISFIT_IAC = {
                               lambda doc: doc.update(feature_events="FGF")),
     "feature-events-empty": ("feature_events",
                              lambda doc: doc.update(feature_events=[])),
+    "feature-events-repeated": ("feature_events", lambda doc: doc.update(
+        feature_events=doc["feature_events"] + doc["feature_events"][:1])),
     "zero-w-delta": ("w_delta", lambda doc: doc.update(w_delta=0)),
     "confidence-one": ("confidence", lambda doc: doc.update(confidence=1.0)),
     "nan-alpha": ("alpha", lambda doc: doc.update(alpha=float("nan"))),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -8,13 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import mannwhitneyu, t as t_dist
 
+from icn_sentinel import iac
 from icn_sentinel.core import (ConfigError, EventNotFoundError, EventTrace,
-                               InsufficientDataError, SensitivityDegree,
-                               SentinelError)
+                               InsufficientDataError, SchemaError,
+                               SensitivityDegree, SentinelError)
 from icn_sentinel.harness import event_chunks
-from icn_sentinel.iac import (VERDICT_MEMO_LIMIT, IacModel, _curve_arrays,
-                              _select_from_counts, aggregate, classify_trace,
-                              mann_whitney_u, min_max_curves, train_iac_model)
+from icn_sentinel.iac import (_CURVE_MEMO_LIMIT, VERDICT_MEMO_LIMIT, IacModel,
+                              _curve_arrays, _select_from_counts, aggregate,
+                              classify_trace, mann_whitney_u, min_max_curves,
+                              train_iac_model)
 from icn_sentinel.synth import default_config, gen_campaign
 
 FIG_TRACE = "BBEBCABEABDBBBEBCBAABBBEB"
@@ -582,3 +585,151 @@ def test_memo_is_bounded():
         cold = classify_trace(window, IacModel.from_json(doc))
         assert classify_trace(window, model) == cold
     assert len(model._verdicts) == VERDICT_MEMO_LIMIT
+
+
+def test_repeated_event_is_rejected():
+    model = train_iac_model([EventTrace(tuple("ABC" * 12))] * 6, w_delta=18)
+    window = EventTrace(tuple("BC" * 18))
+    s20 = SensitivityDegree(20)
+    assert classify_trace(window, model, events=["A"], sensitivity=s20).anomalous
+    # counted twice, A would need two flags and the window would pass;
+    # a rejected call leaves nothing in the memo for the next one to find
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="'A'"):
+            classify_trace(window, model, events=["A", "A"], sensitivity=s20)
+    with pytest.raises(ConfigError, match="'B'"):
+        classify_trace(window, model, events=["B", "C", "B"])
+    doc = model.to_json()
+    doc["feature_events"].append("A")
+    with pytest.raises(SchemaError, match="feature_events"):
+        IacModel.from_json(doc)
+
+
+CURVE_MODEL_DOC = train_iac_model(jittered_traces("ABC" * 8, 6, seed=3),
+                                  w_delta=8).to_json()
+SWAP_XY = str.maketrans("XY", "YX")
+
+
+def assert_same_verdict(warm, cold):
+    assert (warm.required, warm.anomalous) == (cold.required, cold.anomalous)
+    assert list(warm.events) == list(cold.events)
+    for event, verdict in cold.events.items():
+        assert dataclasses.astuple(warm.events[event]) == \
+            dataclasses.astuple(verdict), event
+
+
+def expected_curve_keys(window, model):
+    """(event, pick, shared windows, curve values) of every curve test
+    classify_trace makes on ``window`` with the model's events."""
+    keys = set()
+    for event, bands in model.curves.items():
+        if event not in window.events:
+            continue
+        curves = min_max_curves(window, event, model.w_delta)
+        shared = tuple(w for w in sorted(bands) if w in curves[0].values)
+        for pick, curve in enumerate(curves):
+            keys.add((event, pick, shared,
+                      tuple(curve.values[w] for w in shared)))
+    return keys
+
+
+def test_curve_memo_tests_each_distinct_curve_once(monkeypatch):
+    model = IacModel.from_json(CURVE_MODEL_DOC)
+    assert set(model.feature_events) == {"A", "B", "C"}
+    # distinct windows that differ only in untested symbols, so the window
+    # memo misses them all; then one where A and B have the same curves,
+    # and one where each event's min and max curves are equal
+    windows = [EventTrace(tuple("AB%sCAB%sCAB%sC" % fill))
+               for fill in itertools.product("XY", repeat=3)]
+    windows += [EventTrace(tuple("AB" * 6)), EventTrace(tuple("ABC" * 4))]
+    assert len(set(windows)) == len(windows)
+    options = [dict(), dict(alpha=0.5), dict(sigma_th=math.inf),
+               dict(sensitivity=SensitivityDegree(20)), dict(events=["A"])]
+    runs = [(window, kwargs) for kwargs in options for window in windows]
+    cold = [classify_trace(window, IacModel.from_json(CURVE_MODEL_DOC),
+                           **kwargs) for window, kwargs in runs]
+    real, calls = iac._curve_test, []
+
+    def spy(curve, bands, pick, shared):
+        event = next(e for e, b in model.curves.items() if b is bands)
+        calls.append((event, pick, tuple(shared),
+                      tuple(curve[w - 1] for w in shared)))
+        return real(curve, bands, pick, shared)
+
+    monkeypatch.setattr(iac, "_curve_test", spy)
+    for (window, kwargs), verdict in zip(runs, cold):
+        assert_same_verdict(classify_trace(window, model, **kwargs), verdict)
+    expected = set().union(*(expected_curve_keys(w, model) for w in windows))
+    assert sorted(calls) == sorted(expected)
+    assert len(model._curve_tests) == len(calls)
+    # the eight filled windows share their six curve tests
+    assert len(expected_curve_keys(windows[0], model)) == 6
+    assert len(calls) < 6 * len(windows)
+
+
+def test_curve_memo_is_bounded(monkeypatch):
+    # one event per window position, each tested once: every window adds
+    # two keys per event to the curve memo, past its bound
+    names = ["e%04d" % i for i in range(_CURVE_MEMO_LIMIT // 2 + 100)]
+    band = [[m, m - 0.5, m + 0.5, m, m - 0.5, m + 0.5]
+            for m in (1.0 + i % 4 for i in range(len(names)))]
+    doc = {"events": {e: {"1": b} for e, b in zip(names, band)},
+           "feature_events": names, "w_delta": 1, "confidence": 0.95,
+           "alpha": 0.05, "sigma_th": 0.05}
+    model = IacModel.from_json(doc)
+    blocks = [names[i:i + 100] for i in range(0, len(names), 100)]
+    for block in blocks:
+        classify_trace(EventTrace(tuple(block)), model, events=block)
+    assert len(model._curve_tests) == _CURVE_MEMO_LIMIT
+    real, calls = iac._curve_test, []
+    monkeypatch.setattr(iac, "_curve_test",
+                        lambda *args: calls.append(args) or real(*args))
+    # past the bound the tests still run, every time, and agree with cold
+    # calls; new alpha values get past the window memo
+    last = blocks[-1]
+    for alpha in (0.06, 0.07):
+        window = EventTrace(tuple(last))
+        cold = classify_trace(window, IacModel.from_json(doc), alpha=alpha,
+                              events=last)
+        calls.clear()
+        assert_same_verdict(classify_trace(window, model, alpha=alpha,
+                                           events=last), cold)
+        assert len(calls) == 2 * len(last)
+        assert {v.deviation_min for v in cold.events.values()} == \
+            {0.0, 0.25, 0.5, 0.625}
+    assert len(model._curve_tests) == _CURVE_MEMO_LIMIT
+
+
+@pytest.fixture(scope="module")
+def shared_model():
+    """One model whose memos every example of a test fills and reads."""
+    return IacModel.from_json(CURVE_MODEL_DOC)
+
+
+CLASSIFY_OPTIONS = st.fixed_dictionaries({
+    "alpha": st.sampled_from([None, 0.05, 0.5, 1.0]),
+    "sigma_th": st.sampled_from([None, 0.0, 0.05, math.inf]),
+    "sensitivity": st.sampled_from([20, 60, 100]).map(SensitivityDegree),
+    "events": st.sampled_from([None, ["A"], ["B", "C"], ["A", "B", "Z"],
+                               ["X"]])})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.text("ABCXY", min_size=2, max_size=24), min_size=1,
+                max_size=5), st.data())
+def test_memos_equal_cold_calls(shared_model, texts, data):
+    # every text ends in X, and its X/Y swap is a distinct window with the
+    # same curves: the tested events never include Y
+    pool = []
+    for text in texts:
+        pool += [EventTrace(tuple(text + "X")),
+                 EventTrace(tuple((text + "X").translate(SWAP_XY)))]
+    order = data.draw(st.permutations(range(len(pool))))
+    order += data.draw(st.lists(st.sampled_from(range(len(pool))),
+                                max_size=8))
+    for i in order:
+        kwargs = data.draw(CLASSIFY_OPTIONS)
+        cold = classify_trace(pool[i], IacModel.from_json(CURVE_MODEL_DOC),
+                              **kwargs)
+        assert_same_verdict(classify_trace(pool[i], shared_model, **kwargs),
+                            cold)
