@@ -72,7 +72,9 @@ def _read_paired(data, events, schema):
     trace = parse_data_trace(data, schema)
     chunks = event_chunks(parse_event_trace(events), len(schema))
     if len(chunks) != len(trace):
-        raise ConfigError("event trace does not pair with the data rows")
+        raise ConfigError("event trace does not pair with the data rows: "
+                          "%d event windows of %d symbols for %d data rows"
+                          % (len(chunks), len(schema), len(trace)))
     return trace, chunks
 
 
@@ -149,15 +151,16 @@ def cmd_detect(args):
     trace, chunks = _read_paired(args.data, args.events, schema)
     sens = SensitivityDegree(args.sensitivity)
 
-    verdicts = dual_detect(trace.rows, chunks, profile, iac_model, model,
+    verdicts = dual_detect(trace, chunks, profile, iac_model, model,
                            features, sens, alpha=args.alpha,
                            sigma_th=args.sigma_th)
     lines = [("row", "ts", "group", "threshold_pass", "iac_pass", "verdict")]
     anomalous = 0
-    for i, (row, verdict) in enumerate(zip(trace.rows, verdicts)):
+    for i, (ts, group, verdict) in enumerate(zip(trace.timestamps,
+                                                 trace.groups, verdicts)):
         if not verdict.normal:
             anomalous += 1
-        lines.append((str(i), str(row.timestamp), row.group,
+        lines.append((str(i), str(ts), group,
                       str(verdict.threshold_pass), str(verdict.iac_pass),
                       "normal" if verdict.normal else "anomalous"))
     text = "\n".join(",".join(line) for line in lines) + "\n"

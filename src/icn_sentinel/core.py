@@ -13,7 +13,9 @@ import hashlib
 import json
 import math
 import numbers
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,30 +112,97 @@ class DataRow:
             if not math.isfinite(float(value)):
                 raise ConfigError("non-finite value for parameter %r" % name)
 
+    @classmethod
+    def _view(cls, timestamp, group, values, label):
+        """A row over cells that a parsed trace has already checked."""
+        row = object.__new__(cls)
+        vars(row).update(timestamp=timestamp, group=group, values=values,
+                         label=label)
+        return row
 
-@dataclass(frozen=True)
+
 class DataTrace:
-    """An ordered run of rows sharing one parameter schema."""
+    """An ordered run of rows sharing one parameter schema.
 
-    schema: tuple
-    rows: tuple
+    A trace is held as columns: integer ``timestamps``, group tags
+    ``groups``, labels (read through ``labels()``) and one C-ordered
+    float64 ``(rows, schema)`` matrix (read through ``to_matrix()``).
+    ``rows`` is a tuple of DataRow views of them, built on first use.
+    ``DataTrace(schema, rows)`` keeps the rows it is given and builds the
+    columns from them on first use.  A trace is read-only and compares
+    equal to another with the same schema and columns.
+    """
 
-    def __post_init__(self):
-        if not self.schema:
+    def __init__(self, schema, rows):
+        schema = tuple(schema)
+        if not schema:
             raise SchemaError("schema must name at least one parameter")
-        object.__setattr__(self, "schema", tuple(self.schema))
-        object.__setattr__(self, "rows", tuple(self.rows))
-        for i, row in enumerate(self.rows):
-            for name in self.schema:
+        _check_distinct(schema, "parameter")
+        rows = tuple(rows)
+        for i, row in enumerate(rows):
+            for name in schema:
                 if name not in row.values:
                     raise SchemaError(
                         "row %d is missing parameter %r" % (i, name))
+        vars(self).update(schema=schema, rows=rows)
+
+    @classmethod
+    def _from_columns(cls, schema, timestamps, groups, labels, matrix):
+        """A trace over already-checked columns; ``matrix`` is frozen."""
+        matrix.flags.writeable = False
+        trace = object.__new__(cls)
+        vars(trace).update(schema=schema, timestamps=timestamps,
+                           groups=groups, _labels=labels, _matrix=matrix)
+        return trace
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DataTrace is read-only")
+
+    def __eq__(self, other):
+        if not isinstance(other, DataTrace):
+            return NotImplemented
+        return (self.schema == other.schema
+                and self.timestamps == other.timestamps
+                and self.groups == other.groups
+                and self._labels == other._labels
+                and np.array_equal(self._matrix, other._matrix))
+
+    def __repr__(self):
+        return "DataTrace(schema=%r, %d rows)" % (self.schema, len(self))
 
     def __len__(self):
-        return len(self.rows)
+        return len(self.timestamps)
+
+    @cached_property
+    def rows(self) -> tuple:
+        schema, view = self.schema, DataRow._view
+        return tuple(view(ts, group, dict(zip(schema, values)), label)
+                     for ts, group, values, label in
+                     zip(self.timestamps, self.groups, self._matrix.tolist(),
+                         self._labels))
+
+    @cached_property
+    def timestamps(self) -> tuple:
+        return tuple(row.timestamp for row in self.rows)
+
+    @cached_property
+    def groups(self) -> tuple:
+        return tuple(row.group for row in self.rows)
+
+    @cached_property
+    def _labels(self) -> tuple:
+        return tuple(row.label for row in self.rows)
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        matrix = np.array([[row.values[n] for n in self.schema]
+                           for row in self.rows], dtype=float)
+        matrix = matrix.reshape(len(self.rows), len(self.schema))
+        matrix.flags.writeable = False
+        return matrix
 
     def to_matrix(self, features=None) -> np.ndarray:
-        """Rows as a float matrix; columns follow schema order.
+        """A fresh C-ordered float matrix; columns follow schema order.
 
         ``features`` restricts the columns but never reorders them: the
         schema order is canonical for vectorization.
@@ -145,20 +214,17 @@ class DataTrace:
             if unknown:
                 raise SchemaError("unknown features %s" % sorted(unknown))
             names = [n for n in names if n in wanted]
-        return np.array([[row.values[n] for n in names] for row in self.rows],
-                        dtype=float)
+        columns = [self.schema.index(n) for n in names]
+        return self._matrix.take(columns, axis=1)
 
     def labels(self) -> np.ndarray:
         """Label vector; raises when any row is unlabeled."""
-        out = []
-        for i, row in enumerate(self.rows):
-            if row.label is None:
-                raise SchemaError("row %d is unlabeled" % i)
-            out.append(row.label)
-        return np.array(out, dtype=int)
+        if None in self._labels:
+            raise SchemaError("row %d is unlabeled" % self._labels.index(None))
+        return np.array(self._labels, dtype=int)
 
     def is_labeled(self) -> bool:
-        return all(row.label is not None for row in self.rows)
+        return None not in self._labels
 
 
 @dataclass(frozen=True)
@@ -170,6 +236,13 @@ class EventTrace:
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(str(e) for e in self.events))
 
+    @classmethod
+    def _of(cls, events: tuple) -> "EventTrace":
+        """A trace over a tuple of str symbols, without re-converting it."""
+        trace = object.__new__(cls)
+        object.__setattr__(trace, "events", events)
+        return trace
+
     def __len__(self):
         return len(self.events)
 
@@ -177,7 +250,7 @@ class EventTrace:
         return set(self.events)
 
     def slice(self, start, stop) -> "EventTrace":
-        return EventTrace(self.events[start:stop])
+        return EventTrace._of(self.events[start:stop])
 
 
 @dataclass(frozen=True)
@@ -243,65 +316,106 @@ def _open_trace(path):
                               % (path, exc))
 
 
+def _check_distinct(names, what, where=""):
+    """Raise SchemaError naming the first name that repeats in ``names``."""
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise SchemaError("repeated %s %r%s" % (what, name, where))
+        seen.add(name)
+
+
+def _read_header(reader, path) -> list:
+    """The stripped header cells of a data CSV, each name once."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise TraceParseError("empty file: %s" % path)
+    header = [h.strip() for h in header]
+    _check_distinct(header, "column", " in %s" % (path,))
+    return header
+
+
+def _is_blank(rec) -> bool:
+    return all(not cell.strip() for cell in rec)
+
+
+def _check_cells(rowno, cells, schema):
+    """Raise the parse error of the first non-numeric or non-finite cell
+    of a row, in schema order; return when every cell is finite."""
+    for name, cell in zip(schema, cells):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise TraceParseError(
+                "parse error at row %d: non-numeric %r for %r"
+                % (rowno, cell, name), row=rowno)
+        if not math.isfinite(value):
+            raise TraceParseError(
+                "parse error at row %d: non-finite %r for %r"
+                % (rowno, cell, name), row=rowno)
+
+
 def parse_data_trace(path, schema) -> DataTrace:
     """Read a CSV data trace: ``ts,group,<parameters...>[,label]``.
 
     Column order in the file is free; the returned trace follows ``schema``
     order.  An empty group cell falls back to the timestamp's time-of-day
-    bucket.  Raises SchemaError for missing columns and TraceParseError
-    (with the 1-based data row index) for malformed cells.
+    bucket, and blank lines are skipped.  Raises SchemaError for missing
+    or repeated columns and TraceParseError (with the 1-based data row
+    index) for the first malformed row in file order.
     """
     schema = tuple(schema)
     with _open_trace(path) as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise TraceParseError("empty file: %s" % path)
-        header = [h.strip() for h in header]
+        header = _read_header(reader, path)
         for needed in ("ts", "group") + schema:
             if needed not in header:
                 raise SchemaError("missing column %r in %s" % (needed, path))
-        idx = {name: header.index(name) for name in header}
-        has_label = "label" in header
+        width = len(header)
+        ts_at, group_at = header.index("ts"), header.index("group")
+        label_at = header.index("label") if "label" in header else None
+        columns = [header.index(name) for name in schema]
+        if len(columns) > 1:
+            pick = operator.itemgetter(*columns)
+        else:
+            def pick(rec, at=columns[0]):
+                return (rec[at],)
 
-        rows = []
+        timestamps, groups, labels, values = [], [], [], []
         for rowno, rec in enumerate(reader, start=1):
-            if not rec or all(not cell.strip() for cell in rec):
-                continue
-            if len(rec) != len(header):
+            if len(rec) != width:
+                if _is_blank(rec):
+                    continue
                 raise TraceParseError(
                     "parse error at row %d: expected %d cells, got %d"
-                    % (rowno, len(header), len(rec)), row=rowno)
+                    % (rowno, width, len(rec)), row=rowno)
+            cell = rec[ts_at]
             try:
-                ts = int(float(rec[idx["ts"]]))
+                ts = int(float(cell))
             except (ValueError, OverflowError):
+                if _is_blank(rec):  # a blank row fails at its ts cell
+                    continue
                 raise TraceParseError(
                     "parse error at row %d: bad timestamp %r for 'ts'"
-                    % (rowno, rec[idx["ts"]]), row=rowno)
-            group = rec[idx["group"]].strip()
-            if not group:
-                group = group_for_timestamp(ts)
+                    % (rowno, cell), row=rowno)
+            group = rec[group_at].strip() or group_for_timestamp(ts)
             if group not in GROUPS:
                 raise TraceParseError(
                     "parse error at row %d: unknown group tag %r"
                     % (rowno, group), row=rowno)
-            values = {}
-            for name in schema:
-                cell = rec[idx[name]]
-                try:
-                    values[name] = float(cell)
-                except ValueError:
-                    raise TraceParseError(
-                        "parse error at row %d: non-numeric %r for %r"
-                        % (rowno, cell, name), row=rowno)
-                if not math.isfinite(values[name]):
-                    raise TraceParseError(
-                        "parse error at row %d: non-finite %r for %r"
-                        % (rowno, cell, name), row=rowno)
+            cells = pick(rec)
+            try:
+                row = list(map(float, cells))
+            except ValueError:
+                row = [math.nan]
+            # a finite sum means finite cells; a NaN, an infinity or an
+            # overflowing sum sends the row through the per-cell check
+            if not math.isfinite(sum(row)):
+                _check_cells(rowno, cells, schema)
             label = None
-            if has_label:
-                cell = rec[idx["label"]].strip()
+            if label_at is not None:
+                cell = rec[label_at].strip()
                 if cell:
                     try:
                         label = int(cell)
@@ -309,20 +423,22 @@ def parse_data_trace(path, schema) -> DataTrace:
                         label = None
                     if label not in (NORMAL, ANOMALOUS):
                         raise TraceParseError(
-                            "parse error at row %d: bad label %r for 'label' "
-                            "(+1 or -1)" % (rowno, cell), row=rowno)
-            rows.append(DataRow(ts, group, values, label))
-    return DataTrace(schema, rows)
+                            "parse error at row %d: bad label %r for "
+                            "'label' (+1 or -1)" % (rowno, cell), row=rowno)
+            timestamps.append(ts)
+            groups.append(group)
+            labels.append(label)
+            values.append(row)
+    matrix = np.array(values, dtype=float).reshape(len(values), len(schema))
+    return DataTrace._from_columns(schema, tuple(timestamps), tuple(groups),
+                                   tuple(labels), matrix)
 
 
 def infer_schema(path) -> tuple:
-    """Parameter columns of a data CSV: everything but ts/group/label."""
+    """Parameter columns of a data CSV: everything but ts/group/label.
+    A repeated column name raises SchemaError."""
     with _open_trace(path) as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise TraceParseError("empty file: %s" % path)
-    names = [h.strip() for h in header]
+        names = _read_header(csv.reader(fh), path)
     return tuple(h for h in names if h not in ("ts", "group", "label"))
 
 
@@ -345,13 +461,9 @@ def write_data_trace(path, trace: DataTrace):
 
 def parse_event_trace(path) -> EventTrace:
     """Read an event trace: one symbol per line, blank lines ignored."""
-    events = []
     with _open_trace(path) as fh:
-        for line in fh:
-            token = line.strip()
-            if token:
-                events.append(token)
-    return EventTrace(events)
+        events = tuple(filter(None, map(str.strip, fh)))
+    return EventTrace._of(events)
 
 
 def write_event_trace(path, trace: EventTrace):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ANOMALOUS, ConfigError, EventTrace, GROUPS,
+from .core import (ANOMALOUS, ConfigError, DataTrace, EventTrace, GROUPS,
                    MetricError, NORMAL, SensitivityDegree, derive_seed)
 from .classifiers import (CLASSIFIER_KINDS, LabeledSet, predict_labels,
                           train_classifier)
@@ -111,20 +111,25 @@ def dual_detect(rows, windows, profile, iac_model, model, features,
                 sensitivity: SensitivityDegree, alpha=None, sigma_th=None) -> list:
     """Joint threshold/event verdicts, one DualVerdict per row.
 
-    ``windows[i]`` is the event window aligned with ``rows[i]``.  The
-    threshold branch is the trained classifier's prediction on the row's
-    ``features`` values, in that order, scored for all rows in one batch;
-    the event branch conformance-tests each window against the curve
-    model.  A row is normal only when both branches pass.
+    ``rows`` is a DataTrace, whose schema must list ``features`` in that
+    order, or a sequence of DataRows; ``windows[i]`` is the event window
+    aligned with row i.  The threshold branch is the trained classifier's
+    prediction on the row's ``features`` values, in that order, scored
+    for all rows in one batch from the trace's matrix; the event branch
+    conformance-tests each window against the curve model.  A row is
+    normal only when both branches pass.
     """
     if len(rows) != len(windows):
         raise ConfigError("%d rows but %d event windows"
                           % (len(rows), len(windows)))
     for name in features:
         profile.spec(name)  # schema consistency with the learned profile
-    x = np.array([[row.values[name] for name in features] for row in rows],
-                 dtype=float).reshape(len(rows), len(features))
-    threshold = predict_labels(model, x) == NORMAL
+    if not isinstance(rows, DataTrace):
+        rows = DataTrace(features, rows)
+    elif [n for n in rows.schema if n in features] != list(features):
+        raise ConfigError("features %s do not follow the trace's schema "
+                          "order" % (list(features),))
+    threshold = predict_labels(model, rows.to_matrix(features)) == NORMAL
     verdicts = []
     for window, threshold_pass in zip(windows, threshold.tolist()):
         detail = classify_trace(window, iac_model, alpha=alpha,

@@ -354,6 +354,51 @@ def test_detect_rejects_events_one_row_short(campaign_dir, models_dir,
     assert "does not pair" in capsys.readouterr().err
 
 
+def test_pairing_error_names_the_counts(campaign_dir, models_dir, tmp_path,
+                                        capsys):
+    lines = (campaign_dir / "MD_test.events").read_text().splitlines()
+    short = tmp_path / "short.events"
+    short.write_text("\n".join(lines[:-18]) + "\n")
+    for argv in (["detect", "--models", str(models_dir)],
+                 ["train", "--out", str(tmp_path / "m")]):
+        assert main(argv + ["--data", str(campaign_dir / "MD_test.csv"),
+                            "--events", str(short)]) == 3
+        err = capsys.readouterr().err
+        assert "does not pair" in err
+        assert "179 event windows of 18 symbols for 180 data rows" in err
+
+
+def _repeat_column(source, target, name="MSV"):
+    """Copy a data CSV with a second ``name`` column, of zeros, appended."""
+    lines = source.read_text().splitlines()
+    target.write_text("\n".join([lines[0] + "," + name]
+                                + [line + ",0.0" for line in lines[1:]])
+                      + "\n")
+
+
+def test_every_command_rejects_a_repeated_column(campaign_dir, models_dir,
+                                                 tmp_path, capsys):
+    # the second MSV column used to be dropped without a word
+    events = campaign_dir / "MD_test.events"
+    data = tmp_path / "repeated.csv"
+    _repeat_column(campaign_dir / "MD_test.csv", data)
+    campaign = tmp_path / "campaign"
+    shutil.copytree(campaign_dir, campaign)
+    _repeat_column(campaign_dir / "MD_test.csv", campaign / "MD_test.csv")
+    for argv, name in (
+            (["train", "--data", str(data), "--events", str(events),
+              "--out", str(tmp_path / "m")], "repeated.csv"),
+            (["detect", "--data", str(data), "--events", str(events),
+              "--models", str(models_dir)], "repeated.csv"),
+            (["select", "--data", str(data)], "repeated.csv"),
+            (["evaluate", "--campaign", str(campaign)], "MD_test.csv")):
+        assert main(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "repeated column 'MSV'" in err and name in err, err
+    assert not (tmp_path / "m").exists()
+
+
 def test_model_and_config_errors_name_the_file(campaign_dir, models_dir,
                                                tmp_path, capsys):
     models = tmp_path / "models"

@@ -1,9 +1,17 @@
+import csv
+import itertools
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from icn_sentinel.core import (ConfigError, DataRow, DataTrace, EventTrace,
-                               ParameterSpec, SchemaError, SensitivityDegree,
-                               TraceParseError, derive_seed,
+from icn_sentinel.core import (ANOMALOUS, GROUPS, NORMAL, ConfigError,
+                               DataRow, DataTrace, EventTrace, ParameterSpec,
+                               SchemaError, SensitivityDegree, SentinelError,
+                               TraceParseError, _open_trace, derive_seed,
                                group_for_timestamp, infer_schema,
                                parse_data_trace, parse_event_trace,
                                write_data_trace, write_event_trace)
@@ -148,6 +156,250 @@ def test_infer_schema(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("ts,group,FGF,Power,label\n")
     assert infer_schema(path) == ("FGF", "Power")
+
+
+def test_repeated_column_is_rejected(tmp_path):
+    # the second 'a' used to be dropped: both matrix columns held the first
+    path = tmp_path / "t.csv"
+    for header in ("ts,group,a,a,label", "ts,group,a, a ,label",
+                   "ts,group,a,label,label", "ts,ts,group,a,label"):
+        path.write_text(header + "\n0,MD,1.0,2.0,1\n")
+        name = header.split(",")[-1] if header.endswith("label,label") \
+            else "ts" if header.startswith("ts,ts") else "a"
+        for read in (infer_schema, lambda p: parse_data_trace(p, ("a",))):
+            with pytest.raises(SchemaError) as err:
+                read(path)
+            assert "repeated column %r" % name in str(err.value)
+            assert "t.csv" in str(err.value)
+    with pytest.raises(SchemaError, match="repeated parameter 'a'"):
+        DataTrace(("a", "b", "a"), [])
+
+
+def test_empty_trace_columns():
+    trace = DataTrace(("a", "b"), [])
+    assert trace.to_matrix().shape == (0, 2)
+    assert trace.to_matrix(["b"]).shape == (0, 1)
+    assert trace.timestamps == trace.groups == () and trace.is_labeled()
+    assert list(trace.labels()) == []
+
+
+def test_trace_is_read_only(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("ts,group,a,b\n0,MD,1.0,2.0\n60,MD,3.0,4.0\n")
+    trace = parse_data_trace(path, ("a", "b"))
+    with pytest.raises(AttributeError):
+        trace.schema = ("b", "a")
+    x = trace.to_matrix()
+    assert x.flags.c_contiguous and x.flags.writeable
+    x[0, 0] = 99.0  # a fresh copy: the trace keeps its values
+    assert trace.to_matrix()[0, 0] == 1.0
+    assert trace.rows[0].values == {"a": 1.0, "b": 2.0}
+
+
+def _seed_parse_data_trace(path, schema):
+    """The row-by-row parser that parse_data_trace replaced, kept as an
+    oracle: the DataRows of a data CSV, or its first parse error."""
+    schema = tuple(schema)
+    with _open_trace(path) as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise TraceParseError("empty file: %s" % path)
+        header = [h.strip() for h in header]
+        for needed in ("ts", "group") + schema:
+            if needed not in header:
+                raise SchemaError("missing column %r in %s" % (needed, path))
+        idx = {name: header.index(name) for name in header}
+        has_label = "label" in header
+
+        rows = []
+        for rowno, rec in enumerate(reader, start=1):
+            if not rec or all(not cell.strip() for cell in rec):
+                continue
+            if len(rec) != len(header):
+                raise TraceParseError(
+                    "parse error at row %d: expected %d cells, got %d"
+                    % (rowno, len(header), len(rec)), row=rowno)
+            try:
+                ts = int(float(rec[idx["ts"]]))
+            except (ValueError, OverflowError):
+                raise TraceParseError(
+                    "parse error at row %d: bad timestamp %r for 'ts'"
+                    % (rowno, rec[idx["ts"]]), row=rowno)
+            group = rec[idx["group"]].strip()
+            if not group:
+                group = group_for_timestamp(ts)
+            if group not in GROUPS:
+                raise TraceParseError(
+                    "parse error at row %d: unknown group tag %r"
+                    % (rowno, group), row=rowno)
+            values = {}
+            for name in schema:
+                cell = rec[idx[name]]
+                try:
+                    values[name] = float(cell)
+                except ValueError:
+                    raise TraceParseError(
+                        "parse error at row %d: non-numeric %r for %r"
+                        % (rowno, cell, name), row=rowno)
+                if not math.isfinite(values[name]):
+                    raise TraceParseError(
+                        "parse error at row %d: non-finite %r for %r"
+                        % (rowno, cell, name), row=rowno)
+            label = None
+            if has_label:
+                cell = rec[idx["label"]].strip()
+                if cell:
+                    try:
+                        label = int(cell)
+                    except ValueError:
+                        label = None
+                    if label not in (NORMAL, ANOMALOUS):
+                        raise TraceParseError(
+                            "parse error at row %d: bad label %r for 'label' "
+                            "(+1 or -1)" % (rowno, cell), row=rowno)
+            rows.append(DataRow(ts, group, values, label))
+    return rows
+
+
+TS_CELLS = st.one_of(st.integers(-10 ** 6, 10 ** 7).map(str),
+                     st.sampled_from(["25200.9", " 120 ", "1e3", "-0",
+                                      "1e30", "1_000"]))
+GROUP_CELLS = st.sampled_from(list(GROUPS) + ["", " ", " ND "])
+VALUE_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["-0.0", " 2.5 ", "1e308", "-1.7976931348623157e308",
+                     "5e-324", "1_0.5", "0"]))
+LABEL_CELLS = st.sampled_from(["1", "-1", "", " ", "+1", " -1 ", "01"])
+# one malformed cell of each kind; "count" drops or adds a cell
+FAULTS = {
+    "ts": st.sampled_from(["x", "", "inf", "-inf", "nan", "1e999", "0x10"]),
+    "group": st.sampled_from(["XX", "md", "M D"]),
+    "value": st.sampled_from(["abc", "", " ", "1.2.3", "0x10", "1e"]),
+    "nonfinite": st.sampled_from(["nan", "inf", "-inf", "1e999", " NaN ",
+                                  "-Infinity"]),
+    "label": st.sampled_from(["2", "0", "x", "1.0", "+2", "-"]),
+}
+BLANK_LINES = st.sampled_from(["", "  ", "\t", ",", ", ,", " , , , "])
+
+
+@st.composite
+def data_csv_texts(draw):
+    """(CSV text, schema): a header with free column order, an optional
+    label column and a column outside the schema, rows mixing labelled and
+    unlabelled cells and empty group cells, blank and whitespace-only
+    lines, and at most one malformed cell (or a row with a wrong cell
+    count) anywhere."""
+    schema = draw(st.sampled_from([("a",), ("b", "a"), ("a", "b", "c")]))
+    columns = ["ts", "group", *schema]
+    if draw(st.booleans()):
+        columns.append("label")
+    if draw(st.booleans()):
+        columns.append("note")
+    columns = draw(st.permutations(columns))
+    records = []
+    for _ in range(draw(st.integers(0, 6))):
+        cells = {"ts": draw(TS_CELLS), "group": draw(GROUP_CELLS),
+                 "label": draw(LABEL_CELLS),
+                 "note": draw(st.sampled_from(["", "x", "1"]))}
+        cells.update((name, draw(VALUE_CELLS)) for name in schema)
+        records.append([cells[c] for c in columns])
+    fault = draw(st.sampled_from([None, "count", *FAULTS]))
+    if fault == "label" and "label" not in columns:
+        fault = None
+    if fault and records:
+        rec = records[draw(st.integers(0, len(records) - 1))]
+        if fault == "count":
+            if draw(st.booleans()):
+                rec.pop()
+            else:
+                rec.append(draw(VALUE_CELLS))
+        else:
+            name = draw(st.sampled_from(schema)) \
+                if fault in ("value", "nonfinite") else fault
+            rec[columns.index(name)] = draw(FAULTS[fault])
+    lines = [",".join(columns)] + [",".join(rec) for rec in records]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(BLANK_LINES))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + newline * draw(st.integers(0, 1)), schema
+
+
+def _outcome(parse, path, schema):
+    try:
+        return parse(path, schema), None
+    except SentinelError as exc:
+        return None, (type(exc), str(exc), getattr(exc, "row", None))
+
+
+def _seed_matrix(rows, names):
+    """The list-of-lists matrix build that to_matrix replaced."""
+    return np.array([[row.values[n] for n in names] for row in rows],
+                    dtype=float)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data_csv_texts())
+def test_parse_matches_row_parser_oracle(case):
+    text, schema = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        path.write_text(text, newline="")
+        trace, error = _outcome(parse_data_trace, path, schema)
+        rows, want_error = _outcome(_seed_parse_data_trace, path, schema)
+    assert error == want_error
+    if error is not None:
+        return
+    assert trace.timestamps == tuple(r.timestamp for r in rows)
+    assert trace.groups == tuple(r.group for r in rows)
+    assert trace._labels == tuple(r.label for r in rows)
+    got = trace.to_matrix()
+    want = _seed_matrix(rows, schema).reshape(len(rows), len(schema))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert trace.rows == tuple(rows)
+    assert trace == DataTrace(schema, rows)
+
+
+@st.composite
+def row_traces(draw):
+    """(schema, rows) of at least one row, all labelled or none."""
+    schema = draw(st.sampled_from([("a",), ("b", "a"), ("c", "a", "b", "d")]))
+    labelled = draw(st.booleans())
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        values = {name: draw(st.floats(allow_nan=False, allow_infinity=False))
+                  for name in schema}
+        label = draw(st.sampled_from([NORMAL, ANOMALOUS])) if labelled \
+            else None
+        rows.append(DataRow(draw(st.integers(-2 ** 53, 2 ** 53)),
+                            draw(st.sampled_from(GROUPS)), values, label))
+    return schema, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_traces())
+def test_trace_round_trips(case):
+    schema, rows = case
+    built = DataTrace(schema, rows)
+    assert all(a is b for a, b in zip(built.rows, rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_data_trace(path, built)
+        parsed = parse_data_trace(path, schema)
+    assert parsed == built and DataTrace(schema, parsed.rows) == parsed
+    assert parsed.rows == built.rows
+    assert parsed.to_matrix().tobytes() == built.to_matrix().tobytes()
+    # every feature subset, named in any order, in schema order
+    for k in range(1, len(schema) + 1):
+        for subset in itertools.combinations(schema, k):
+            want = _seed_matrix(rows, subset)
+            for trace in (built, parsed):
+                got = trace.to_matrix(subset[::-1])
+                assert got.flags.c_contiguous
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 def test_event_trace_roundtrip(tmp_path):
