@@ -115,9 +115,13 @@ class DataRow:
     @classmethod
     def _view(cls, timestamp, group, values, label):
         """A row over cells that a parsed trace has already checked."""
-        row = object.__new__(cls)
-        vars(row).update(timestamp=timestamp, group=group, values=values,
-                         label=label)
+        row, put = object.__new__(cls), object.__setattr__
+        # field by field, as __init__ does: vars(row).update would give each
+        # row a dict of its own, about twice the size
+        put(row, "timestamp", timestamp)
+        put(row, "group", group)
+        put(row, "values", values)
+        put(row, "label", label)
         return row
 
 

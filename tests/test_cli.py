@@ -5,7 +5,7 @@ import pytest
 
 from icn_sentinel.classifiers import load_model
 from icn_sentinel.cli import main
-from icn_sentinel.core import (ConfigError, SensitivityDegree,
+from icn_sentinel.core import (ConfigError, DataRow, SensitivityDegree,
                                parse_data_trace, parse_event_trace)
 from icn_sentinel.harness import dual_detect, event_chunks
 from icn_sentinel.iac import IacModel
@@ -255,6 +255,20 @@ def test_detect_matches_cold_per_row_dual_detect(campaign_dir, models_dir,
             i, row.timestamp, row.group, v.threshold_pass, v.iac_pass,
             "normal" if v.normal else "anomalous"))
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def test_detect_builds_no_data_row(campaign_dir, models_dir, tmp_path,
+                                   monkeypatch, capsys):
+    # detect scores the trace's matrix and writes ts/group from its columns
+    def refuse(*args, **kwargs):
+        raise AssertionError("detect built a DataRow")
+    monkeypatch.setattr(DataRow, "__init__", refuse)
+    monkeypatch.setattr(DataRow, "_view", refuse)
+    out = tmp_path / "verdicts.csv"
+    assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--models", str(models_dir), "--out", str(out)]) == 0
+    assert "45 of 180 rows anomalous" in capsys.readouterr().out
 
 
 def test_undecodable_trace_files_exit_three(campaign_dir, models_dir,

@@ -156,6 +156,21 @@ def test_dual_detect_batch_matches_one_row_calls():
                     schema, sens)
 
 
+def test_dual_detect_scores_a_trace_from_its_matrix():
+    (config, profile, schema, mixed, chunks, model,
+     iac_model, sens) = dual_setup()
+    from_trace = dual_detect(mixed, chunks, profile, iac_model, model,
+                             schema, sens)
+    from_rows = dual_detect(list(mixed.rows), chunks, profile, iac_model,
+                            model, schema, sens)
+    assert [(v.threshold_pass, v.iac_pass, v.normal) for v in from_trace] \
+        == [(v.threshold_pass, v.iac_pass, v.normal) for v in from_rows]
+    # the matrix follows the trace's schema, so other orders are refused
+    with pytest.raises(ConfigError, match="schema order"):
+        dual_detect(mixed, chunks, profile, iac_model, model, schema[::-1],
+                    sens)
+
+
 def test_run_matrix_shape_and_order(report):
     assert len(report.results) == 72
     seen = [(r.classifier, r.dataset, r.s_pct, r.group)
