@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import replace
 
-from .core import (NORMAL, ConfigError, DataTrace, SchemaError,
+from .core import (NORMAL, ConfigError, SchemaError,
                    SensitivityDegree, SentinelError, infer_schema,
                    parse_data_trace, parse_event_trace, read_json, write_json)
 from .classifiers import (CLASSIFIER_KINDS, LabeledSet, load_model,
@@ -85,17 +85,18 @@ def cmd_train(args):
     if not trace.is_labeled():
         raise ConfigError("training data must be labeled")
 
-    normal_rows = [i for i, r in enumerate(trace.rows) if r.label == NORMAL]
+    labels = trace.labels()
+    normal_rows = [i for i, y in enumerate(labels.tolist()) if y == NORMAL]
     if not normal_rows:
         raise ConfigError("no normal rows to profile")
-    normal_trace = DataTrace(trace.schema, [trace.rows[i] for i in normal_rows])
     config = _generator_config(args.config)
-    profile = build_profile(normal_trace, {name: pm.psi for name, pm
-                                           in config.parameters().items()})
+    profile = build_profile(trace.take(normal_rows),
+                            {name: pm.psi for name, pm
+                             in config.parameters().items()})
     iac_model = train_iac_model([chunks[i] for i in normal_rows],
                                 w_delta=args.w_delta, alpha=args.alpha,
                                 sigma_th=args.sigma_th)
-    data = LabeledSet.from_raw(trace.to_matrix(), trace.labels())
+    data = LabeledSet.from_raw(trace.to_matrix(), labels)
     model = train_classifier(args.algo, data)
 
     os.makedirs(args.out, exist_ok=True)

@@ -126,15 +126,15 @@ class DataRow:
 
 
 class DataTrace:
-    """An ordered run of rows sharing one parameter schema.
+    """An ordered run of rows sharing one parameter schema, held as columns.
 
-    A trace is held as columns: integer ``timestamps``, group tags
-    ``groups``, labels (read through ``labels()``) and one C-ordered
-    float64 ``(rows, schema)`` matrix (read through ``to_matrix()``).
-    ``rows`` is a tuple of DataRow views of them, built on first use.
-    ``DataTrace(schema, rows)`` keeps the rows it is given and builds the
-    columns from them on first use.  A trace is read-only and compares
-    equal to another with the same schema and columns.
+    The columns are integer ``timestamps``, group tags ``groups``, labels
+    (read through ``labels()``) and one C-ordered float64 ``(rows,
+    schema)`` matrix (read through ``to_matrix()``).  ``rows`` is a view: a
+    tuple of DataRows over the columns, built on first use.
+    ``DataTrace(schema, rows)`` checks the rows it is given and turns them
+    into columns at once.  A trace is read-only and compares equal to
+    another with the same schema and columns.
     """
 
     def __init__(self, schema, rows):
@@ -148,7 +148,12 @@ class DataTrace:
                 if name not in row.values:
                     raise SchemaError(
                         "row %d is missing parameter %r" % (i, name))
-        vars(self).update(schema=schema, rows=rows)
+        matrix = np.array([[row.values[n] for n in schema] for row in rows],
+                          dtype=float).reshape(len(rows), len(schema))
+        vars(self).update(vars(DataTrace._from_columns(
+            schema, tuple(row.timestamp for row in rows),
+            tuple(row.group for row in rows),
+            tuple(row.label for row in rows), matrix)))
 
     @classmethod
     def _from_columns(cls, schema, timestamps, groups, labels, matrix):
@@ -185,25 +190,14 @@ class DataTrace:
                      zip(self.timestamps, self.groups, self._matrix.tolist(),
                          self._labels))
 
-    @cached_property
-    def timestamps(self) -> tuple:
-        return tuple(row.timestamp for row in self.rows)
-
-    @cached_property
-    def groups(self) -> tuple:
-        return tuple(row.group for row in self.rows)
-
-    @cached_property
-    def _labels(self) -> tuple:
-        return tuple(row.label for row in self.rows)
-
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        matrix = np.array([[row.values[n] for n in self.schema]
-                           for row in self.rows], dtype=float)
-        matrix = matrix.reshape(len(self.rows), len(self.schema))
-        matrix.flags.writeable = False
-        return matrix
+    def take(self, indices) -> "DataTrace":
+        """The trace of the rows at ``indices``, in that order."""
+        indices = list(indices)
+        return DataTrace._from_columns(
+            self.schema, tuple(self.timestamps[i] for i in indices),
+            tuple(self.groups[i] for i in indices),
+            tuple(self._labels[i] for i in indices),
+            self._matrix.take(np.array(indices, dtype=np.intp), axis=0))
 
     def to_matrix(self, features=None) -> np.ndarray:
         """A fresh C-ordered float matrix; columns follow schema order.
@@ -296,6 +290,8 @@ class ParameterSpec:
             if not isinstance(value, numbers.Real):
                 raise TypeError("%s of %r must be a number, got %r"
                                 % (field, self.name, value))
+            if not math.isfinite(value):
+                raise ConfigError("non-finite %s for %r" % (field, self.name))
         if not self.psi > 0:
             raise ConfigError("psi must be > 0 for %r" % self.name)
         if self.mu < 0:
@@ -455,11 +451,12 @@ def write_data_trace(path, trace: DataTrace):
         if labeled:
             header.append("label")
         writer.writerow(header)
-        for row in trace.rows:
-            rec = [str(row.timestamp), row.group]
-            rec += [repr(float(row.values[n])) for n in trace.schema]
+        for ts, group, values, label in zip(trace.timestamps, trace.groups,
+                                            trace._matrix.tolist(),
+                                            trace._labels):
+            rec = [str(ts), group] + [repr(value) for value in values]
             if labeled:
-                rec.append(str(row.label))
+                rec.append(str(label))
             writer.writerow(rec)
 
 

@@ -107,29 +107,27 @@ def event_chunks(events: EventTrace, symbols_per_row) -> list:
             for i in range(0, len(events), symbols_per_row)]
 
 
-def dual_detect(rows, windows, profile, iac_model, model, features,
+def dual_detect(trace: DataTrace, windows, profile, iac_model, model, features,
                 sensitivity: SensitivityDegree, alpha=None, sigma_th=None) -> list:
-    """Joint threshold/event verdicts, one DualVerdict per row.
+    """Joint threshold/event verdicts, one DualVerdict per row of ``trace``.
 
-    ``rows`` is a DataTrace, whose schema must list ``features`` in that
-    order, or a sequence of DataRows; ``windows[i]`` is the event window
-    aligned with row i.  The threshold branch is the trained classifier's
-    prediction on the row's ``features`` values, in that order, scored
-    for all rows in one batch from the trace's matrix; the event branch
-    conformance-tests each window against the curve model.  A row is
-    normal only when both branches pass.
+    The trace's schema must list ``features`` in that order;
+    ``windows[i]`` is the event window aligned with row i.  The threshold
+    branch is the trained classifier's prediction on the row's
+    ``features`` values, scored for all rows in one batch from the
+    trace's matrix; the event branch conformance-tests each window
+    against the curve model.  A row is normal only when both branches
+    pass.
     """
-    if len(rows) != len(windows):
+    if len(trace) != len(windows):
         raise ConfigError("%d rows but %d event windows"
-                          % (len(rows), len(windows)))
+                          % (len(trace), len(windows)))
     for name in features:
         profile.spec(name)  # schema consistency with the learned profile
-    if not isinstance(rows, DataTrace):
-        rows = DataTrace(features, rows)
-    elif [n for n in rows.schema if n in features] != list(features):
+    if [n for n in trace.schema if n in features] != list(features):
         raise ConfigError("features %s do not follow the trace's schema "
                           "order" % (list(features),))
-    threshold = predict_labels(model, rows.to_matrix(features)) == NORMAL
+    threshold = predict_labels(model, trace.to_matrix(features)) == NORMAL
     verdicts = []
     for window, threshold_pass in zip(windows, threshold.tolist()):
         detail = classify_trace(window, iac_model, alpha=alpha,

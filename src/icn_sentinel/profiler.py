@@ -151,11 +151,10 @@ def build_profile(train, limits, trim_fraction=DEFAULT_TRIM_FRACTION,
     if missing:
         raise SchemaError("no limit (psi) for parameters %s" % missing)
 
-    recent = train.rows[-window_len:]
+    recent = train.to_matrix()[-window_len:]
     params = {}
-    for name in train.schema:
-        column = [row.values[name] for row in recent]
-        mu = trim_mean(column, trim_fraction)
+    for j, name in enumerate(train.schema):
+        mu = trim_mean(recent[:, j], trim_fraction)
         delta, p_th = compute_threshold(limits[name], mu)
         params[name] = ParameterSpec(name, float(limits[name]), mu, delta, p_th)
     return ThresholdProfile(params, trim_fraction=trim_fraction,

@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (ANOMALOUS, ConfigError, DataRow, DataTrace, EventTrace,
-                   GROUP_HOURS, GROUPS, NORMAL, derive_seed, parse_data_trace,
-                   parse_event_trace, read_json, write_data_trace,
-                   write_event_trace, write_json)
+from .core import (ANOMALOUS, ConfigError, DataTrace, EventTrace, GROUP_HOURS,
+                   GROUPS, NORMAL, SchemaError, _check_distinct, derive_seed,
+                   is_finite_number, parse_data_trace, parse_event_trace,
+                   read_json, write_data_trace, write_event_trace, write_json)
 from .profiler import ParameterSpec, ThresholdProfile, compute_threshold
 
 ATTACK_PATTERNS = ("one", "three", "five", "mixed")
@@ -57,6 +57,11 @@ class ParamModel:
     rel_std: float = 0.05
 
     def __post_init__(self):
+        for field in ("psi", "mu", "rel_std"):
+            value = getattr(self, field)
+            if not is_finite_number(value):
+                raise ConfigError("%s must be a finite number, got %r"
+                                  % (field, value))
         if not self.psi > 0:
             raise ConfigError("psi must be > 0")
         if not 0 < self.mu < self.psi:
@@ -87,6 +92,16 @@ class GeneratorConfig:
                                dict(DEFAULT_POWER_OFFSETS))
         if not self.signal:
             raise ConfigError("at least one signal parameter required")
+        for name in self.signal:
+            if name in ("ts", "group", "label"):
+                raise SchemaError("signal name %r is reserved for a trace "
+                                  "column" % (name,))
+        for field in ("extra_params", "rows_per_group", "seed", "cadence_s",
+                      "burst_len"):
+            value = getattr(self, field)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError("%s must be an integer, got %r"
+                                  % (field, value))
         if self.extra_params < 0:
             raise ConfigError("extra_params must be >= 0")
         if self.rows_per_group < 1:
@@ -139,11 +154,8 @@ class GeneratorConfig:
     def signal_names(self) -> tuple:
         return tuple(self.signal)
 
-    def effective_mu(self, name, group) -> float:
-        """Group demand scaling applies to the Power channel only."""
-        return self._group_mu(name, self.parameters()[name], group)
-
     def _group_mu(self, name, pm, group) -> float:
+        """Group demand scaling applies to the Power channel only."""
         if name == "Power":
             return pm.mu * self.power_offsets[group]
         return pm.mu
@@ -169,7 +181,8 @@ class GeneratorConfig:
         signal = None
         if "signal" in doc:
             raw = doc["signal"]
-            pairs = raw.items() if isinstance(raw, dict) else raw
+            pairs = list(raw.items() if isinstance(raw, dict) else raw)
+            _check_distinct([n for n, _ in pairs], "signal name")
             signal = {n: ParamModel(b["psi"], b["mu"],
                                     b.get("rel_std", 0.05))
                       for n, b in pairs}
@@ -208,7 +221,7 @@ def _truncated_normal(rng, mean, sd, upper, n):
                           % (mean, upper))
     x = rng.normal(mean, sd, n)
     for _ in range(200):
-        bad = (x <= 0) | (x > upper)
+        bad = ~((x > 0) & (x <= upper))  # a NaN draw is bad too
         if not bad.any():
             return x
         x[bad] = rng.normal(mean, sd, int(bad.sum()))
@@ -235,23 +248,22 @@ def gen_normal(config: GeneratorConfig, group, n, seed=None, start_row=0):
     params = config.parameters()
     schema = tuple(params)
 
-    columns = {}
-    for name, pm in params.items():
+    matrix = np.empty((n, len(schema)))
+    for j, (name, pm) in enumerate(params.items()):
         mu = config._group_mu(name, pm, group)
         sd = pm.rel_std * mu
-        columns[name] = _truncated_normal(rng, mu, sd, profile.threshold(name), n)
+        matrix[:, j] = _truncated_normal(rng, mu, sd,
+                                         profile.threshold(name), n)
 
     per_interval = max(1, (6 * 3600) // config.cadence_s)
-    start_hour = GROUP_HOURS[group]
-    rows = []
-    for i in range(n):
-        abs_row = start_row + i
+    start = GROUP_HOURS[group] * 3600
+    timestamps = []
+    for abs_row in range(start_row, start_row + n):
         day, slot = divmod(abs_row, per_interval)
-        ts = day * 86400 + start_hour * 3600 + slot * config.cadence_s
-        values = {name: float(columns[name][i]) for name in schema}
-        rows.append(DataRow(ts, group, values, NORMAL))
+        timestamps.append(day * 86400 + start + slot * config.cadence_s)
     events = EventTrace([name for _ in range(n) for name in schema])
-    return DataTrace(schema, rows), events
+    return DataTrace._from_columns(schema, tuple(timestamps), (group,) * n,
+                                   (NORMAL,) * n, matrix), events
 
 
 def inject_attacks(trace: DataTrace, events, profile: ThresholdProfile,
@@ -268,9 +280,9 @@ def inject_attacks(trace: DataTrace, events, profile: ThresholdProfile,
         raise ConfigError("attack pattern must be one of %s" % (ATTACK_PATTERNS,))
     if not 0 <= rate <= 1:
         raise ConfigError("rate must be in [0, 1]")
-    for i, row in enumerate(trace.rows):
-        if row.label == ANOMALOUS:
-            raise ConfigError("row %d is already anomalous" % i)
+    if ANOMALOUS in trace._labels:
+        raise ConfigError("row %d is already anomalous"
+                          % trace._labels.index(ANOMALOUS))
     if signal is None:
         signal = [n for n in trace.schema if n in profile.parameters]
     signal = [n for n in trace.schema if n in set(signal)]  # schema order
@@ -293,11 +305,8 @@ def inject_attacks(trace: DataTrace, events, profile: ThresholdProfile,
                 "parameters" % (len(events), n, len(schema)))
         symbols = list(events.events)
 
-    rows = list(trace.rows)
-    for i in range(n):
-        if rows[i].label is None:
-            rows[i] = DataRow(rows[i].timestamp, rows[i].group,
-                              rows[i].values, NORMAL)
+    matrix = trace.to_matrix()
+    labels = [NORMAL] * n
     for i in chosen:
         eff = pattern
         if eff == "mixed":
@@ -309,11 +318,11 @@ def inject_attacks(trace: DataTrace, events, profile: ThresholdProfile,
         picked = rng.choice(len(signal), size=count, replace=False)
         attacked = [signal[j] for j in sorted(picked.tolist())]
 
-        values = dict(rows[i].values)
         for name in attacked:
             spec = profile.spec(name)
-            values[name] = spec.p_th + (1.0 - rng.random()) * (spec.psi - spec.p_th)
-        rows[i] = DataRow(rows[i].timestamp, rows[i].group, values, ANOMALOUS)
+            matrix[i, schema.index(name)] = \
+                spec.p_th + (1.0 - rng.random()) * (spec.psi - spec.p_th)
+        labels[i] = ANOMALOUS
 
         if symbols is not None:
             base = i * len(schema)
@@ -327,8 +336,9 @@ def inject_attacks(trace: DataTrace, events, profile: ThresholdProfile,
                     symbols[free[pos]] = name
                     pos += 1
 
-    out_events = EventTrace(symbols) if symbols is not None else None
-    return DataTrace(schema, rows), out_events
+    out = DataTrace._from_columns(schema, trace.timestamps, trace.groups,
+                                  tuple(labels), matrix)
+    return out, EventTrace(symbols) if symbols is not None else None
 
 
 @dataclass(frozen=True)

@@ -185,6 +185,33 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+def test_gen_refuses_a_nan_noise_level(tmp_path, capsys):
+    # json reads NaN; a NaN rel_std would put nan readings in the CSVs
+    config = tmp_path / "gen_config.json"
+    config.write_text('{"signal": [["FGF", {"psi": 500.0, "mu": 334.17, '
+                      '"rel_std": NaN}]]}')
+    out = tmp_path / "campaign"
+    assert main(["gen", "--config", str(config), "--out", str(out)]) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    (field, value)
+    for field in ("rows_per_group", "extra_params", "cadence_s", "burst_len",
+                  "seed")
+    for value in (True, 1.5)] + [("seed", "abc")])
+def test_gen_refuses_a_non_integer_config_field(tmp_path, capsys, field,
+                                                value):
+    config = tmp_path / "gen_config.json"
+    config.write_text(json.dumps({field: value}))
+    out = tmp_path / "campaign"
+    assert main(["gen", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "%s must be an integer, got %r" % (field, value) in err
+    assert not out.exists()
+
+
 def test_data_errors_exit_three(campaign_dir, models_dir, tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "missing.csv"),
                  "--events", str(tmp_path / "missing.events"),
@@ -247,12 +274,13 @@ def test_detect_matches_cold_per_row_dual_detect(campaign_dir, models_dir,
     # cyclic traffic: far fewer distinct windows than rows
     assert len({c.events for c in chunks}) < len(chunks) // 2
     lines = ["row,ts,group,threshold_pass,iac_pass,verdict"]
-    for i, row in enumerate(trace.rows):
+    for i in range(len(trace)):
         cold = IacModel.load(models_dir / "iac_model.json")
-        v, = dual_detect([row], [chunks[i]], profile, cold, model,
+        v, = dual_detect(trace.take([i]), [chunks[i]], profile, cold, model,
                          meta["features"], SensitivityDegree(60))
         lines.append("%d,%d,%s,%s,%s,%s" % (
-            i, row.timestamp, row.group, v.threshold_pass, v.iac_pass,
+            i, trace.timestamps[i], trace.groups[i], v.threshold_pass,
+            v.iac_pass,
             "normal" if v.normal else "anomalous"))
     assert out.read_text() == "\n".join(lines) + "\n"
 

@@ -383,7 +383,10 @@ def row_traces(draw):
 def test_trace_round_trips(case):
     schema, rows = case
     built = DataTrace(schema, rows)
-    assert all(a is b for a, b in zip(built.rows, rows))
+    # the rows become columns at once; ``rows`` is a view built on first use
+    assert "rows" not in vars(built)
+    assert built.timestamps == tuple(r.timestamp for r in rows)
+    assert built.rows == tuple(rows)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
         write_data_trace(path, built)
@@ -400,6 +403,23 @@ def test_trace_round_trips(case):
                 assert got.flags.c_contiguous
                 assert got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_traces(), st.data())
+def test_take_matches_the_picked_rows(case, data):
+    schema, rows = case
+    trace = DataTrace(schema, rows)
+    indices = data.draw(st.lists(st.integers(-len(rows), len(rows) - 1),
+                                 max_size=8))
+    picked = [rows[i] for i in indices]
+    taken = trace.take(indices)
+    assert taken == DataTrace(schema, picked)
+    assert taken.rows == tuple(picked)
+    want = _seed_matrix(picked, schema).reshape(len(picked), len(schema))
+    assert taken.to_matrix().tobytes() == want.tobytes()
+    with pytest.raises(AttributeError):
+        taken.schema = schema
 
 
 def test_event_trace_roundtrip(tmp_path):

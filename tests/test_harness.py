@@ -3,7 +3,7 @@ import pytest
 
 from icn_sentinel import harness
 from icn_sentinel.classifiers import (CLASSIFIER_KINDS, LabeledSet,
-                                      train_classifier)
+                                      predict_label, train_classifier)
 from icn_sentinel.core import (ANOMALOUS, NORMAL, ConfigError, DataRow,
                                EventTrace, GROUPS, MetricError,
                                SensitivityDegree, derive_seed)
@@ -114,22 +114,21 @@ def dual_setup():
 def test_dual_detect_branches():
     (config, profile, schema, mixed, chunks, model,
      iac_model, sens) = dual_setup()
-    normal_i = next(i for i, r in enumerate(mixed.rows) if r.label == NORMAL)
-    attacked_i = next(i for i, r in enumerate(mixed.rows)
-                      if r.label == ANOMALOUS)
+    labels = mixed.labels().tolist()
+    normal_i, attacked_i = labels.index(NORMAL), labels.index(ANOMALOUS)
 
-    clean, = dual_detect([mixed.rows[normal_i]], [chunks[normal_i]],
+    clean, = dual_detect(mixed.take([normal_i]), [chunks[normal_i]],
                          profile, iac_model, model, schema, sens)
     assert clean.threshold_pass and clean.iac_pass and clean.normal
 
-    hit, = dual_detect([mixed.rows[attacked_i]], [chunks[attacked_i]],
+    hit, = dual_detect(mixed.take([attacked_i]), [chunks[attacked_i]],
                        profile, iac_model, model, schema, sens)
     assert not hit.threshold_pass
     assert not hit.normal
 
     # a window missing a feature event trips only the event branch
     gap = chunks[normal_i].slice(1, len(schema))
-    verdict, = dual_detect([mixed.rows[normal_i]], [gap], profile,
+    verdict, = dual_detect(mixed.take([normal_i]), [gap], profile,
                            iac_model, model, schema, sens)
     assert verdict.threshold_pass
     assert not verdict.iac_pass
@@ -141,18 +140,19 @@ def test_dual_detect_branches():
 def test_dual_detect_batch_matches_one_row_calls():
     (config, profile, schema, mixed, chunks, model,
      iac_model, sens) = dual_setup()
-    batch = dual_detect(mixed.rows, chunks, profile, iac_model, model,
+    batch = dual_detect(mixed, chunks, profile, iac_model, model,
                         schema, sens)
-    assert len(batch) == len(mixed.rows)
+    assert len(batch) == len(mixed)
     assert {v.normal for v in batch} == {True, False}
-    for row, window, verdict in zip(mixed.rows, chunks, batch):
-        one, = dual_detect([row], [window], profile, iac_model, model,
-                           schema, sens)
+    for i, (window, verdict) in enumerate(zip(chunks, batch)):
+        one, = dual_detect(mixed.take([i]), [window], profile, iac_model,
+                           model, schema, sens)
         assert (one.threshold_pass, one.iac_pass, one.normal) == \
             (verdict.threshold_pass, verdict.iac_pass, verdict.normal)
-    assert dual_detect([], [], profile, iac_model, model, schema, sens) == []
+    assert dual_detect(mixed.take([]), [], profile, iac_model, model, schema,
+                       sens) == []
     with pytest.raises(ConfigError):
-        dual_detect(mixed.rows[:2], chunks[:1], profile, iac_model, model,
+        dual_detect(mixed.take([0, 1]), chunks[:1], profile, iac_model, model,
                     schema, sens)
 
 
@@ -161,10 +161,10 @@ def test_dual_detect_scores_a_trace_from_its_matrix():
      iac_model, sens) = dual_setup()
     from_trace = dual_detect(mixed, chunks, profile, iac_model, model,
                              schema, sens)
-    from_rows = dual_detect(list(mixed.rows), chunks, profile, iac_model,
-                            model, schema, sens)
-    assert [(v.threshold_pass, v.iac_pass, v.normal) for v in from_trace] \
-        == [(v.threshold_pass, v.iac_pass, v.normal) for v in from_rows]
+    # the threshold branch is each row's own prediction from its values
+    per_row = [predict_label(model, [row.values[n] for n in schema]) == NORMAL
+               for row in mixed.rows]
+    assert [v.threshold_pass for v in from_trace] == per_row
     # the matrix follows the trace's schema, so other orders are refused
     with pytest.raises(ConfigError, match="schema order"):
         dual_detect(mixed, chunks, profile, iac_model, model, schema[::-1],

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icn_sentinel.core import (ConfigError, DataRow, DataTrace,
                                InsufficientDataError, ParameterSpec,
@@ -118,6 +119,37 @@ def test_build_profile_window_is_most_recent():
     values = [100.0] * 50 + [200.0] * 10
     profile = build_profile(_trace(values), {"FGF": 500.0}, window_len=10)
     assert profile.spec("FGF").mu == pytest.approx(200.0)
+
+
+def _seed_build_profile(schema, rows, limits, trim_fraction, window_len):
+    """The per-row column build that build_profile replaced: each
+    parameter's recent readings gathered from the rows into a list."""
+    recent = rows[-window_len:]
+    params = {}
+    for name in schema:
+        mu = trim_mean([row.values[name] for row in recent], trim_fraction)
+        delta, p_th = compute_threshold(limits[name], mu)
+        params[name] = ParameterSpec(name, float(limits[name]), mu, delta,
+                                     p_th)
+    return params
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_build_profile_matches_per_row_columns(data):
+    schema = data.draw(st.sampled_from([("FGF",), ("MSV", "FGF"),
+                                        ("a", "b", "c", "d", "e")]))
+    n = data.draw(st.integers(1, 60))
+    value = st.floats(0.0, 500.0)
+    rows = [DataRow(60 * i, "MD", {name: data.draw(value) for name in schema},
+                    None) for i in range(n)]
+    trim_fraction = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.49]))
+    window_len = data.draw(st.integers(1, 80))
+    limits = {name: 500.0 for name in schema}
+    profile = build_profile(DataTrace(schema, rows), limits, trim_fraction,
+                            window_len)
+    assert profile.parameters == _seed_build_profile(
+        schema, rows, limits, trim_fraction, window_len)
 
 
 def test_build_profile_missing_limit():

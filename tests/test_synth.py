@@ -1,13 +1,21 @@
+import csv
+import math
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icn_sentinel.core import (ANOMALOUS, GROUP_HOURS, GROUPS, NORMAL,
-                               ConfigError, derive_seed)
-from icn_sentinel.profiler import count_compromised
-from icn_sentinel.synth import (Campaign, GeneratorConfig, ParamModel,
-                                config_hash, default_config, gen_campaign,
-                                gen_normal, group_profile, inject_attacks,
-                                load_campaign, save_campaign)
+                               ConfigError, DataRow, DataTrace, EventTrace,
+                               SchemaError, derive_seed, write_data_trace)
+from icn_sentinel.profiler import ParameterSpec, count_compromised
+from icn_sentinel.synth import (ATTACK_PATTERNS, Campaign, GeneratorConfig,
+                                ParamModel, _PATTERN_COUNTS, config_hash,
+                                default_config, gen_campaign, gen_normal,
+                                group_profile, inject_attacks, load_campaign,
+                                save_campaign)
 
 EXPECTED_THRESHOLDS = {"FGF": 445.0, "MSV": 18.75, "GBV": 2.50,
                        "EGT": 532.0, "Power": 1032.0}
@@ -272,3 +280,178 @@ def test_derive_seed_separates_streams():
     b, _ = gen_normal(config, "MD", 30,
                       seed=derive_seed(config.seed, "MD", "test"))
     assert a.rows != b.rows
+
+
+def test_param_model_refuses_non_finite_values():
+    for args in ((math.inf, 1.0), (math.nan, 1.0), (500.0, math.nan),
+                 (500.0, 334.17, math.nan), (500.0, 334.17, math.inf),
+                 (500.0, True), ("500", 334.17)):
+        with pytest.raises(ConfigError, match="must be a finite number"):
+            ParamModel(*args)
+
+
+def test_profile_specs_refuse_non_finite_values():
+    # an infinite limit used to surface only as an attack value of inf
+    for field in ("psi", "mu", "delta", "p_th"):
+        values = dict(psi=500.0, mu=334.17, delta=0.33, p_th=445.0)
+        values[field] = math.inf
+        with pytest.raises(ConfigError, match="non-finite %s" % field):
+            ParameterSpec("FGF", **values)
+
+
+@pytest.mark.parametrize("signal,name", [
+    ([["FGF", {"psi": 500.0, "mu": 334.17}],
+      ["FGF", {"psi": 600.0, "mu": 334.17}]], "repeated signal name 'FGF'"),
+    ({"label": {"psi": 500.0, "mu": 334.17}}, "'label'"),
+    ([["ts", {"psi": 500.0, "mu": 334.17}]], "'ts'"),
+    ([["FGF", {"psi": 500.0, "mu": 334.17}],
+      ["group", {"psi": 50.0, "mu": 10.0}]], "'group'"),
+])
+def test_config_refuses_bad_signal_names(signal, name):
+    # a repeat used to keep the last entry; a name that is a trace column
+    # wrote a campaign that evaluate then refused
+    with pytest.raises(SchemaError, match=name):
+        GeneratorConfig.from_json({"signal": signal})
+
+
+# The row-by-row generator and attack injector that the matrix versions
+# replaced, kept as oracles: they build one checked DataRow per row.
+
+def _seed_truncated_normal(rng, mean, sd, upper, n):
+    if not 0 < mean <= upper:
+        raise ConfigError("mean %g outside the acceptance band (0, %g]"
+                          % (mean, upper))
+    x = rng.normal(mean, sd, n)
+    for _ in range(200):
+        bad = (x <= 0) | (x > upper)
+        if not bad.any():
+            return x
+        x[bad] = rng.normal(mean, sd, int(bad.sum()))
+    raise ConfigError("rejection sampling keeps missing (0, %g]" % upper)
+
+
+def _seed_gen_normal(config, group, n, seed, start_row=0):
+    """(schema, rows) and the events of gen_normal, built row by row."""
+    rng = np.random.default_rng(seed)
+    profile = group_profile(config, group)
+    params = config.parameters()
+    schema = tuple(params)
+    columns = {}
+    for name, pm in params.items():
+        mu = config._group_mu(name, pm, group)
+        sd = pm.rel_std * mu
+        columns[name] = _seed_truncated_normal(rng, mu, sd,
+                                               profile.threshold(name), n)
+    per_interval = max(1, (6 * 3600) // config.cadence_s)
+    start_hour = GROUP_HOURS[group]
+    rows = []
+    for i in range(n):
+        abs_row = start_row + i
+        day, slot = divmod(abs_row, per_interval)
+        ts = day * 86400 + start_hour * 3600 + slot * config.cadence_s
+        values = {name: float(columns[name][i]) for name in schema}
+        rows.append(DataRow(ts, group, values, NORMAL))
+    events = EventTrace([name for _ in range(n) for name in schema])
+    return (schema, rows), events
+
+
+def _seed_inject_attacks(schema, rows, events, profile, pattern, rate, seed,
+                         signal, burst_len):
+    """(schema, rows) and the events of inject_attacks, row by row."""
+    signal = [n for n in schema if n in set(signal)]
+    signal_set = set(signal)
+    n = len(rows)
+    n_attack = int(round(rate * n))
+    rng = np.random.default_rng(seed)
+    chosen = sorted(rng.choice(n, size=n_attack, replace=False).tolist()) \
+        if n_attack else []
+    symbols = list(events.events) if events is not None else None
+    rows = [DataRow(r.timestamp, r.group, r.values, NORMAL)
+            if r.label is None else r for r in rows]
+    for i in chosen:
+        eff = pattern
+        if eff == "mixed":
+            eff = str(rng.choice(("one", "three", "five")))
+        count = _PATTERN_COUNTS[eff]
+        picked = rng.choice(len(signal), size=count, replace=False)
+        attacked = [signal[j] for j in sorted(picked.tolist())]
+        values = dict(rows[i].values)
+        for name in attacked:
+            spec = profile.spec(name)
+            values[name] = spec.p_th + (1.0 - rng.random()) * (spec.psi
+                                                               - spec.p_th)
+        rows[i] = DataRow(rows[i].timestamp, rows[i].group, values, ANOMALOUS)
+        if symbols is not None:
+            base = i * len(schema)
+            free = [base + j for j, name in enumerate(schema)
+                    if name not in signal_set]
+            pos = 0
+            for name in attacked:
+                for _ in range(burst_len):
+                    if pos >= len(free):
+                        break
+                    symbols[free[pos]] = name
+                    pos += 1
+    out_events = EventTrace(symbols) if symbols is not None else None
+    return (schema, rows), out_events
+
+
+def _seed_csv_bytes(schema, rows):
+    """The bytes of the row-by-row write_data_trace (labelled rows)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["ts", "group"] + list(schema) + ["label"])
+            for row in rows:
+                writer.writerow([str(row.timestamp), row.group]
+                                + [repr(float(row.values[n])) for n in schema]
+                                + [str(row.label)])
+        return path.read_bytes()
+
+
+def _csv_bytes(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_data_trace(path, trace)
+        return path.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(pattern=st.sampled_from(ATTACK_PATTERNS),
+       rate=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32),
+       n=st.integers(0, 40), burst_len=st.integers(1, 6),
+       with_events=st.booleans(), group=st.sampled_from(GROUPS),
+       extra_params=st.integers(0, 15), start_row=st.integers(0, 400))
+def test_matrix_generator_matches_row_oracle(pattern, rate, seed, n,
+                                             burst_len, with_events, group,
+                                             extra_params, start_row):
+    config = default_config(extra_params=extra_params, cadence_s=97)
+    profile = group_profile(config, group)
+    signal = config.signal_names()
+    clean, events = gen_normal(config, group, n, seed=seed,
+                               start_row=start_row)
+    (schema, rows), want_events = _seed_gen_normal(config, group, n, seed,
+                                                   start_row)
+    assert clean == DataTrace(schema, rows)
+    assert clean.to_matrix().tobytes() == \
+        DataTrace(schema, rows).to_matrix().tobytes()
+    assert events.events == want_events.events
+    assert _csv_bytes(clean) == _seed_csv_bytes(schema, rows)
+
+    events = events if with_events else None
+    want_events = want_events if with_events else None
+    attacked, out = inject_attacks(clean, events, profile, pattern, rate,
+                                   seed=seed + 1, signal=signal,
+                                   burst_len=burst_len)
+    (_, rows), want_out = _seed_inject_attacks(
+        schema, rows, want_events, profile, pattern, rate, seed + 1, signal,
+        burst_len)
+    assert attacked == DataTrace(schema, rows)
+    assert _csv_bytes(attacked) == _seed_csv_bytes(schema, rows)
+    assert (out is None) == (want_out is None)
+    if out is not None:
+        assert out.events == want_out.events
+    # the input trace is untouched
+    assert clean == DataTrace(schema, _seed_gen_normal(
+        config, group, n, seed, start_row)[0][1])
