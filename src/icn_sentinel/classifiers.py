@@ -6,8 +6,9 @@ descent, a Euclidean nearest-neighbor memorizer fixed at k=1, and a
 decision tree grown on gain ratio whose branches are flattened into
 ordered, pruned if-then rules.  ``predict_labels`` scores a whole
 feature matrix in one call per model.  Training uses no randomness:
-identical data and hyperparameters give bit-identical models.  Each train
-function's signature holds its classifier's default hyperparameters.
+identical data and hyperparameters give bit-identical models.  The SVM
+takes its C and epoch count as arguments; C4.5 always grows with
+C45_MIN_LEAF and prunes at C45_CF.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class LabeledSet:
     y: np.ndarray
     standardization: Standardization
     xz: np.ndarray  # standardized copy of x
-    # featsel's cross-validation folds, one (folds, seed) key at a time
+    # featsel's cross-validation folds, one seed at a time
     _folds: dict = field(default_factory=dict, init=False, compare=False,
                          repr=False)
 
@@ -392,6 +393,12 @@ def knn_train(data: LabeledSet) -> KnnModel:
 # C4.5-style tree with rule extraction
 
 
+# fewest training rows on each side of a split
+C45_MIN_LEAF = 2
+# confidence of the pessimistic error bound that prunes rule conditions
+C45_CF = 0.25
+
+
 @dataclass(frozen=True)
 class Rule:
     """Conjunctive conditions (feature index, '<=' or '>', threshold) and a
@@ -472,13 +479,13 @@ def _majority(y):
     return NORMAL if pos >= neg else ANOMALOUS
 
 
-def _best_split(x, y, min_leaf):
+def _best_split(x, y):
     """Highest-gain-ratio binary split on a midpoint threshold.
 
     Candidate cuts sit between adjacent distinct values whose blocks are
     not both pure of the same class; ties prefer the lowest feature index,
     then the lowest threshold.  Returns (feature, threshold) or None when
-    no cut has positive gain and min_leaf-sized children.
+    no cut has positive gain and children of C45_MIN_LEAF rows or more.
     """
     n, d = x.shape
     base = _entropy(_class_counts(y))
@@ -495,7 +502,7 @@ def _best_split(x, y, min_leaf):
         for k in range(len(values) - 1):
             left_n = int(bounds[k + 1])
             right_n = n - left_n
-            if left_n < min_leaf or right_n < min_leaf:
+            if left_n < C45_MIN_LEAF or right_n < C45_MIN_LEAF:
                 continue
             # skip cuts between two blocks pure of the same class
             bpos_a = cum_pos[bounds[k + 1]] - cum_pos[bounds[k]]
@@ -537,17 +544,17 @@ class _Node:
         return self.feature is None
 
 
-def _grow(x, y, min_leaf):
+def _grow(x, y):
     if len(np.unique(y)) == 1:
         return _Node(klass=int(y[0]))
-    split = _best_split(x, y, min_leaf)
+    split = _best_split(x, y)
     if split is None:
         return _Node(klass=_majority(y))
     j, thr = split
     mask = x[:, j] <= thr
     node = _Node(feature=j, threshold=float(thr))
-    node.left = _grow(x[mask], y[mask], min_leaf)
-    node.right = _grow(x[~mask], y[~mask], min_leaf)
+    node.left = _grow(x[mask], y[mask])
+    node.right = _grow(x[~mask], y[~mask])
     return node
 
 
@@ -581,24 +588,24 @@ def _coverage(conditions, xz):
     return mask
 
 
-def _pessimistic(conditions, klass, xz, y, cf):
+def _pessimistic(conditions, klass, xz, y):
     mask = _coverage(conditions, xz)
     n = int(mask.sum())
     errors = int((y[mask] != klass).sum())
-    return binom_upper(errors, n, cf)
+    return binom_upper(errors, n, C45_CF)
 
 
-def _simplify(rule, xz, y, cf):
+def _simplify(rule, xz, y):
     """Greedily drop the condition whose removal most lowers the
     pessimistic error; a tie (no worse) still drops, preferring shorter
     rules."""
     conds = list(rule.conditions)
-    current = _pessimistic(conds, rule.klass, xz, y, cf)
+    current = _pessimistic(conds, rule.klass, xz, y)
     while conds:
         candidates = []
         for i in range(len(conds)):
             rest = conds[:i] + conds[i + 1:]
-            candidates.append((_pessimistic(rest, rule.klass, xz, y, cf), i))
+            candidates.append((_pessimistic(rest, rule.klass, xz, y), i))
         cand, i = min(candidates, key=lambda ci: (ci[0], ci[1]))
         if cand <= current:
             del conds[i]
@@ -608,7 +615,7 @@ def _simplify(rule, xz, y, cf):
     return Rule(tuple(conds), rule.klass), current
 
 
-def c45_train(data: LabeledSet, min_leaf=2, cf=0.25) -> C45Model:
+def c45_train(data: LabeledSet) -> C45Model:
     """Grow a gain-ratio tree, flatten it to rules, prune and order them.
 
     Each root-to-leaf path becomes a rule; conditions are dropped while
@@ -617,18 +624,14 @@ def c45_train(data: LabeledSet, min_leaf=2, cf=0.25) -> C45Model:
     training error.  The default class is the majority among training
     cases no rule covers (overall majority when everything is covered).
     """
-    if min_leaf < 1:
-        raise ConfigError("min_leaf must be >= 1")
-    if not 0 < cf < 1:
-        raise ConfigError("cf must be in (0, 1)")
     _require_two_classes(data)
 
     xz, y = data.xz, data.y
-    tree = _grow(xz, y, min_leaf)
+    tree = _grow(xz, y)
 
     rules, seen = [], set()
     for raw in _paths(tree):
-        simplified, _ = _simplify(raw, xz, y, cf)
+        simplified, _ = _simplify(raw, xz, y)
         if not simplified.conditions:
             continue
         key = (simplified.conditions, simplified.klass)

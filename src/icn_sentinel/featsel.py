@@ -1,6 +1,6 @@
 """Wrapper feature selection over the package's own classifiers.
 
-Subsets are scored by stratified 5-fold cross-validated accuracy of a
+Subsets are scored by stratified FOLDS-fold cross-validated accuracy of a
 chosen classifier kind; a greedy forward search and a genetic search are
 provided.  Both are deterministic for a fixed dataset and seed.
 """
@@ -18,6 +18,9 @@ from .classifiers import (CLASSIFIER_KINDS, LabeledSet, Standardization,
                           train_classifier)
 
 PARSIMONY_PENALTY = 0.002
+
+# cross-validation folds that score a subset
+FOLDS = 5
 
 # kNN cross-validation keeps each fold's squared-difference tensor while
 # all folds' tensors together hold at most this many floats (about
@@ -61,18 +64,17 @@ def _check_seed(seed):
         raise ConfigError("seed must be >= 0, got %r" % (seed,))
 
 
-def stratified_folds(y, folds=5, seed=0):
-    """Per-class round-robin fold assignment; deterministic under seed."""
+def stratified_folds(y, seed=0):
+    """Per-class round-robin assignment to FOLDS folds; deterministic
+    under seed."""
     _check_seed(seed)
-    if folds < 2:
-        raise ConfigError("folds must be >= 2, got %r" % (folds,))
     y = np.asarray(y)
     rng = np.random.default_rng(seed)
     assignment = np.empty(len(y), dtype=int)
     for klass in np.unique(y):
         idx = np.flatnonzero(y == klass)
         idx = idx[rng.permutation(len(idx))]
-        assignment[idx] = np.arange(len(idx)) % folds
+        assignment[idx] = np.arange(len(idx)) % FOLDS
     return assignment
 
 
@@ -98,38 +100,36 @@ class _Fold:
         return _sq_planes(std.apply(self.train_x), std.apply(self.test_x))
 
 
-def _cv_folds(data: LabeledSet, folds, seed):
-    """The non-empty folds of data, split once per (folds, seed); the memo
-    on data keeps the latest key only."""
-    key = (folds, seed)
+def _cv_folds(data: LabeledSet, seed):
+    """The non-empty folds of data, split once per seed; the memo on data
+    keeps the latest seed only."""
     memo = data._folds
-    if key not in memo:
+    if seed not in memo:
         y = data.y
         counts = np.unique(y, return_counts=True)[1]
         if counts.min() < 2:
             raise DegenerateDataError(
                 "cross-validation needs >= 2 members per class")
-        assignment = stratified_folds(y, folds=folds, seed=seed)
+        assignment = stratified_folds(y, seed=seed)
         split = []
-        for fold in range(folds):
+        for fold in range(FOLDS):
             mask = assignment == fold
             if not mask.any():
                 continue
             split.append(_Fold(np.ascontiguousarray(data.x[~mask]), y[~mask],
                                np.ascontiguousarray(data.x[mask]), y[mask]))
         memo.clear()
-        memo[key] = split
-    return memo[key]
+        memo[seed] = split
+    return memo[seed]
 
 
-def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
+def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn",
                        seed=0) -> float:
     """Pooled accuracy of the evaluator over stratified CV folds.
 
     Standardization is refit on each training fold; folds whose training
     side lost a class are impossible by the round-robin construction for
-    classes with >= 2 members.  The folds are split once per (data, folds,
-    seed).  A k-NN subset of two or more columns is scored from each
+    classes with >= 2 members.  The folds are split once per (data, seed).  A k-NN subset of two or more columns is scored from each
     fold's squared-difference tensor while the tensors fit
     KNN_TENSOR_FLOATS; any other subset refits its own columns per fold.
     """
@@ -145,7 +145,7 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
         if j == before:
             raise ConfigError("feature index %r is repeated" % (j,))
     columns = np.asarray(indices)
-    split = _cv_folds(data, folds, seed)
+    split = _cv_folds(data, seed)
     planes = evaluator == "knn" and len(indices) > 1 and sum(
         len(f.test_y) * f.train_x.size for f in split) <= KNN_TENSOR_FLOATS
     correct = 0
@@ -166,7 +166,7 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn", folds=5,
 
 
 def greedy_select(data: LabeledSet, evaluator="knn", max_features=None,
-                  folds=5, seed=0) -> FeatureSubset:
+                  seed=0) -> FeatureSubset:
     """Forward selection: repeatedly add the feature that raises CV
     accuracy the most (lowest index on ties); stop when nothing improves
     or max_features is reached."""
@@ -186,7 +186,7 @@ def greedy_select(data: LabeledSet, evaluator="knn", max_features=None,
             if j in chosen:
                 continue
             score = cross_val_accuracy(data, chosen + [j], evaluator,
-                                       folds=folds, seed=seed)
+                                       seed=seed)
             if best_step is None or score > best_step[0] + 1e-12:
                 best_step = (score, j)
         if best_step is None or best_step[0] <= best_score + 1e-12:
@@ -203,7 +203,7 @@ def _mask_key(mask):
 
 
 def genetic_select(data: LabeledSet, evaluator="knn", config=None,
-                   initial_masks=None, folds=5, return_history=False):
+                   return_history=False):
     """Genetic search over feature bitmasks.
 
     Fitness is CV accuracy minus 0.002 per selected feature; selection is
@@ -225,7 +225,7 @@ def genetic_select(data: LabeledSet, evaluator="knn", config=None,
         if key not in cache:
             indices = np.flatnonzero(mask)
             acc = cross_val_accuracy(data, indices.tolist(), evaluator,
-                                     folds=folds, seed=config.seed)
+                                     seed=config.seed)
             cache[key] = (acc - PARSIMONY_PENALTY * len(indices), acc)
         return cache[key]
 
@@ -235,17 +235,7 @@ def genetic_select(data: LabeledSet, evaluator="knn", config=None,
             if mask.any():
                 return mask
 
-    population = []
-    if initial_masks is not None:
-        for m in initial_masks:
-            mask = np.asarray(m, dtype=bool)
-            if mask.shape != (n,) or not mask.any():
-                raise ConfigError("initial masks must be non-empty length-%d"
-                                  % n)
-            population.append(mask.copy())
-    while len(population) < config.population:
-        population.append(random_mask())
-    population = population[:config.population]
+    population = [random_mask() for _ in range(config.population)]
 
     def tournament(scores):
         picks = rng.integers(0, len(population), size=3).tolist()

@@ -117,31 +117,6 @@ def min_max_curves(trace: EventTrace, event, w_delta):
             IacCurve(event, "max", {w: maxs[w - 1] for w in widths}))
 
 
-def _select_from_counts(counts: Counter, significance_pct) -> set:
-    """Smallest most-frequent event set covering ``significance_pct`` of
-    all occurrences; frequency-descending with lexicographic tie-break."""
-    if not 0 < significance_pct <= 100:
-        raise ConfigError("significance_pct must be in (0, 100], got %r"
-                          % (significance_pct,))
-    total = sum(counts.values())
-    if total == 0:
-        raise InsufficientDataError("no events to select from")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    selected, cum = set(), 0
-    need = significance_pct / 100.0 * total
-    for symbol, count in ranked:
-        selected.add(symbol)
-        cum += count
-        if cum >= need - 1e-9:
-            break
-    return selected
-
-
-def _check_confidence(confidence):
-    if not 0 < confidence < 1:
-        raise ConfigError("confidence must be in (0, 1), got %r" % (confidence,))
-
-
 @functools.lru_cache(maxsize=256)
 def _t_quantile(confidence, n):
     """Two-sided Student-t quantile for a mean over n samples."""
@@ -164,15 +139,14 @@ def _bands(windows, sample, quantile) -> dict:
     return {w: tuple(row) for w, row in zip(windows, rows.tolist())}
 
 
-def aggregate(curve_pairs, confidence=DEFAULT_CONFIDENCE) -> dict:
+def aggregate(curve_pairs) -> dict:
     """Six-curve aggregation over per-trace (min, max) curve pairs.
 
     Returns {w: (min_mean, min_lo, min_hi, max_mean, max_lo, max_hi)} over
     the window sizes present in every pair; the lo/hi bounds are two-sided
-    Student-t confidence limits of the mean at ``confidence``.  Needs at
-    least two pairs.
+    Student-t confidence limits of the mean at DEFAULT_CONFIDENCE.  Needs
+    at least two pairs.
     """
-    _check_confidence(confidence)
     pairs = list(curve_pairs)
     if len(pairs) < 2:
         raise InsufficientDataError(
@@ -190,7 +164,7 @@ def aggregate(curve_pairs, confidence=DEFAULT_CONFIDENCE) -> dict:
     sample = [[[pair[pick].values[w] for pair in pairs] for w in windows]
               for pick in (0, 1)]
     return _bands(windows, np.reshape(sample, (2, len(windows), len(pairs))),
-                  _t_quantile(confidence, len(pairs)))
+                  _t_quantile(DEFAULT_CONFIDENCE, len(pairs)))
 
 
 def _twice_u(a, b):
@@ -334,7 +308,7 @@ class IacModel:
     sigma_th: float = DEFAULT_SIGMA_TH
     feature_events: tuple = ()
     frequencies: dict = None
-    # classify_trace verdicts by (window, tested, alpha, sigma_th, s_pct)
+    # classify_trace verdicts by (window, alpha, sigma_th, s_pct)
     _verdicts: dict = field(default_factory=dict, init=False, compare=False,
                             repr=False)
     # _curve_test results by (event, pick, shared, curve values on shared)
@@ -401,19 +375,18 @@ class IacModel:
         return read_json(path, cls.from_json)
 
 
-def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, confidence=DEFAULT_CONFIDENCE,
-                    significance_pct=100.0, alpha=DEFAULT_ALPHA,
+def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, alpha=DEFAULT_ALPHA,
                     sigma_th=DEFAULT_SIGMA_TH) -> IacModel:
     """Aggregate per-trace curves from >= 2 normal traces into a model.
 
-    Curves are kept for the feature events selected at significance_pct;
-    an event present in fewer than two traces gets an empty band map and
-    will fail closed at classification time.  The arguments must pass the
-    checks IacModel.from_json applies, else ConfigError.
+    Every event of the traces is a feature event, with bands at
+    DEFAULT_CONFIDENCE; an event present in fewer than two traces gets an
+    empty band map and will fail closed at classification time.  The
+    arguments must pass the checks IacModel.from_json applies, else
+    ConfigError.
     """
     if type(w_delta) is not int or w_delta < 1:
         raise ConfigError("w_delta must be an integer >= 1, got %r" % (w_delta,))
-    _check_confidence(confidence)
     for name, value in (("alpha", alpha), ("sigma_th", sigma_th)):
         if math.isnan(value):
             raise ConfigError("%s must be a number, got NaN" % name)
@@ -424,7 +397,9 @@ def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, confidence=DEFAULT_CONFIDEN
     counts = Counter()
     for trace in traces:
         counts.update(trace.events)
-    events = sorted(_select_from_counts(counts, significance_pct))
+    if not counts:
+        raise InsufficientDataError("the traces hold no events")
+    events = sorted(counts)
 
     mins, maxs, present = _curve_arrays([t.events for t in traces], events,
                                         w_delta)
@@ -438,9 +413,8 @@ def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, confidence=DEFAULT_CONFIDEN
         shared = present[k, has].all(axis=0)
         sample = np.stack((mins[k, has][:, shared].T, maxs[k, has][:, shared].T))
         curves[event] = _bands((np.flatnonzero(shared) + 1).tolist(), sample,
-                               _t_quantile(confidence, n))
-    return IacModel(curves, w_delta=w_delta, confidence=confidence,
-                    alpha=alpha, sigma_th=sigma_th,
+                               _t_quantile(DEFAULT_CONFIDENCE, n))
+    return IacModel(curves, w_delta=w_delta, alpha=alpha, sigma_th=sigma_th,
                     feature_events=tuple(events),
                     frequencies=dict(counts))
 
@@ -472,35 +446,36 @@ def _memo_curve_test(model, event, curve, pick, shared):
 
 
 def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
-                   sensitivity=None, events=None) -> TraceVerdict:
+                   sensitivity=None) -> TraceVerdict:
     """Conformance-test a trace against a model.
 
-    Per tested event the test curve values are compared with the model
+    Per feature event the test curve values are compared with the model
     mean curve values over shared window sizes by a Mann-Whitney U test,
     independently for the min and max curves; a curve fails when
     p < alpha, and a failed curve only counts as anomalous when its band
     deviation reaches sigma_th.  Events unknown to the model, or absent
     from the test trace, fail closed as anomalous (this dominates even an
     infinite sigma_th).  The trace is anomalous when at least
-    sensitivity.required_count(len(tested)) events are.
+    sensitivity.required_count(len(model.feature_events)) events are.
 
-    Verdicts are memoized per model, keyed on the window's symbols, the
-    tested events, alpha, sigma_th and the sensitivity grade, for up to
-    VERDICT_MEMO_LIMIT keys: cyclic traffic repeats its windows, and a
-    repeated window gets back the same read-only verdict.  Behind that memo
+    Verdicts are memoized per model, keyed on the window's symbols, alpha,
+    sigma_th and the sensitivity grade, for up to VERDICT_MEMO_LIMIT keys:
+    cyclic traffic repeats its windows, and a repeated window gets back the
+    same read-only verdict.  Behind that memo
     each curve's (p, deviation) is memoized per model too, keyed on the
     event, min or max, the shared windows and the curve's values on them,
     for up to _CURVE_MEMO_LIMIT keys: distinct windows often give one event
     the same curve.  Both gates and the count apply after the lookup.  An
-    event named twice in ``events`` raises ConfigError.
+    event named twice in the model's ``feature_events`` raises
+    ConfigError.
     """
     alpha = model.alpha if alpha is None else alpha
     sigma_th = model.sigma_th if sigma_th is None else sigma_th
     sensitivity = sensitivity or SensitivityDegree(100)
-    tested = sorted(events) if events is not None else sorted(model.feature_events)
+    tested = sorted(model.feature_events)
     if not tested:
         raise ConfigError("no events to test")
-    key = (test.events, tuple(tested), alpha, sigma_th, sensitivity.s_pct)
+    key = (test.events, alpha, sigma_th, sensitivity.s_pct)
     memo = model._verdicts
     cached = memo.get(key)
     if cached is not None:

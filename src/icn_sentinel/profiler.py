@@ -135,30 +135,26 @@ class ThresholdProfile:
         return read_json(path, cls.from_json)
 
 
-def build_profile(train, limits, trim_fraction=DEFAULT_TRIM_FRACTION,
-                  window_len=DEFAULT_WINDOW_LEN) -> ThresholdProfile:
+def build_profile(train, limits) -> ThresholdProfile:
     """Learn a profile from normal-operation rows.
 
-    mu per parameter is the trimmed mean over the most recent
-    ``window_len`` rows (the whole trace when shorter); ``limits`` maps
-    every schema parameter to its physical limit psi.
+    mu per parameter is the DEFAULT_TRIM_FRACTION-trimmed mean over the
+    most recent DEFAULT_WINDOW_LEN rows (the whole trace when shorter);
+    ``limits`` maps every schema parameter to its physical limit psi.
     """
     if len(train) == 0:
         raise InsufficientDataError("cannot profile an empty trace")
-    if window_len < 1:
-        raise ConfigError("window_len must be >= 1, got %r" % (window_len,))
     missing = [n for n in train.schema if n not in limits]
     if missing:
         raise SchemaError("no limit (psi) for parameters %s" % missing)
 
-    recent = train.to_matrix()[-window_len:]
+    recent = train.to_matrix()[-DEFAULT_WINDOW_LEN:]
     params = {}
     for j, name in enumerate(train.schema):
-        mu = trim_mean(recent[:, j], trim_fraction)
+        mu = trim_mean(recent[:, j], DEFAULT_TRIM_FRACTION)
         delta, p_th = compute_threshold(limits[name], mu)
         params[name] = ParameterSpec(name, float(limits[name]), mu, delta, p_th)
-    return ThresholdProfile(params, trim_fraction=trim_fraction,
-                            window_len=window_len)
+    return ThresholdProfile(params)
 
 
 def count_compromised(row, profile: ThresholdProfile, features) -> int:

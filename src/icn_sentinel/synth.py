@@ -267,11 +267,11 @@ def gen_normal(config: GeneratorConfig, group, n, seed=None, start_row=0):
 
 
 def inject_attacks(trace: DataTrace, events, profile: ThresholdProfile,
-                   pattern, rate, seed, signal=None, burst_len=2):
+                   pattern, rate, seed, signal, burst_len=2):
     """Overwrite round(rate * n) uniformly chosen rows with attack values.
 
-    Each attacked row gets its pattern's parameters drawn uniformly from
-    (P_th, psi] and the label -1; other rows keep +1.  When ``events`` is
+    Each attacked row gets its pattern's count of ``signal`` parameters
+    drawn uniformly from (P_th, psi] and the label -1; other rows keep +1.  When ``events`` is
     given, every attacked parameter's symbol is additionally written over
     ``burst_len`` filler-symbol slots of the row's fixed-length event
     chunk, so chunk alignment survives.  Returns (trace, events).
@@ -283,10 +283,8 @@ def inject_attacks(trace: DataTrace, events, profile: ThresholdProfile,
     if ANOMALOUS in trace._labels:
         raise ConfigError("row %d is already anomalous"
                           % trace._labels.index(ANOMALOUS))
-    if signal is None:
-        signal = [n for n in trace.schema if n in profile.parameters]
-    signal = [n for n in trace.schema if n in set(signal)]  # schema order
     signal_set = set(signal)
+    signal = [n for n in trace.schema if n in signal_set]  # schema order
     if not signal:
         raise ConfigError("no attackable parameters")
 

@@ -414,11 +414,19 @@ def test_c45_single_threshold_rules():
     assert predict_label(model, [-50.0]) == NORMAL
 
 
-def test_c45_pure_pair_min_leaf_one():
-    data = LabeledSet.from_raw([[0.0], [1.0]], [1, -1])
-    model = c45_train(data, min_leaf=1)
+def test_c45_pure_split_needs_two_rows_a_side():
+    assert classifiers.C45_MIN_LEAF == 2 and classifiers.C45_CF == 0.25
+    # two pure pairs split between them
+    data = LabeledSet.from_raw([[0.0], [1.0], [2.0], [3.0]], [1, 1, -1, -1])
+    model = c45_train(data)
     preds = [predict_label(model, row) for row in data.x]
-    assert preds == [1, -1]
+    assert preds == [1, 1, -1, -1]
+    # a cut that leaves one row on a side is refused: no rule, majority
+    for x, y, default in (([[0.0], [1.0]], [1, -1], NORMAL),
+                          ([[0.0], [1.0], [2.0]], [1, -1, -1], ANOMALOUS)):
+        model = c45_train(LabeledSet.from_raw(x, y))
+        assert model.rules == ()
+        assert model.default_class == default
 
 
 def test_c45_constant_feature_majority():
@@ -464,7 +472,7 @@ def test_c45_rules_are_locally_minimal():
         if len(np.unique(y)) < 2:
             continue
         data = LabeledSet.from_raw(x, y)
-        model = c45_train(data, cf=0.25)
+        model = c45_train(data)
         for rule in model.rules:
             conds = list(rule.conditions)
             full = rule_pessimistic(rule, conds, data.xz, data.y, 0.25)
@@ -489,11 +497,6 @@ def test_c45_rule_errors_sorted_and_recomputable():
 
 
 def test_c45_config_errors():
-    data = blob_data()
-    with pytest.raises(ConfigError):
-        c45_train(data, min_leaf=0)
-    with pytest.raises(ConfigError):
-        c45_train(data, cf=1.0)
     one_class = LabeledSet.from_raw([[0.0], [1.0]], [1, 1])
     with pytest.raises(DegenerateDataError):
         c45_train(one_class)

@@ -8,9 +8,9 @@ from icn_sentinel import classifiers, featsel
 from icn_sentinel.classifiers import (CLASSIFIER_KINDS, LabeledSet,
                                       predict_labels, train_classifier)
 from icn_sentinel.core import (ConfigError, DegenerateDataError)
-from icn_sentinel.featsel import (FeatureSubset, GaConfig, cross_val_accuracy,
-                                  genetic_select, greedy_select,
-                                  stratified_folds)
+from icn_sentinel.featsel import (FOLDS, FeatureSubset, GaConfig,
+                                  cross_val_accuracy, genetic_select,
+                                  greedy_select, stratified_folds)
 
 
 def planted_data(seed=0, n=60, noise_features=4):
@@ -40,9 +40,10 @@ def xor_data(seed=0, per_corner=15):
 def test_stratified_folds_balance():
     rng = np.random.default_rng(1)
     y = np.where(rng.random(83) < 0.3, 1, -1)
-    assignment = stratified_folds(y, folds=5, seed=0)
+    assignment = stratified_folds(y, seed=0)
+    assert FOLDS == 5
     assert assignment.shape == y.shape
-    assert set(assignment) <= set(range(5))
+    assert set(assignment) == set(range(5))
     # round-robin keeps per-class fold sizes within one of each other
     for klass in (1, -1):
         sizes = [int(((assignment == f) & (y == klass)).sum())
@@ -52,8 +53,8 @@ def test_stratified_folds_balance():
 
 def test_stratified_folds_deterministic():
     y = np.array([1, -1] * 20)
-    a = stratified_folds(y, folds=5, seed=7)
-    b = stratified_folds(y, folds=5, seed=7)
+    a = stratified_folds(y, seed=7)
+    b = stratified_folds(y, seed=7)
     assert np.array_equal(a, b)
 
 
@@ -73,10 +74,9 @@ def test_stratified_folds_matches_row_loop():
           np.array([-1] * 7 + [1] * 2), np.array([1, 1, 1]),
           np.array([], dtype=int)]
     for y in ys:
-        for folds in (2, 3, 5, 10):
-            for seed in (0, 1, 7, 123):
-                assert np.array_equal(stratified_folds(y, folds, seed),
-                                      loop_folds(y, folds, seed))
+        for seed in (0, 1, 2, 3, 7, 42, 123, 9999):
+            assert np.array_equal(stratified_folds(y, seed),
+                                  loop_folds(y, 5, seed))
 
 
 def test_cross_val_perfect_feature():
@@ -95,15 +95,15 @@ def test_cross_val_matches_restricted_set():
         assert direct == restricted
 
 
-def cold_cross_val(data, indices, evaluator, folds, seed):
+def cold_cross_val(data, indices, evaluator, seed):
     """Cross-validation that splits, checks and standardizes from scratch
     for every subset: the reference the fold memo must equal."""
     indices = sorted(indices)
     x = data.x[:, indices]
     y = data.y
-    assignment = stratified_folds(y, folds=folds, seed=seed)
+    assignment = stratified_folds(y, seed=seed)
     correct = 0
-    for fold in range(folds):
+    for fold in range(FOLDS):
         mask = assignment == fold
         if not mask.any():
             continue
@@ -139,14 +139,14 @@ def assert_bitwise(a, b):
 def test_cross_val_fold_memo_equals_cold_path():
     data = wide_data(seed=1, n=36)
     rng = np.random.default_rng(1)
-    for folds, seed in ((5, 0), (3, 4), (4, 9)):
+    for seed in (0, 4, 9):
         for size in SUBSET_SIZES:
             subset = rng.choice(data.n_features, size=size,
                                 replace=False).tolist()
             for evaluator in CLASSIFIER_KINDS:
                 assert cross_val_accuracy(data, subset, evaluator,
-                                          folds=folds, seed=seed) \
-                    == cold_cross_val(data, subset, evaluator, folds, seed)
+                                          seed=seed) \
+                    == cold_cross_val(data, subset, evaluator, seed)
 
 
 def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
@@ -167,15 +167,15 @@ def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
     monkeypatch.setattr(featsel, "predict_labels", predict_spy)
     data = wide_data(seed=3)
     rng = np.random.default_rng(3)
-    for folds, seed in ((5, 0), (4, 2)):
-        assignment = stratified_folds(data.y, folds=folds, seed=seed)
+    for seed in (0, 2):
+        assignment = stratified_folds(data.y, seed=seed)
         for size in SUBSET_SIZES:
             idx = sorted(rng.choice(data.n_features, size=size,
                                     replace=False).tolist())
             seen.clear()
-            cross_val_accuracy(data, idx, "c45", folds=folds, seed=seed)
-            assert len(seen) == 2 * folds
-            for fold in range(folds):
+            cross_val_accuracy(data, idx, "c45", seed=seed)
+            assert len(seen) == 2 * FOLDS
+            for fold in range(FOLDS):
                 mask = assignment == fold
                 (_, train), (_, test_x) = seen[2 * fold:2 * fold + 2]
                 ref = LabeledSet.from_raw(data.x[:, idx][~mask],
@@ -190,14 +190,14 @@ def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
                 assert_bitwise(test_x, data.x[:, idx][mask])
 
 
-def assert_own_fit_planes(seen, data, indices, folds, seed):
+def assert_own_fit_planes(seen, data, indices, seed):
     """The (planes, columns) pairs a featsel._nearest spy recorded, one per
     non-empty fold, name the subset's sorted columns and hold, bit for
     bit, the squared-difference planes of the subset's own from_raw fit."""
     indices = sorted(indices)
     x = data.x[:, indices]
-    assignment = stratified_folds(data.y, folds=folds, seed=seed)
-    masks = [m for m in (assignment == f for f in range(folds)) if m.any()]
+    assignment = stratified_folds(data.y, seed=seed)
+    masks = [m for m in (assignment == f for f in range(FOLDS)) if m.any()]
     assert len(seen) == len(masks)
     for (planes, columns), mask in zip(seen, masks):
         assert columns == indices
@@ -215,7 +215,7 @@ def spy_nearest(seen):
     return nearest_spy
 
 
-def check_knn_planes_equal_from_raw(monkeypatch, data, sizes, keys):
+def check_knn_planes_equal_from_raw(monkeypatch, data, sizes, seeds):
     """For random subsets of each size, each fold's k-NN planes over the
     subset's columns are bit for bit those of the subset's own fit, and
     the accuracy is the cold path's; a one-column subset fits its own
@@ -223,22 +223,21 @@ def check_knn_planes_equal_from_raw(monkeypatch, data, sizes, keys):
     seen = []
     monkeypatch.setattr(featsel, "_nearest", spy_nearest(seen))
     rng = np.random.default_rng(3)
-    for folds, seed in keys:
+    for seed in seeds:
         for size in sizes:
             idx = sorted(rng.choice(data.n_features, size=size,
                                     replace=False).tolist())
             seen.clear()
-            assert cross_val_accuracy(data, idx, "knn", folds=folds,
-                                      seed=seed) \
-                == cold_cross_val(data, idx, "knn", folds, seed)
-            assert len(seen) == (0 if size == 1 else folds)
+            assert cross_val_accuracy(data, idx, "knn", seed=seed) \
+                == cold_cross_val(data, idx, "knn", seed)
+            assert len(seen) == (0 if size == 1 else FOLDS)
             if seen:
-                assert_own_fit_planes(seen, data, idx, folds, seed)
+                assert_own_fit_planes(seen, data, idx, seed)
 
 
 def test_cross_val_knn_tensor_equals_from_raw(monkeypatch):
     check_knn_planes_equal_from_raw(monkeypatch, wide_data(seed=3),
-                                    SUBSET_SIZES, ((5, 0), (4, 2)))
+                                    SUBSET_SIZES, (0, 2))
 
 
 def test_cross_val_knn_above_128_columns(monkeypatch):
@@ -246,14 +245,14 @@ def test_cross_val_knn_above_128_columns(monkeypatch):
     subset's own fit, and the accuracy the cold path's."""
     check_knn_planes_equal_from_raw(monkeypatch,
                                     wide_data(seed=7, n=40, width=140),
-                                    (129, 136, 137, 140), ((5, 1),))
+                                    (129, 136, 137, 140), (1,))
 
 
 @st.composite
 def knn_cv_cases(draw):
-    """A small labelled set whose rows repeat (distance ties), a few
-    (folds, seed) keys in turn, subsets of every size, and a tensor cap
-    relative to the set's tensor size."""
+    """A small labelled set whose rows repeat (distance ties), a few fold
+    seeds in turn, subsets of every size, and a tensor cap relative to the
+    set's tensor size."""
     d = draw(st.integers(1, 20))
     n_pos, n_neg = draw(st.integers(2, 7)), draw(st.integers(2, 7))
     n = n_pos + n_neg
@@ -263,56 +262,52 @@ def knn_cv_cases(draw):
     picks = draw(st.lists(st.integers(0, len(distinct) - 1),
                           min_size=n, max_size=n))
     y = draw(st.permutations([1] * n_pos + [-1] * n_neg))
-    keys = draw(st.lists(st.tuples(st.integers(2, 5), st.integers(0, 99)),
-                         min_size=1, max_size=3))
+    seeds = draw(st.lists(st.integers(0, 99), min_size=1, max_size=3))
     subsets = draw(st.lists(st.sets(st.integers(0, d - 1), min_size=1),
                             min_size=1, max_size=4))
     cap = draw(st.sampled_from(["default", "zero", "below", "at", "above"]))
     data = LabeledSet.from_raw(np.array([distinct[i] for i in picks]),
                                np.array(y))
-    return data, keys, subsets, cap
+    return data, seeds, subsets, cap
 
 
-def tensor_floats(data, folds, seed):
+def tensor_floats(data, seed):
     """Floats in all folds' (test, train, feature) tensors."""
-    sizes = np.bincount(stratified_folds(data.y, folds, seed),
-                        minlength=folds)
+    sizes = np.bincount(stratified_folds(data.y, seed), minlength=FOLDS)
     return int((sizes * (len(data.y) - sizes)).sum()) * data.n_features
 
 
 @settings(max_examples=80, deadline=None)
 @given(knn_cv_cases())
 def test_knn_cross_val_equals_cold_path_property(case):
-    data, keys, subsets, cap = case
+    data, seeds, subsets, cap = case
     default = featsel.KNN_TENSOR_FLOATS
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(featsel, "_nearest", spy_nearest(calls))
-        for folds, seed in keys:
-            size = tensor_floats(data, folds, seed)
+        for seed in seeds:
+            size = tensor_floats(data, seed)
             limit = {"default": default, "zero": 0,
                      "below": size - 1, "at": size, "above": size + 1}[cap]
             mp.setattr(featsel, "KNN_TENSOR_FLOATS", limit)
             for subset in subsets:
                 calls.clear()
-                assert cross_val_accuracy(data, subset, "knn", folds=folds,
-                                          seed=seed) \
-                    == cold_cross_val(data, subset, "knn", folds, seed)
+                assert cross_val_accuracy(data, subset, "knn", seed=seed) \
+                    == cold_cross_val(data, subset, "knn", seed)
                 tensor_path = len(subset) > 1 and size <= limit
                 assert bool(calls) == tensor_path
                 if calls:
-                    assert_own_fit_planes(calls, data, subset, folds, seed)
-            assert list(data._folds) == [(folds, seed)]
+                    assert_own_fit_planes(calls, data, subset, seed)
+            assert list(data._folds) == [seed]
 
 
 def test_cross_val_fold_memo_keeps_one_key():
     data = wide_data(seed=5)
     subset = [0, 3, 4, 7, 10]
-    for folds, seed in ((5, 0), (3, 1), (5, 0), (2, 7), (3, 1)):
-        assert cross_val_accuracy(data, subset, "knn", folds=folds,
-                                  seed=seed) \
-            == cold_cross_val(data, subset, "knn", folds, seed)
-        assert list(data._folds) == [(folds, seed)]
+    for seed in (0, 1, 0, 7, 1):
+        assert cross_val_accuracy(data, subset, "knn", seed=seed) \
+            == cold_cross_val(data, subset, "knn", seed)
+        assert list(data._folds) == [seed]
 
 
 def test_cross_val_errors():
@@ -324,14 +319,6 @@ def test_cross_val_errors():
     lone = LabeledSet.from_raw([[0.0], [1.0], [2.0]], [1, 1, -1])
     with pytest.raises(DegenerateDataError):
         cross_val_accuracy(lone, [0])
-    for folds in (1, 0, -2):
-        message = "folds must be >= 2, got %d" % folds
-        for call in (lambda: stratified_folds(data.y, folds=folds),
-                     lambda: cross_val_accuracy(data, [0, 1], folds=folds),
-                     lambda: greedy_select(data, folds=folds),
-                     lambda: genetic_select(data, folds=folds)):
-            with pytest.raises(ConfigError, match=message):
-                call()
 
 
 @pytest.mark.parametrize("evaluator", ["knn", "svm"])
@@ -386,19 +373,26 @@ def test_both_methods_recover_planted_pair():
     assert ga.score == 1.0
 
 
-def test_ga_identity_under_zero_rates():
+def test_ga_identity_under_zero_rates(monkeypatch):
     data = planted_data(seed=5)
-    n = data.n_features
-    planted = np.zeros(n, dtype=bool)
-    planted[0] = True
-    other = np.ones(n, dtype=bool)
+    scored = []
+
+    def cross_val_spy(data, indices, evaluator, seed):
+        scored.append(tuple(indices))
+        return cross_val_accuracy(data, indices, evaluator, seed=seed)
+
+    monkeypatch.setattr(featsel, "cross_val_accuracy", cross_val_spy)
     config = GaConfig(population=4, generations=3, crossover_rate=0.0,
                       mutation_rate=0.0, seed=0)
-    masks = [planted, other, other, other]
-    subset = genetic_select(data, config=config, initial_masks=masks)
-    # nothing can move, so the fittest seeded mask must win outright
-    assert subset.indices == (0,)
-    assert subset.score == 1.0
+    subset = genetic_select(data, config=config)
+    # nothing can move, so no mask past the first population is ever
+    # scored, and the fittest first mask (lowest position on ties) wins
+    assert 1 <= len(scored) <= config.population
+    fits = [cross_val_accuracy(data, s) - featsel.PARSIMONY_PENALTY * len(s)
+            for s in scored]
+    best = scored[fits.index(max(fits))]
+    assert subset.indices == best
+    assert subset.score == cross_val_accuracy(data, best)
 
 
 def test_ga_deterministic_and_monotone_history():
@@ -423,12 +417,6 @@ def test_ga_config_validation():
         GaConfig(seed=-1)
     with pytest.raises(ConfigError, match="seed must be >= 0, got -3"):
         stratified_folds(np.array([1, -1] * 5), seed=-3)
-    data = planted_data()
-    with pytest.raises(ConfigError):
-        genetic_select(data, initial_masks=[np.zeros(data.n_features,
-                                                     dtype=bool)])
-    with pytest.raises(ConfigError):
-        genetic_select(data, initial_masks=[np.ones(2, dtype=bool)])
 
 
 def test_subset_indices_are_sorted_tuples():

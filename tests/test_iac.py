@@ -15,7 +15,7 @@ from icn_sentinel.core import (ConfigError, EventNotFoundError, EventTrace,
                                SensitivityDegree, SentinelError)
 from icn_sentinel.harness import event_chunks
 from icn_sentinel.iac import (_CURVE_MEMO_LIMIT, VERDICT_MEMO_LIMIT, IacModel,
-                              _curve_arrays, _select_from_counts, aggregate,
+                              _curve_arrays, aggregate,
                               classify_trace, mann_whitney_u, min_max_curves,
                               train_iac_model)
 from icn_sentinel.synth import default_config, gen_campaign
@@ -140,37 +140,26 @@ def test_curve_arrays_equal_window_oracle(case):
             assert got_min == want_min and got_max == want_max
 
 
-def selected(traces, significance_pct):
-    return set(train_iac_model(traces,
-                               significance_pct=significance_pct
-                               ).feature_events)
-
-
 def test_select_feature_events():
-    # counts add up over the traces: B 14, A 4, E 4, C 2, D 1 in total
+    # every event is a feature event, however rare; counts add up over the
+    # traces: B 14, A 4, E 4, C 2, D 1 in total
     traces = [EventTrace(tuple(FIG_TRACE[:12])),
               EventTrace(tuple(FIG_TRACE[12:]))]
-    assert selected(traces, 20) == {"B"}
-    assert selected(traces, 60) == {"B", "A"}
-    assert selected(traces, 100) == set(FIG_TRACE)
+    model = train_iac_model(traces)
+    assert model.feature_events == ("A", "B", "C", "D", "E")
+    assert model.frequencies == {"B": 14, "A": 4, "E": 4, "C": 2, "D": 1}
 
 
 def test_select_tie_break_lexicographic():
-    traces = [EventTrace(tuple("BA")), EventTrace(tuple("BA"))]
-    assert selected(traces, 25) == {"A"}
-    traces = [EventTrace(tuple("CCB")), EventTrace(tuple("AAB"))]
-    # all tied at 2; need 50% -> A then B
-    assert selected(traces, 50) == {"A", "B"}
+    # feature events are held in lexicographic order, not by frequency
+    for texts in (("BA", "BA"), ("CCB", "AAB"), ("CCCB", "BA")):
+        model = train_iac_model([EventTrace(tuple(t)) for t in texts])
+        assert model.feature_events == tuple(sorted(set("".join(texts))))
 
 
 def test_select_errors():
-    traces = [EventTrace(tuple("AB")), EventTrace(tuple("BA"))]
-    with pytest.raises(ConfigError):
-        selected(traces, 0)
-    with pytest.raises(ConfigError):
-        selected(traces, 101)
     with pytest.raises(InsufficientDataError, match="no events"):
-        selected([EventTrace(()), EventTrace(())], 50)
+        train_iac_model([EventTrace(()), EventTrace(())])
 
 
 def pairs_for(traces, event, w_delta):
@@ -211,8 +200,6 @@ def test_aggregate_errors():
     t = EventTrace(tuple("ABAB"))
     with pytest.raises(InsufficientDataError):
         aggregate(pairs_for([t], "A", 3))
-    with pytest.raises(ConfigError):
-        aggregate(pairs_for([t, t], "A", 3), confidence=1.0)
     mixed = [min_max_curves(t, "A", 3), min_max_curves(t, "B", 3)]
     with pytest.raises(SentinelError):
         aggregate(mixed)
@@ -362,21 +349,27 @@ def test_missing_event_fails_closed():
     assert verdict.anomalous
 
 
+def with_events(model, events):
+    """A copy of ``model`` that tests ``events``, with empty memos."""
+    return dataclasses.replace(model, feature_events=tuple(events))
+
+
 def test_unknown_event_fails_closed():
     model = train_iac_model([EventTrace(tuple("ABC" * 12))] * 6, w_delta=18)
-    verdict = classify_trace(EventTrace(tuple("ABC" * 12)), model,
-                             events=["A", "B", "Z"])
+    verdict = classify_trace(EventTrace(tuple("ABC" * 12)),
+                             with_events(model, ["A", "B", "Z"]))
     assert verdict.events["Z"].anomalous
     assert not verdict.events["A"].anomalous
 
 
 def test_sensitivity_scales_required_count():
-    model = train_iac_model([EventTrace(tuple("ABC" * 12))] * 6, w_delta=18)
+    model = with_events(train_iac_model([EventTrace(tuple("ABC" * 12))] * 6,
+                                        w_delta=18), ["A", "B", "Z"])
     test = EventTrace(tuple("ABC" * 12))
     # exactly one of three tested events (the unknown one) is anomalous
     for pct, required, flagged_trace in ((100, 1, True), (60, 3, False),
                                          (20, 3, False)):
-        verdict = classify_trace(test, model, events=["A", "B", "Z"],
+        verdict = classify_trace(test, model,
                                  sensitivity=SensitivityDegree(pct))
         assert verdict.required == required
         assert verdict.anomalous is flagged_trace
@@ -385,7 +378,7 @@ def test_sensitivity_scales_required_count():
 def test_classify_no_events_error():
     model = train_iac_model([EventTrace(tuple("AB" * 6))] * 3, w_delta=4)
     with pytest.raises(ConfigError):
-        classify_trace(EventTrace(tuple("AB" * 6)), model, events=[])
+        classify_trace(EventTrace(tuple("AB" * 6)), with_events(model, []))
 
 
 def test_train_needs_two_traces():
@@ -396,8 +389,8 @@ def test_train_needs_two_traces():
 @pytest.mark.parametrize("kwargs, key", [
     (dict(w_delta=0), "w_delta"), (dict(w_delta=2.0), "w_delta"),
     (dict(w_delta=True), "w_delta"),
-    (dict(confidence=0.0), "confidence"), (dict(confidence=1.0), "confidence"),
-    (dict(confidence=math.nan), "confidence"),
+    (dict(w_delta=-1), "w_delta"), (dict(w_delta="3"), "w_delta"),
+    (dict(alpha=math.nan, sigma_th=math.nan), "alpha"),
     (dict(alpha=math.nan), "alpha"), (dict(sigma_th=math.nan), "sigma_th")])
 def test_train_checks_settings_first(kwargs, key):
     # the checks IacModel.from_json applies, made before any work: even a
@@ -440,18 +433,18 @@ def reference_bands(curves, confidence):
     return bands
 
 
-def reference_model_json(traces, w_delta, confidence=0.95,
-                         significance_pct=100.0):
-    """train_iac_model's JSON, built one (event, trace) curve at a time."""
+def reference_model_json(traces, w_delta):
+    """train_iac_model's JSON, built one (event, trace) curve at a time:
+    every event gets 95 % bands."""
     counts = Counter(s for trace in traces for s in trace.events)
-    events = sorted(_select_from_counts(counts, significance_pct))
+    events = sorted(counts)
     curves = {}
     for event in events:
         per_trace = [reference_curves(t.events, event, w_delta)
                      for t in traces if event in t.events]
-        curves[event] = (reference_bands(per_trace, confidence)
+        curves[event] = (reference_bands(per_trace, 0.95)
                          if len(per_trace) >= 2 else {})
-    return IacModel(curves, w_delta=w_delta, confidence=confidence,
+    return IacModel(curves, w_delta=w_delta, confidence=0.95,
                     feature_events=tuple(events),
                     frequencies=dict(counts)).to_json()
 
@@ -485,17 +478,12 @@ def test_model_json_equals_per_trace_reference(pattern, seed):
             assert len(got["events"]["R"]) == 1  # R starts no wider window
             assert json.dumps(got, sort_keys=True) == \
                 json.dumps(want, sort_keys=True), (pattern, seed, w_delta)
-    got = train_iac_model(traces, w_delta=12, confidence=0.8,
-                          significance_pct=60.0).to_json()
-    want = reference_model_json(traces, 12, confidence=0.8,
-                                significance_pct=60.0)
-    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_trained_settings_load_back():
     traces = [EventTrace(tuple("ABAB"))] * 3
     for sigma_th in (math.inf, 0.0):
-        doc = train_iac_model(traces, w_delta=1, confidence=0.5, alpha=0.0,
+        doc = train_iac_model(traces, w_delta=1, alpha=0.0,
                               sigma_th=sigma_th).to_json()
         assert IacModel.from_json(doc).to_json() == doc
 
@@ -506,14 +494,14 @@ def test_rare_event_gets_empty_bands():
     model = train_iac_model(traces, w_delta=4)
     assert model.curves["D"] == {}
     verdict = classify_trace(EventTrace(tuple("ABAD")), model,
-                             events=["D"], sigma_th=math.inf)
-    assert verdict.anomalous
+                             sigma_th=math.inf)
+    assert verdict.events["D"].anomalous and verdict.anomalous
+    assert not verdict.events["A"].anomalous
 
 
 def test_model_json_round_trip(tmp_path):
     traces = jittered_traces("ABCB" * 8, 6, seed=9)
-    model = train_iac_model(traces, w_delta=10, confidence=0.9,
-                            significance_pct=60.0, alpha=0.01, sigma_th=0.2)
+    model = train_iac_model(traces, w_delta=10, alpha=0.01, sigma_th=0.2)
     path = tmp_path / "iac_model.json"
     model.save(path)
     loaded = IacModel.load(path)
@@ -545,15 +533,14 @@ def test_memo_key_covers_every_argument():
     doc = model.to_json()
     window = EventTrace(tuple("AABC" * 5))
     options = [dict(alpha=alpha, sigma_th=sigma_th,
-                    sensitivity=SensitivityDegree(pct), events=events)
+                    sensitivity=SensitivityDegree(pct))
                for alpha in (None, 0.05, 0.9)
                for sigma_th in (None, 0.05, math.inf)
-               for pct in (20, 60, 100)
-               for events in (None, ["A"], ["B", "C"], ["A", "B", "Z"])]
+               for pct in (20, 60, 100)]
     cold = [classify_trace(window, IacModel.from_json(doc), **kwargs)
             for kwargs in options]
     # each argument changes the verdict, so a key missing one would show
-    for name in ("alpha", "sigma_th", "sensitivity", "events"):
+    for name in ("alpha", "sigma_th", "sensitivity"):
         seen = {}
         for kwargs, verdict in zip(options, cold):
             rest = tuple(repr(v) for k, v in sorted(kwargs.items()) if k != name)
@@ -591,14 +578,17 @@ def test_repeated_event_is_rejected():
     model = train_iac_model([EventTrace(tuple("ABC" * 12))] * 6, w_delta=18)
     window = EventTrace(tuple("BC" * 18))
     s20 = SensitivityDegree(20)
-    assert classify_trace(window, model, events=["A"], sensitivity=s20).anomalous
+    assert classify_trace(window, with_events(model, ["A"]),
+                          sensitivity=s20).anomalous
     # counted twice, A would need two flags and the window would pass;
     # a rejected call leaves nothing in the memo for the next one to find
+    twice = with_events(model, ["A", "A"])
     for _ in range(2):
         with pytest.raises(ConfigError, match="'A'"):
-            classify_trace(window, model, events=["A", "A"], sensitivity=s20)
+            classify_trace(window, twice, sensitivity=s20)
+    assert twice._verdicts == {}
     with pytest.raises(ConfigError, match="'B'"):
-        classify_trace(window, model, events=["B", "C", "B"])
+        classify_trace(window, with_events(model, ["B", "C", "B"]))
     doc = model.to_json()
     doc["feature_events"].append("A")
     with pytest.raises(SchemaError, match="feature_events"):
@@ -644,7 +634,7 @@ def test_curve_memo_tests_each_distinct_curve_once(monkeypatch):
     windows += [EventTrace(tuple("AB" * 6)), EventTrace(tuple("ABC" * 4))]
     assert len(set(windows)) == len(windows)
     options = [dict(), dict(alpha=0.5), dict(sigma_th=math.inf),
-               dict(sensitivity=SensitivityDegree(20)), dict(events=["A"])]
+               dict(sensitivity=SensitivityDegree(20))]
     runs = [(window, kwargs) for kwargs in options for window in windows]
     cold = [classify_trace(window, IacModel.from_json(CURVE_MODEL_DOC),
                            **kwargs) for window, kwargs in runs]
@@ -679,7 +669,7 @@ def test_curve_memo_is_bounded(monkeypatch):
     model = IacModel.from_json(doc)
     blocks = [names[i:i + 100] for i in range(0, len(names), 100)]
     for block in blocks:
-        classify_trace(EventTrace(tuple(block)), model, events=block)
+        classify_trace(EventTrace(tuple(block)), model)
     assert len(model._curve_tests) == _CURVE_MEMO_LIMIT
     real, calls = iac._curve_test, []
     monkeypatch.setattr(iac, "_curve_test",
@@ -689,35 +679,43 @@ def test_curve_memo_is_bounded(monkeypatch):
     last = blocks[-1]
     for alpha in (0.06, 0.07):
         window = EventTrace(tuple(last))
-        cold = classify_trace(window, IacModel.from_json(doc), alpha=alpha,
-                              events=last)
+        cold = classify_trace(window, IacModel.from_json(doc), alpha=alpha)
         calls.clear()
-        assert_same_verdict(classify_trace(window, model, alpha=alpha,
-                                           events=last), cold)
+        assert_same_verdict(classify_trace(window, model, alpha=alpha), cold)
         assert len(calls) == 2 * len(last)
-        assert {v.deviation_min for v in cold.events.values()} == \
+        assert {cold.events[e].deviation_min for e in last} == \
             {0.0, 0.25, 0.5, 0.625}
     assert len(model._curve_tests) == _CURVE_MEMO_LIMIT
 
 
+# feature events of the models a memo test draws from: the trained ones,
+# subsets of them, and sets that name an event the model has no curves for
+FEATURE_EVENTS = [("A", "B", "C"), ("A",), ("B", "C"), ("A", "B", "Z"),
+                  ("X",)]
+
+
+def model_doc(events):
+    return dict(CURVE_MODEL_DOC, feature_events=list(events))
+
+
 @pytest.fixture(scope="module")
-def shared_model():
-    """One model whose memos every example of a test fills and reads."""
-    return IacModel.from_json(CURVE_MODEL_DOC)
+def shared_models():
+    """One model per feature-event set, whose memos every example of a
+    test fills and reads."""
+    return {events: IacModel.from_json(model_doc(events))
+            for events in FEATURE_EVENTS}
 
 
 CLASSIFY_OPTIONS = st.fixed_dictionaries({
     "alpha": st.sampled_from([None, 0.05, 0.5, 1.0]),
     "sigma_th": st.sampled_from([None, 0.0, 0.05, math.inf]),
-    "sensitivity": st.sampled_from([20, 60, 100]).map(SensitivityDegree),
-    "events": st.sampled_from([None, ["A"], ["B", "C"], ["A", "B", "Z"],
-                               ["X"]])})
+    "sensitivity": st.sampled_from([20, 60, 100]).map(SensitivityDegree)})
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.text("ABCXY", min_size=2, max_size=24), min_size=1,
                 max_size=5), st.data())
-def test_memos_equal_cold_calls(shared_model, texts, data):
+def test_memos_equal_cold_calls(shared_models, texts, data):
     # every text ends in X, and its X/Y swap is a distinct window with the
     # same curves: the tested events never include Y
     pool = []
@@ -728,8 +726,9 @@ def test_memos_equal_cold_calls(shared_model, texts, data):
     order += data.draw(st.lists(st.sampled_from(range(len(pool))),
                                 max_size=8))
     for i in order:
+        events = data.draw(st.sampled_from(FEATURE_EVENTS))
         kwargs = data.draw(CLASSIFY_OPTIONS)
-        cold = classify_trace(pool[i], IacModel.from_json(CURVE_MODEL_DOC),
+        cold = classify_trace(pool[i], IacModel.from_json(model_doc(events)),
                               **kwargs)
-        assert_same_verdict(classify_trace(pool[i], shared_model, **kwargs),
-                            cold)
+        assert_same_verdict(classify_trace(pool[i], shared_models[events],
+                                           **kwargs), cold)

@@ -116,9 +116,15 @@ def test_build_profile_single_row():
 
 
 def test_build_profile_window_is_most_recent():
-    values = [100.0] * 50 + [200.0] * 10
-    profile = build_profile(_trace(values), {"FGF": 500.0}, window_len=10)
-    assert profile.spec("FGF").mu == pytest.approx(200.0)
+    # the window is the last 1440 rows; 10 % of it is 144 rows a side
+    values = [100.0] * 500 + [200.0] * 1440
+    profile = build_profile(_trace(values), {"FGF": 500.0})
+    assert profile.spec("FGF").mu == 200.0
+    assert (profile.trim_fraction, profile.window_len) == (0.1, 1440)
+    # 145 low rows inside the window are one more than trimming drops
+    values = [100.0] * 500 + [0.0] * 145 + [200.0] * 1295
+    profile = build_profile(_trace(values), {"FGF": 500.0})
+    assert profile.spec("FGF").mu == (200.0 * 1151) / 1152
 
 
 def _seed_build_profile(schema, rows, limits, trim_fraction, window_len):
@@ -139,17 +145,20 @@ def _seed_build_profile(schema, rows, limits, trim_fraction, window_len):
 def test_build_profile_matches_per_row_columns(data):
     schema = data.draw(st.sampled_from([("FGF",), ("MSV", "FGF"),
                                         ("a", "b", "c", "d", "e")]))
-    n = data.draw(st.integers(1, 60))
-    value = st.floats(0.0, 500.0)
-    rows = [DataRow(60 * i, "MD", {name: data.draw(value) for name in schema},
+    # short traces, and traces about as long as the window
+    n = data.draw(st.integers(1, 60) | st.integers(1430, 1460))
+    # readings drawn from a small pool, so long traces stay cheap to draw
+    pool = data.draw(st.lists(st.floats(0.0, 500.0), min_size=1,
+                              max_size=12))
+    picks = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))) \
+        .integers(len(pool), size=(n, len(schema))).tolist()
+    rows = [DataRow(60 * i, "MD",
+                    {name: pool[k] for name, k in zip(schema, picks[i])},
                     None) for i in range(n)]
-    trim_fraction = data.draw(st.sampled_from([0.0, 0.1, 0.25, 0.49]))
-    window_len = data.draw(st.integers(1, 80))
     limits = {name: 500.0 for name in schema}
-    profile = build_profile(DataTrace(schema, rows), limits, trim_fraction,
-                            window_len)
-    assert profile.parameters == _seed_build_profile(
-        schema, rows, limits, trim_fraction, window_len)
+    profile = build_profile(DataTrace(schema, rows), limits)
+    assert profile.parameters == _seed_build_profile(schema, rows, limits,
+                                                     0.1, 1440)
 
 
 def test_build_profile_missing_limit():

@@ -169,22 +169,32 @@ def test_inject_attacks_event_bursts():
 def test_inject_attacks_rate_zero_and_errors():
     config = default_config()
     profile = group_profile(config, "MD")
+    signal = config.signal_names()
     clean, events = gen_normal(config, "MD", 20)
-    trace, _ = inject_attacks(clean, events, profile, "five", 0.0, seed=0)
+    trace, _ = inject_attacks(clean, events, profile, "five", 0.0, seed=0,
+                              signal=signal)
     assert attacked_rows(trace) == []
     with pytest.raises(ConfigError):
-        inject_attacks(clean, events, profile, "two", 0.25, seed=0)
+        inject_attacks(clean, events, profile, "two", 0.25, seed=0,
+                       signal=signal)
     with pytest.raises(ConfigError):
-        inject_attacks(clean, events, profile, "five", 1.5, seed=0)
+        inject_attacks(clean, events, profile, "five", 1.5, seed=0,
+                       signal=signal)
     with pytest.raises(ConfigError):
         inject_attacks(clean, events, profile, "five", 0.25, seed=0,
                        signal=["FGF", "MSV"])  # five needs five parameters
-    already, _ = inject_attacks(clean, None, profile, "one", 0.25, seed=0)
+    with pytest.raises(ConfigError, match="no attackable"):
+        inject_attacks(clean, events, profile, "one", 0.25, seed=0,
+                       signal=["nope"])
+    already, _ = inject_attacks(clean, None, profile, "one", 0.25, seed=0,
+                                signal=signal)
     with pytest.raises(ConfigError):
-        inject_attacks(already, None, profile, "one", 0.25, seed=0)
+        inject_attacks(already, None, profile, "one", 0.25, seed=0,
+                       signal=signal)
     short = events.slice(0, len(events) - 1)
     with pytest.raises(ConfigError):
-        inject_attacks(clean, short, profile, "one", 0.25, seed=0)
+        inject_attacks(clean, short, profile, "one", 0.25, seed=0,
+                       signal=signal)
 
 
 def test_campaign_shapes_and_attack_share():
