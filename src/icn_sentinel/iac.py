@@ -118,9 +118,9 @@ def min_max_curves(trace: EventTrace, event, w_delta):
 
 
 @functools.lru_cache(maxsize=256)
-def _t_quantile(confidence, n):
-    """Two-sided Student-t quantile for a mean over n samples."""
-    return float(student_t.ppf(0.5 + confidence / 2.0, n - 1))
+def _t_quantile(n):
+    """Two-sided Student-t quantile at DEFAULT_CONFIDENCE over n samples."""
+    return float(student_t.ppf(0.5 + DEFAULT_CONFIDENCE / 2.0, n - 1))
 
 
 def _bands(windows, sample, quantile) -> dict:
@@ -164,7 +164,7 @@ def aggregate(curve_pairs) -> dict:
     sample = [[[pair[pick].values[w] for pair in pairs] for w in windows]
               for pick in (0, 1)]
     return _bands(windows, np.reshape(sample, (2, len(windows), len(pairs))),
-                  _t_quantile(DEFAULT_CONFIDENCE, len(pairs)))
+                  _t_quantile(len(pairs)))
 
 
 def _twice_u(a, b):
@@ -413,7 +413,7 @@ def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, alpha=DEFAULT_ALPHA,
         shared = present[k, has].all(axis=0)
         sample = np.stack((mins[k, has][:, shared].T, maxs[k, has][:, shared].T))
         curves[event] = _bands((np.flatnonzero(shared) + 1).tolist(), sample,
-                               _t_quantile(DEFAULT_CONFIDENCE, n))
+                               _t_quantile(n))
     return IacModel(curves, w_delta=w_delta, alpha=alpha, sigma_th=sigma_th,
                     feature_events=tuple(events),
                     frequencies=dict(counts))
