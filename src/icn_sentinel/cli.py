@@ -5,15 +5,17 @@ classifier from labeled data), detect (dual detection over a trace),
 select (wrapper feature selection), evaluate (full scenario matrix with
 acceptance thresholds).
 
-Exit codes: 0 success, 1 acceptance thresholds unmet, 2 usage error,
-3 data or model error.  The ICN_SENTINEL_SEED environment variable seeds
-any command that was not given --seed.
+Exit codes: 0 success, 1 acceptance thresholds unmet or a rule that
+matches no report cell, 2 usage error, 3 data, model or rule error.  The
+ICN_SENTINEL_SEED environment variable seeds any command that was not
+given --seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -207,10 +209,16 @@ _MATCH_KEYS = ("dataset", "s_pct", "classifier", "group")
 
 
 def _check_acceptance(report, rules):
+    """One line per limit a report cell breaks, and per rule that matches
+    no cell at all."""
     failures = []
     for rule in rules:
         match = {key: rule[key] for key in _MATCH_KEYS if key in rule}
-        for r in report.rows(**match):
+        cells = report.rows(**match)
+        if not cells:
+            failures.append("rule %s matches no cell"
+                            % json.dumps(rule, sort_keys=True))
+        for r in cells:
             for key, (metric, op) in _LIMITS.items():
                 if key not in rule:
                     continue
@@ -225,19 +233,32 @@ def _check_acceptance(report, rules):
 
 
 def _parse_acceptance(doc):
-    """Acceptance rules with their thresholds as floats; a key that is
-    neither a match key nor a limit raises SchemaError."""
+    """Acceptance rules with their thresholds as floats.  An empty or
+    non-list ``acceptance``, a key that is neither a match key nor a limit,
+    a rule with no limit and a limit that is not finite raise SchemaError:
+    each would let any report pass."""
     rules = doc.get("acceptance", DEFAULT_ACCEPTANCE)
+    if not isinstance(rules, list) or not rules:
+        raise SchemaError("acceptance: expected a non-empty list of rules, "
+                          "got %r" % (rules,))
     known = _MATCH_KEYS + tuple(_LIMITS)
+    parsed = []
     for rule in rules:
         unknown = sorted(set(rule) - set(known))
         if unknown:
             raise SchemaError("acceptance: unknown rule key %s, expected "
                               "one of %s" % (", ".join(unknown),
                                              ", ".join(known)))
-    return [dict(rule, **{key: float(rule[key])
-                          for key in _LIMITS if key in rule})
-            for rule in rules]
+        limits = {key: float(rule[key]) for key in _LIMITS if key in rule}
+        if not limits:
+            raise SchemaError("acceptance: rule %r sets no limit, expected "
+                              "one of %s" % (rule, ", ".join(_LIMITS)))
+        for key, value in limits.items():
+            if not math.isfinite(value):
+                raise SchemaError("acceptance: %s must be a finite number, "
+                                  "got %r" % (key, rule[key]))
+        parsed.append(dict(rule, **limits))
+    return parsed
 
 
 def cmd_evaluate(args):

@@ -117,6 +117,15 @@ def min_max_curves(trace: EventTrace, event, w_delta):
             IacCurve(event, "max", {w: maxs[w - 1] for w in widths}))
 
 
+def _check_gates(alpha, sigma_th, error):
+    """Raise ``error`` naming alpha or sigma_th when it is NaN: every
+    comparison with NaN is false, so a NaN alpha would fail every curve and
+    a NaN sigma_th would let no failed curve count as anomalous."""
+    for name, value in (("alpha", alpha), ("sigma_th", sigma_th)):
+        if math.isnan(value):
+            raise error("%s: expected a number, got NaN" % name)
+
+
 @functools.lru_cache(maxsize=256)
 def _t_quantile(n):
     """Two-sided Student-t quantile at DEFAULT_CONFIDENCE over n samples."""
@@ -351,9 +360,7 @@ class IacModel:
             raise SchemaError("confidence: expected a value in (0, 1), got %r"
                               % confidence)
         alpha, sigma_th = float(doc["alpha"]), float(doc["sigma_th"])
-        for name, value in (("alpha", alpha), ("sigma_th", sigma_th)):
-            if math.isnan(value):
-                raise SchemaError("%s: expected a number, got NaN" % name)
+        _check_gates(alpha, sigma_th, SchemaError)
         frequencies = doc.get("frequencies", {})
         if not isinstance(frequencies, dict) or not all(
                 type(n) is int and n >= 0 for n in frequencies.values()):
@@ -387,9 +394,7 @@ def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, alpha=DEFAULT_ALPHA,
     """
     if type(w_delta) is not int or w_delta < 1:
         raise ConfigError("w_delta must be an integer >= 1, got %r" % (w_delta,))
-    for name, value in (("alpha", alpha), ("sigma_th", sigma_th)):
-        if math.isnan(value):
-            raise ConfigError("%s must be a number, got NaN" % name)
+    _check_gates(alpha, sigma_th, ConfigError)
     traces = list(traces)
     if len(traces) < 2:
         raise InsufficientDataError(
@@ -465,22 +470,23 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
     each curve's (p, deviation) is memoized per model too, keyed on the
     event, min or max, the shared windows and the curve's values on them,
     for up to _CURVE_MEMO_LIMIT keys: distinct windows often give one event
-    the same curve.  Both gates and the count apply after the lookup.  An
-    event named twice in the model's ``feature_events`` raises
-    ConfigError.
+    the same curve.  Both gates and the count apply after the lookup.  A
+    NaN alpha or sigma_th, or an event named twice in the model's
+    ``feature_events``, raises ConfigError.
     """
     alpha = model.alpha if alpha is None else alpha
     sigma_th = model.sigma_th if sigma_th is None else sigma_th
     sensitivity = sensitivity or SensitivityDegree(100)
-    tested = sorted(model.feature_events)
-    if not tested:
-        raise ConfigError("no events to test")
     key = (test.events, alpha, sigma_th, sensitivity.s_pct)
     memo = model._verdicts
     cached = memo.get(key)
     if cached is not None:
         return cached
-    # checked on a miss only: a key with a repeated event is never stored
+    # checked on a miss only: such a key is never stored
+    tested = sorted(model.feature_events)
+    if not tested:
+        raise ConfigError("no events to test")
+    _check_gates(alpha, sigma_th, ConfigError)
     repeated = [a for a, b in zip(tested, tested[1:]) if a == b]
     if repeated:
         raise ConfigError("event %r is repeated" % (repeated[0],))

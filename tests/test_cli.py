@@ -178,6 +178,32 @@ def test_evaluate_rejects_unknown_rule_key(rule, key, campaign_dir, tmp_path,
     assert "rules.json" in err and key in err, err
 
 
+@pytest.mark.parametrize("args, rules, code, named", [
+    (["--sensitivity", "60"], None, 1, '"s_pct": 20'),
+    ([], '{"acceptance": []}', 3, "non-empty list"),
+    ([], '{"acceptance": [{"min_sa": NaN}]}', 3, "min_sa"),
+    ([], '{"acceptance": [{"max_fpr": Infinity}]}', 3, "max_fpr"),
+    ([], '{"acceptance": [{"dataset": "reduced"}]}', 3, "no limit"),
+    ([], '{"acceptance": [{"s_pct": "20", "min_sa": 101}]}', 1,
+     '"s_pct": "20"')],
+    ids=["default-rule-unmatched", "empty", "nan-limit", "infinite-limit",
+         "no-limit", "string-s_pct-unmatched"])
+def test_evaluate_refuses_vacuous_acceptance(args, rules, code, named,
+                                             campaign_dir, tmp_path, capsys):
+    # each rule set would pass any report: it checks no cell or no limit
+    argv = ["evaluate", "--campaign", str(campaign_dir), "--groups", "MD",
+            "--algo", "knn"] + args
+    if rules is not None:
+        (tmp_path / "rules.json").write_text(rules)
+        argv += ["--config", str(tmp_path / "rules.json")]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert named in err, err
+    if code == 1:
+        assert err.startswith("acceptance failure: rule {")
+        assert err.rstrip().endswith("matches no cell")
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2
@@ -383,6 +409,20 @@ def test_train_rejects_settings_detect_would_refuse(flag, value, key,
                      "--events", str(campaign_dir / "MD_test.events"),
                      "--algo", "knn", flag, "inf", "--out", str(out)]) == 0
         assert IacModel.load(out / "iac_model.json").sigma_th == float("inf")
+
+
+@pytest.mark.parametrize("flag, key", [("--alpha", "alpha"),
+                                       ("--sigma-th", "sigma_th")])
+def test_detect_refuses_a_nan_gate(flag, key, campaign_dir, models_dir,
+                                   tmp_path, capsys):
+    # no comparison with NaN is true: a NaN gate decides every curve alike
+    out = tmp_path / "verdicts.csv"
+    assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--models", str(models_dir), flag, "nan",
+                 "--out", str(out)]) == 3
+    assert "%s: expected a number, got NaN" % key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_detect_rejects_events_one_row_short(campaign_dir, models_dir,

@@ -262,6 +262,16 @@ def test_mann_whitney_exact_matches_enumeration():
         assert p == pytest.approx(enumerate_p(a, b))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0]), min_size=1,
+                max_size=7),
+       st.lists(st.sampled_from([0.0, 1.0, 2.5, 4.0]), min_size=1,
+                max_size=7))
+def test_mann_whitney_exact_matches_enumeration_property(a, b):
+    # both are the same integer count over comb(n + m, n), so bit-equal
+    assert mann_whitney_u(a, b)[1] == enumerate_p(a, b)
+
+
 def test_mann_whitney_matches_scipy_exact():
     rng = np.random.default_rng(6)
     for _ in range(30):
