@@ -13,6 +13,7 @@ C45_MIN_LEAF and prunes at C45_CF.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -436,47 +437,62 @@ class C45Model:
 
     @classmethod
     def _from_body(cls, doc, std, d):
-        rules = tuple(Rule(tuple((int(f), op, float(thr))
-                                 for f, op, thr in r["conditions"]),
-                           int(r["class"]), float(r["error"]))
-                      for r in doc["rules"])
-        default_class = int(doc["default_class"])
-        if default_class not in (NORMAL, ANOMALOUS):
-            raise SchemaError("default_class: expected +1 or -1, got %r"
-                              % default_class)
-        for rule in rules:
-            if rule.klass not in (NORMAL, ANOMALOUS):
-                raise SchemaError("rules: class must be +1 or -1, got %r"
-                                  % rule.klass)
-            for f, op, thr in rule.conditions:
-                if not 0 <= f < d or op not in ("<=", ">") \
-                        or not math.isfinite(thr):
-                    raise SchemaError("rules: condition (%r, %r, %r) needs "
-                                      "a feature in [0, %d), <= or > and a "
-                                      "finite threshold" % (f, op, thr, d))
-        return cls(rules, default_class, std)
+        """Feature indices and classes must be JSON integers, thresholds
+        finite numbers and errors numbers in [0, 1]; a value that is not
+        raises SchemaError naming ``rules[i]`` or ``default_class``."""
+        def number(v):
+            return type(v) in (int, float) and math.isfinite(v)
 
-
-def _entropy(counts):
-    total = counts.sum()
-    if total == 0:
-        return 0.0
-    h = 0.0
-    for c in counts:
-        if c > 0:
-            p = c / total
-            h -= p * math.log2(p)
-    return h
-
-
-def _class_counts(y):
-    return np.array([(y == NORMAL).sum(), (y == ANOMALOUS).sum()], dtype=float)
+        default_class = doc["default_class"]
+        if type(default_class) is not int \
+                or default_class not in (NORMAL, ANOMALOUS):
+            raise SchemaError("default_class: expected the integer +1 or -1, "
+                              "got %r" % (default_class,))
+        rules = []
+        for i, r in enumerate(doc["rules"]):
+            try:
+                conds = tuple(map(tuple, r["conditions"]))
+                for f, op, thr in conds:
+                    if type(f) is not int or not 0 <= f < d \
+                            or op not in ("<=", ">") or not number(thr):
+                        raise ValueError("condition %r needs an integer "
+                                         "feature in [0, %d), <= or > and a "
+                                         "finite threshold" % ([f, op, thr], d))
+                klass, error = r["class"], r["error"]
+                if type(klass) is not int or klass not in (NORMAL, ANOMALOUS):
+                    raise ValueError("class must be the integer +1 or -1, "
+                                     "got %r" % (klass,))
+                if not (number(error) and 0 <= error <= 1):
+                    raise ValueError("error must be a number in [0, 1], got %r"
+                                     % (error,))
+                rules.append(Rule(tuple((f, op, float(thr))
+                                        for f, op, thr in conds),
+                                  klass, float(error)))
+            except KeyError as exc:
+                raise SchemaError("rules[%d]: missing key %s" % (i, exc))
+            except (ArithmeticError, TypeError, ValueError) as exc:
+                raise SchemaError("rules[%d]: %s" % (i, exc))
+        return cls(tuple(rules), default_class, std)
 
 
 def _majority(y):
     pos = int((y == NORMAL).sum())
     neg = int((y == ANOMALOUS).sum())
     return NORMAL if pos >= neg else ANOMALOUS
+
+
+def _plogp(p) -> np.ndarray:
+    """``p * log2(p)`` per element of the 1-D array ``p``, 0 where p is 0,
+    from ``math.log2`` of each distinct p: ``np.log2`` may round differently."""
+    values, inverse = np.unique(p, return_inverse=True)
+    logs = [math.log2(v) if v > 0 else 0.0 for v in values.tolist()]
+    return p * np.array(logs)[inverse]
+
+
+def _entropy2(pos, total) -> np.ndarray:
+    """Two-class entropy per element from integer arrays of positive and
+    total row counts, summed in class order: 0 - t(pos) - t(neg)."""
+    return 0.0 - _plogp(pos / total) - _plogp((total - pos) / total)
 
 
 def _best_split(x, y):
@@ -486,50 +502,43 @@ def _best_split(x, y):
     not both pure of the same class; ties prefer the lowest feature index,
     then the lowest threshold.  Returns (feature, threshold) or None when
     no cut has positive gain and children of C45_MIN_LEAF rows or more.
+
+    All features and cuts are scored at once: each column is sorted
+    stably, and each cut's block bounds and prefix counts of positive
+    rows give its children.  Each cut's floats take one fixed operation
+    order, so no result depends on how many cuts are scored together, and
+    ``argmax`` takes the first maximum: the lowest feature, then cut.
     """
-    n, d = x.shape
-    base = _entropy(_class_counts(y))
-    best = None
-    for j in range(d):
-        order = np.argsort(x[:, j], kind="stable")
-        xs = x[order, j]
-        ys = y[order]
-        cum_pos = np.concatenate(([0], np.cumsum(ys == NORMAL)))
-        values, starts = np.unique(xs, return_index=True)
-        if len(values) < 2:
-            continue
-        bounds = np.append(starts, n)
-        for k in range(len(values) - 1):
-            left_n = int(bounds[k + 1])
-            right_n = n - left_n
-            if left_n < C45_MIN_LEAF or right_n < C45_MIN_LEAF:
-                continue
-            # skip cuts between two blocks pure of the same class
-            bpos_a = cum_pos[bounds[k + 1]] - cum_pos[bounds[k]]
-            blen_a = bounds[k + 1] - bounds[k]
-            bpos_b = cum_pos[bounds[k + 2]] - cum_pos[bounds[k + 1]]
-            blen_b = bounds[k + 2] - bounds[k + 1]
-            if ((bpos_a == blen_a and bpos_b == blen_b)
-                    or (bpos_a == 0 and bpos_b == 0)):
-                continue
-            lp = float(cum_pos[left_n])
-            left_counts = np.array([lp, left_n - lp])
-            total_pos = float(cum_pos[n])
-            right_counts = np.array([total_pos - lp, right_n - (total_pos - lp)])
-            gain = base - (left_n / n) * _entropy(left_counts) \
-                        - (right_n / n) * _entropy(right_counts)
-            if gain <= 1e-12:
-                continue
-            pl, pr = left_n / n, right_n / n
-            split_info = -(pl * math.log2(pl) + pr * math.log2(pr))
-            ratio = gain / split_info
-            thr = (values[k] + values[k + 1]) / 2.0
-            key = (-ratio, j, thr)
-            if best is None or key < best[0]:
-                best = (key, j, thr)
-    if best is None:
+    n = len(y)
+    order = np.argsort(x, axis=0, kind="stable")
+    xs = np.take_along_axis(x, order, axis=0)
+    cum = np.zeros((n + 1, x.shape[1]), dtype=np.int64)
+    np.cumsum(y[order] == NORMAL, axis=0, out=cum[1:])
+    # cut between sorted rows r and r + 1 of column j, feature-major
+    j, r = np.nonzero((xs[1:] != xs[:-1]).T)
+    end = r + 1  # rows left of the cut; its blocks are [start, end), [end, stop)
+    same = j[1:] == j[:-1]
+    start = np.zeros_like(end)
+    start[1:][same] = end[:-1][same]
+    stop = np.full_like(end, n)
+    stop[:-1][same] = end[1:][same]
+    pos = cum[end, j]
+    pos_a, pos_b = pos - cum[start, j], cum[stop, j] - pos
+    pure = (((pos_a == end - start) & (pos_b == stop - end))
+            | ((pos_a == 0) & (pos_b == 0)))
+    keep = (end >= C45_MIN_LEAF) & (n - end >= C45_MIN_LEAF) & ~pure
+    j, r, end, pos = j[keep], r[keep], end[keep], pos[keep]
+    m, total_pos = len(end), cum[n, 0]
+    h = _entropy2(np.r_[total_pos, pos, total_pos - pos], np.r_[n, end, n - end])
+    left, right = end / n, (n - end) / n
+    gain = h[0] - left * h[1:m + 1] - right * h[m + 1:]
+    t = _plogp(np.r_[left, right])
+    ratio = np.where(gain > 1e-12, gain / -(t[:m] + t[m:]), 0.0)
+    if not ratio.any():  # no cut with positive gain
         return None
-    return best[1], best[2]
+    best = ratio.argmax()
+    jb, rb = int(j[best]), r[best]
+    return jb, (xs[rb, jb] + xs[rb + 1, jb]) / 2.0
 
 
 @dataclass
@@ -566,6 +575,9 @@ def _paths(node, prefix=()):
     yield from _paths(node.right, prefix + ((node.feature, ">", node.threshold),))
 
 
+# Pruning asks for few distinct (errors, n): 1488 in the 145,611 calls of one
+# genetic c45 selection on 120 rows.  4096 entries hold such a search's set.
+@functools.lru_cache(maxsize=4096)
 def binom_upper(errors, n, cf):
     """Upper confidence bound of a binomial error rate at confidence cf.
 
@@ -588,31 +600,34 @@ def _coverage(conditions, xz):
     return mask
 
 
-def _pessimistic(conditions, klass, xz, y):
-    mask = _coverage(conditions, xz)
-    n = int(mask.sum())
-    errors = int((y[mask] != klass).sum())
-    return binom_upper(errors, n, C45_CF)
-
-
 def _simplify(rule, xz, y):
     """Greedily drop the condition whose removal most lowers the
-    pessimistic error; a tie (no worse) still drops, preferring shorter
-    rules."""
+    pessimistic error, ``binom_upper`` of the rows the rest covers; a tie
+    (no worse) still drops, preferring shorter rules, then the lowest
+    index.  Each condition's mask is built once, and "drop i" covers the
+    AND of the masks before i and of those after it."""
     conds = list(rule.conditions)
-    current = _pessimistic(conds, rule.klass, xz, y)
+    masks = [_coverage((c,), xz) for c in conds]
+    wrong = y != rule.klass
+
+    def pessimistic(mask):
+        return binom_upper(int(np.count_nonzero(mask & wrong)),
+                           int(np.count_nonzero(mask)), C45_CF)
+
+    current = pessimistic(_coverage(conds, xz))
     while conds:
-        candidates = []
-        for i in range(len(conds)):
-            rest = conds[:i] + conds[i + 1:]
-            candidates.append((_pessimistic(rest, rule.klass, xz, y), i))
-        cand, i = min(candidates, key=lambda ci: (ci[0], ci[1]))
-        if cand <= current:
-            del conds[i]
-            current = cand
-        else:
+        prefix = suffix = [np.ones(len(y), dtype=bool)]
+        for mask in masks:
+            prefix = prefix + [prefix[-1] & mask]
+        for mask in reversed(masks):
+            suffix = [mask & suffix[0]] + suffix
+        cand, i = min((pessimistic(prefix[i] & suffix[i + 1]), i)
+                      for i in range(len(conds)))
+        if cand > current:
             break
-    return Rule(tuple(conds), rule.klass), current
+        del conds[i], masks[i]
+        current = cand
+    return Rule(tuple(conds), rule.klass)
 
 
 def c45_train(data: LabeledSet) -> C45Model:
@@ -631,7 +646,7 @@ def c45_train(data: LabeledSet) -> C45Model:
 
     rules, seen = [], set()
     for raw in _paths(tree):
-        simplified, _ = _simplify(raw, xz, y)
+        simplified = _simplify(raw, xz, y)
         if not simplified.conditions:
             continue
         key = (simplified.conditions, simplified.klass)

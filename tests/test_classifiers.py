@@ -1,14 +1,17 @@
 import json
 import math
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
 from scipy.stats import binom
 
 from icn_sentinel import classifiers
-from icn_sentinel.classifiers import (C45Model, KnnModel, LabeledSet, Rule,
+from icn_sentinel.classifiers import (CLASSIFIER_KINDS, C45Model, KnnModel, LabeledSet, Rule,
                                       Standardization, SvmModel, binom_upper,
                                       c45_train, knn_predict, knn_train,
                                       load_model, model_from_json, model_kind,
@@ -502,6 +505,176 @@ def test_c45_config_errors():
         c45_train(one_class)
 
 
+def reference_entropy(counts):
+    total = counts.sum()
+    if total == 0:
+        return 0.0
+    h = 0.0
+    for c in counts:
+        if c > 0:
+            p = c / total
+            h -= p * math.log2(p)
+    return h
+
+
+def reference_best_split(x, y):
+    """The per-feature, per-cut split search the array pass replaced."""
+    n, d = x.shape
+    base = reference_entropy(np.array([(y == NORMAL).sum(),
+                                       (y == ANOMALOUS).sum()], dtype=float))
+    best = None
+    for j in range(d):
+        order = np.argsort(x[:, j], kind="stable")
+        xs = x[order, j]
+        ys = y[order]
+        cum_pos = np.concatenate(([0], np.cumsum(ys == NORMAL)))
+        values, starts = np.unique(xs, return_index=True)
+        if len(values) < 2:
+            continue
+        bounds = np.append(starts, n)
+        for k in range(len(values) - 1):
+            left_n = int(bounds[k + 1])
+            right_n = n - left_n
+            if left_n < classifiers.C45_MIN_LEAF \
+                    or right_n < classifiers.C45_MIN_LEAF:
+                continue
+            # skip cuts between two blocks pure of the same class
+            bpos_a = cum_pos[bounds[k + 1]] - cum_pos[bounds[k]]
+            blen_a = bounds[k + 1] - bounds[k]
+            bpos_b = cum_pos[bounds[k + 2]] - cum_pos[bounds[k + 1]]
+            blen_b = bounds[k + 2] - bounds[k + 1]
+            if ((bpos_a == blen_a and bpos_b == blen_b)
+                    or (bpos_a == 0 and bpos_b == 0)):
+                continue
+            lp = float(cum_pos[left_n])
+            left_counts = np.array([lp, left_n - lp])
+            total_pos = float(cum_pos[n])
+            right_counts = np.array([total_pos - lp, right_n - (total_pos - lp)])
+            gain = base - (left_n / n) * reference_entropy(left_counts) \
+                - (right_n / n) * reference_entropy(right_counts)
+            if gain <= 1e-12:
+                continue
+            pl, pr = left_n / n, right_n / n
+            split_info = -(pl * math.log2(pl) + pr * math.log2(pr))
+            ratio = gain / split_info
+            thr = (values[k] + values[k + 1]) / 2.0
+            key = (-ratio, j, thr)
+            if best is None or key < best[0]:
+                best = (key, j, thr)
+    if best is None:
+        return None
+    return best[1], best[2]
+
+
+def reference_pessimistic(conditions, klass, xz, y):
+    mask = classifiers._coverage(conditions, xz)
+    n = int(mask.sum())
+    errors = int((y[mask] != klass).sum())
+    # the unmemoized bound, so the memo is checked too
+    return binom_upper.__wrapped__(errors, n, classifiers.C45_CF)
+
+
+def reference_simplify(rule, xz, y):
+    """The rule pruning that re-covered every candidate rule from scratch."""
+    conds = list(rule.conditions)
+    current = reference_pessimistic(conds, rule.klass, xz, y)
+    while conds:
+        candidates = []
+        for i in range(len(conds)):
+            rest = conds[:i] + conds[i + 1:]
+            candidates.append((reference_pessimistic(rest, rule.klass, xz, y),
+                               i))
+        cand, i = min(candidates, key=lambda ci: (ci[0], ci[1]))
+        if cand <= current:
+            del conds[i]
+            current = cand
+        else:
+            break
+    return Rule(tuple(conds), rule.klass)
+
+
+# small alphabets hold ties, repeated values and both zeros (-0.0 == 0.0);
+# 40 values leave most rows distinct
+SPLIT_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 0.5, 2.0, 1e-300]),
+    st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@st.composite
+def c45_cases(draw):
+    """(x, y, alphabet): 2-60 rows, 1-6 columns over a value alphabet, with
+    repeated rows, constant columns and both classes; the labels are drawn
+    freely or follow a cut on one column, which makes runs of one class."""
+    n, d = draw(st.integers(2, 60)), draw(st.integers(1, 6))
+    alphabet = draw(st.lists(SPLIT_VALUES, min_size=1,
+                             max_size=draw(st.sampled_from([3, 6, 40]))))
+    x = draw(hnp.arrays(float, (n, d), elements=st.sampled_from(alphabet)))
+    for row in draw(st.lists(st.integers(0, n - 1), max_size=n // 2)):
+        x[row] = x[0]
+    for col in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        x[:, col] = x[0, col]
+    y = draw(hnp.arrays(int, n, elements=st.sampled_from([NORMAL, ANOMALOUS])))
+    if draw(st.booleans()):
+        column = x[:, draw(st.integers(0, d - 1))]
+        y = np.where(column > draw(st.sampled_from(alphabet)), NORMAL,
+                     ANOMALOUS)
+        for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            y[row] = -y[row]
+    first = draw(st.sampled_from([NORMAL, ANOMALOUS]))
+    y[0], y[-1] = first, -first
+    return x, y, alphabet
+
+
+def model_bytes(model):
+    return json.dumps(model_to_json(model), sort_keys=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c45_cases())
+# a gain of rounding noise only, which no cut may take
+@example((np.array([[0.0], [0.0], [1.0], [1.0], [2.0], [2.0]]),
+          np.array([1, -1, -1, 1, 1, -1]), [0.0]))
+# every cut inside the run of one class sits between two pure blocks of
+# that class; the one cut at the class change leaves a single row
+@example((np.arange(5.0)[:, None], np.array([1, -1, -1, -1, -1]), [0.0]))
+@example((np.arange(5.0)[:, None], np.array([-1, 1, 1, 1, 1]), [0.0]))
+def test_c45_matches_scalar_reference_property(case):
+    x, y, _ = case
+    got, want = classifiers._best_split(x, y), reference_best_split(x, y)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert type(got[0]) is int and got[0] == want[0]
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    data = LabeledSet.from_raw(x, y)
+    model = c45_train(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classifiers, "_best_split", reference_best_split)
+        patch.setattr(classifiers, "_simplify", reference_simplify)
+        assert model_bytes(c45_train(data)) == model_bytes(model)
+
+
+def test_run_matrix_same_with_scalar_c45_reference(monkeypatch):
+    """Every c45 cell of a "mixed" matrix: the array-pass split search and
+    the mask-based pruning leave the report as the scalar loops leave it."""
+    camp = gen_campaign(default_config(seed=0, attack_pattern="mixed",
+                                       rows_per_group=90))
+    report = run_matrix(camp, classifiers=["c45"])
+    calls = {"split": 0, "simplify": 0}
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(classifiers, "_best_split",
+                        counted("split", reference_best_split))
+    monkeypatch.setattr(classifiers, "_simplify",
+                        counted("simplify", reference_simplify))
+    assert run_matrix(camp, classifiers=["c45"]) == report
+    assert calls["split"] > 8 and calls["simplify"] > 8
+
+
 def test_model_json_round_trips(tmp_path):
     data = blob_data(seed=12, n=15, gap=3.0)
     queries = np.random.default_rng(13).normal(scale=4.0, size=(20, 2))
@@ -517,6 +690,27 @@ def test_model_json_round_trips(tmp_path):
     restored = model_from_json(model_to_json(svm))
     assert np.array_equal(restored.weights, svm.weights)
     assert restored.bias == svm.bias
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CLASSIFIER_KINDS), c45_cases(), st.data())
+def test_model_json_round_trip_property(kind, case, draw):
+    """Train, save, load and save again: the bytes are equal and the loaded
+    model labels a drawn matrix as the trained one does."""
+    x, y, alphabet = case
+    queries = draw.draw(hnp.arrays(float, (draw.draw(st.integers(0, 20)),
+                                           x.shape[1]),
+                                   elements=st.sampled_from(alphabet)))
+    model = train_classifier(kind, LabeledSet.from_raw(x, y))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "model.json"
+        save_model(model, path)
+        first = path.read_bytes()
+        loaded = load_model(path)
+        save_model(loaded, path)
+        assert path.read_bytes() == first
+    assert predict_labels(loaded, queries).tolist() \
+        == predict_labels(model, queries).tolist()
 
 
 def test_dispatch():

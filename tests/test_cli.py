@@ -1,11 +1,13 @@
 import json
+import re
 import shutil
 
 import pytest
 
 from icn_sentinel.classifiers import load_model
 from icn_sentinel.cli import main
-from icn_sentinel.core import (ConfigError, DataRow, SensitivityDegree,
+from icn_sentinel.core import (ConfigError, DataRow, SchemaError,
+                               SensitivityDegree,
                                parse_data_trace, parse_event_trace)
 from icn_sentinel.harness import dual_detect, event_chunks
 from icn_sentinel.iac import IacModel
@@ -583,6 +585,60 @@ def test_detect_rejects_model_arrays_that_do_not_fit(kind, campaign_dir,
         assert main(detect + ["--models", str(models)]) == 3, key
         err = capsys.readouterr().err
         assert name in err and key in err, err
+
+
+@pytest.fixture(scope="module")
+def c45_models_dir(tmp_path_factory, campaign_dir):
+    out = tmp_path_factory.mktemp("cli-c45") / "models"
+    assert main(["train", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--algo", "c45", "--out", str(out)]) == 0
+    return out
+
+
+def _first_condition(index, value):
+    def spoil(doc):
+        doc["rules"][0]["conditions"][0][index] = value
+    return spoil
+
+
+# values the loader once converted into a different model: feature 0.9
+# became feature 0, true became feature 1, "1" became class 1
+LENIENT_C45 = {
+    "feature-float": ("rules[0]", _first_condition(0, 0.9)),
+    "feature-bool": ("rules[0]", _first_condition(0, True)),
+    "class-string": ("rules[0]", lambda doc: doc["rules"][0].update({
+        "class": "1"})),
+    "default-class-string": ("default_class",
+                             lambda doc: doc.update(default_class="-1")),
+    "error-nan-string": ("rules[0]",
+                         lambda doc: doc["rules"][0].update(error="nan")),
+    "error-negative": ("rules[0]",
+                       lambda doc: doc["rules"][0].update(error=-5)),
+    "condition-two-items": ("rules[0]", lambda doc: doc["rules"][0][
+        "conditions"][0].pop()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LENIENT_C45))
+def test_c45_model_values_must_have_their_json_types(case, campaign_dir,
+                                                      c45_models_dir,
+                                                      tmp_path, capsys):
+    key, spoil = LENIENT_C45[case]
+    models = tmp_path / "models"
+    shutil.copytree(c45_models_dir, models)
+    path = models / "model_c45.json"
+    doc = json.loads(path.read_text())
+    assert doc["rules"], "the trained model needs a rule to spoil"
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError, match=re.escape(key)):
+        load_model(path)
+    assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--models", str(models)]) == 3
+    err = capsys.readouterr().err
+    assert "model_c45.json" in err and key in err, err
 
 
 def _set_band(edit):
