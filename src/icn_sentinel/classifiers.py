@@ -21,7 +21,8 @@ import numpy as np
 from scipy.stats import beta as beta_dist
 
 from .core import (ConfigError, DegenerateDataError, NORMAL, ANOMALOUS,
-                   SchemaError, SentinelError, read_json, write_json)
+                   SchemaError, SentinelError, is_finite_number, json_float,
+                   read_json, write_json)
 
 @dataclass(frozen=True)
 class Standardization:
@@ -50,8 +51,12 @@ class Standardization:
 
     @classmethod
     def from_json(cls, doc):
-        return cls(np.asarray(doc["mean"], dtype=float),
-                   np.asarray(doc["std"], dtype=float))
+        return cls(json_float(doc["mean"], "standardization", _floats),
+                   json_float(doc["std"], "standardization", _floats))
+
+
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -133,13 +138,13 @@ class SvmModel:
 
     @classmethod
     def _from_body(cls, doc, std, d):
-        weights = np.asarray(doc["weights"], dtype=float)
+        weights = json_float(doc["weights"], "weights", _floats)
         if weights.shape != (d,) or not np.isfinite(weights).all():
             raise SchemaError("weights: expected %d finite values" % d)
-        bias = float(doc["bias"])
+        bias = json_float(doc["bias"], "bias")
         if not math.isfinite(bias):
             raise SchemaError("bias: expected a finite value, got %r" % bias)
-        return cls(weights, bias, float(doc["c_param"]), std)
+        return cls(weights, bias, json_float(doc["c_param"], "c_param"), std)
 
 
 def svm_objective(w, data, bias, c_param):
@@ -369,7 +374,7 @@ class KnnModel:
     def _from_body(cls, doc, std, d):
         if doc["k"] != 1:
             raise ConfigError("only k=1 is supported, got k=%r" % (doc["k"],))
-        points = np.asarray(doc["points"], dtype=float)
+        points = json_float(doc["points"], "points", _floats)
         labels = np.asarray(doc["labels"], dtype=int)
         if points.ndim != 2 or points.shape[1] != d or not len(points) \
                 or not np.isfinite(points).all():
@@ -440,9 +445,6 @@ class C45Model:
         """Feature indices and classes must be JSON integers, thresholds
         finite numbers and errors numbers in [0, 1]; a value that is not
         raises SchemaError naming ``rules[i]`` or ``default_class``."""
-        def number(v):
-            return type(v) in (int, float) and math.isfinite(v)
-
         default_class = doc["default_class"]
         if type(default_class) is not int \
                 or default_class not in (NORMAL, ANOMALOUS):
@@ -454,7 +456,8 @@ class C45Model:
                 conds = tuple(map(tuple, r["conditions"]))
                 for f, op, thr in conds:
                     if type(f) is not int or not 0 <= f < d \
-                            or op not in ("<=", ">") or not number(thr):
+                            or op not in ("<=", ">") \
+                            or not is_finite_number(thr):
                         raise ValueError("condition %r needs an integer "
                                          "feature in [0, %d), <= or > and a "
                                          "finite threshold" % ([f, op, thr], d))
@@ -462,7 +465,7 @@ class C45Model:
                 if type(klass) is not int or klass not in (NORMAL, ANOMALOUS):
                     raise ValueError("class must be the integer +1 or -1, "
                                      "got %r" % (klass,))
-                if not (number(error) and 0 <= error <= 1):
+                if not (is_finite_number(error) and 0 <= error <= 1):
                     raise ValueError("error must be a number in [0, 1], got %r"
                                      % (error,))
                 rules.append(Rule(tuple((f, op, float(thr))

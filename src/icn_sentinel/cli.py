@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from .core import (NORMAL, ConfigError, SchemaError,
-                   SensitivityDegree, SentinelError, infer_schema,
+                   SensitivityDegree, SentinelError, infer_schema, json_float,
                    parse_data_trace, parse_event_trace, read_json, write_json)
 from .classifiers import (CLASSIFIER_KINDS, LabeledSet, load_model,
                           save_model, train_classifier)
@@ -249,7 +249,8 @@ def _parse_acceptance(doc):
             raise SchemaError("acceptance: unknown rule key %s, expected "
                               "one of %s" % (", ".join(unknown),
                                              ", ".join(known)))
-        limits = {key: float(rule[key]) for key in _LIMITS if key in rule}
+        limits = {key: json_float(rule[key], "acceptance: " + key)
+                  for key in _LIMITS if key in rule}
         if not limits:
             raise SchemaError("acceptance: rule %r sets no limit, expected "
                               "one of %s" % (rule, ", ".join(_LIMITS)))

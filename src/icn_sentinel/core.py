@@ -66,9 +66,23 @@ class MetricError(SentinelError):
 
 
 def is_finite_number(value) -> bool:
-    """True for a finite int or float from a JSON artifact (not a bool)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) \
-        and math.isfinite(value)
+    """True for an int or float from a JSON artifact (not a bool) that is a
+    finite float; an int beyond float range is not."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def json_float(value, key, convert=float):
+    """``convert(value)`` for a number read from a JSON artifact; an integer
+    beyond float range raises SchemaError naming ``key``, not OverflowError."""
+    try:
+        return convert(value)
+    except OverflowError:
+        raise SchemaError("%s: a number is beyond float range" % key) from None
 
 
 def group_for_timestamp(ts) -> str:

@@ -25,7 +25,8 @@ from scipy.stats import t as student_t
 
 from .core import (ConfigError, EventNotFoundError, EventTrace,
                    InsufficientDataError, SchemaError, SensitivityDegree,
-                   SentinelError, is_finite_number, read_json, write_json)
+                   SentinelError, is_finite_number, json_float, read_json,
+                   write_json)
 
 DEFAULT_W_DELTA = 25
 DEFAULT_CONFIDENCE = 0.95
@@ -190,33 +191,49 @@ def _twice_u(a, b):
 def _exact_p(a, b, tu_obs):
     """Two-sided permutation p-value of the U statistic, ties included.
 
-    Dynamic program over tied value groups: choosing c of a group's g
-    pooled copies for sample a contributes 2*c*(earlier b count) + c*(g-c)
-    to 2U.  Counts are exact integers, so the returned probability is the
-    exact rational share of label assignments at least as extreme as the
-    observation (the 2U distribution is symmetric about n*m).
+    Dynamic program over the tied value groups of the pooled sample, in
+    rank-sum form.  With midranks, choosing c of a group's g tied values
+    for sample a, when ``seen`` pooled values lie below the group, adds
+    c*(2*seen + g + 1) to 2*R_a whatever the earlier choices were, and
+    2U = 2*R_a - n*(n+1).  The states are one {2*R_a: ways} map per count
+    of a values used so far, and a group takes only the c that leave
+    enough values after it to reach n.  The last group must take exactly
+    the a values still missing, so its states go straight into the tail
+    count.  Under ties the 2U distribution need not be symmetric, so both
+    tails are counted about the mean n*m: an assignment qualifies when
+    |2U - n*m| >= |observed 2U - n*m|.  Counts are exact integers, so the
+    result is the exact share of the comb(n + m, n) label assignments.
     """
     n, m = len(a), len(b)
-    pooled = sorted(list(a) + list(b))
-    states = {(0, 0): 1}
-    seen = 0
-    for _, grp in groupby(pooled):
-        g = len(list(grp))
-        nxt = {}
-        for (used, tu), ways in states.items():
-            b_before = seen - used
-            top = min(g, n - used)
-            for c in range(top + 1):
-                key = (used + c, tu + 2 * c * b_before + c * (g - c))
-                nxt[key] = nxt.get(key, 0) + ways * math.comb(g, c)
-        states = nxt
+    groups = [len(list(grp)) for _, grp in groupby(sorted([*a, *b]))]
+    layers = [{0: 1}] + [{} for _ in range(n)]  # used -> {2*R_a: ways}
+    seen, after = 0, n + m
+    for g in groups[:-1]:
+        after -= g
+        shift = 2 * seen + g + 1
+        ways_c = [math.comb(g, c) for c in range(min(g, n) + 1)]
+        nxt = [{} for _ in range(n + 1)]
+        for used, states in enumerate(layers):
+            if not states:
+                continue
+            for c in range(max(0, n - used - after), min(g, n - used) + 1):
+                target, add, k = nxt[used + c], c * shift, ways_c[c]
+                for tr, ways in states.items():
+                    key = tr + add
+                    target[key] = target.get(key, 0) + ways * k
+        layers = nxt
         seen += g
+    g = groups[-1]
     center = n * m
     dev = abs(tu_obs - center)
-    qualifying = sum(w for (used, tu), w in states.items()
-                     if used == n and abs(tu - center) >= dev)
-    total = math.comb(n + m, n)
-    return qualifying / total
+    qualifying = 0
+    for used, states in enumerate(layers):
+        c = n - used
+        if states:
+            offset = c * (2 * seen + g + 1) - n * (n + 1) - center
+            qualifying += math.comb(g, c) * sum(
+                w for tr, w in states.items() if abs(tr + offset) >= dev)
+    return qualifying / math.comb(n + m, n)
 
 
 def _asymptotic_p(a, b, u_a):
@@ -243,12 +260,16 @@ def mann_whitney_u(a, b):
     """Two-sided Mann-Whitney U test; returns (U of sample a, p-value).
 
     Exact permutation p when |a|*|b| <= 400, tie-corrected normal
-    approximation otherwise.  Identical samples give p = 1.
+    approximation otherwise.  Identical samples give p = 1.  NaN has no
+    rank and raises ConfigError naming its sample; +-inf rank in order.
     """
     a = [float(x) for x in a]
     b = [float(x) for x in b]
     if not a or not b:
         raise InsufficientDataError("both samples must be non-empty")
+    for name, sample in (("a", a), ("b", b)):
+        if any(map(math.isnan, sample)):
+            raise ConfigError("sample %s holds NaN, which has no rank" % name)
     tu = _twice_u(a, b)
     u_a = tu / 2.0
     if len(a) * len(b) <= EXACT_LIMIT:
@@ -355,11 +376,12 @@ class IacModel:
         if type(w_delta) is not int or w_delta < 1:
             raise SchemaError("w_delta: expected an integer >= 1, got %r"
                               % (w_delta,))
-        confidence = float(doc["confidence"])
+        confidence = json_float(doc["confidence"], "confidence")
         if not 0 < confidence < 1:
             raise SchemaError("confidence: expected a value in (0, 1), got %r"
                               % confidence)
-        alpha, sigma_th = float(doc["alpha"]), float(doc["sigma_th"])
+        alpha = json_float(doc["alpha"], "alpha")
+        sigma_th = json_float(doc["sigma_th"], "sigma_th")
         _check_gates(alpha, sigma_th, SchemaError)
         frequencies = doc.get("frequencies", {})
         if not isinstance(frequencies, dict) or not all(

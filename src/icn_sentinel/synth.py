@@ -113,8 +113,9 @@ class GeneratorConfig:
                               % (ATTACK_PATTERNS,))
         if set(self.power_offsets) != set(GROUPS):
             raise ConfigError("power_offsets must cover exactly %s" % (GROUPS,))
-        if any(v <= 0 for v in self.power_offsets.values()):
-            raise ConfigError("power offsets must be positive")
+        if not all(is_finite_number(v) and v > 0
+                   for v in self.power_offsets.values()):
+            raise ConfigError("power offsets must be positive finite numbers")
         if self.cadence_s < 1:
             raise ConfigError("cadence_s must be >= 1")
         if self.burst_len < 1:

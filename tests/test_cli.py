@@ -185,11 +185,12 @@ def test_evaluate_rejects_unknown_rule_key(rule, key, campaign_dir, tmp_path,
     ([], '{"acceptance": []}', 3, "non-empty list"),
     ([], '{"acceptance": [{"min_sa": NaN}]}', 3, "min_sa"),
     ([], '{"acceptance": [{"max_fpr": Infinity}]}', 3, "max_fpr"),
+    ([], '{"acceptance": [{"max_fpr": 1%s}]}' % ("0" * 400), 3, "max_fpr"),
     ([], '{"acceptance": [{"dataset": "reduced"}]}', 3, "no limit"),
     ([], '{"acceptance": [{"s_pct": "20", "min_sa": 101}]}', 1,
      '"s_pct": "20"')],
     ids=["default-rule-unmatched", "empty", "nan-limit", "infinite-limit",
-         "no-limit", "string-s_pct-unmatched"])
+         "beyond-float-limit", "no-limit", "string-s_pct-unmatched"])
 def test_evaluate_refuses_vacuous_acceptance(args, rules, code, named,
                                              campaign_dir, tmp_path, capsys):
     # each rule set would pass any report: it checks no cell or no limit
@@ -751,3 +752,55 @@ def test_detect_rejects_malformed_meta_and_profile(name, case, campaign_dir,
                  "--models", str(models)]) == 3
     err = capsys.readouterr().err
     assert name in err and key in err, err
+
+
+# a JSON integer that parses but has no float value
+HUGE = 10 ** 400
+
+BEYOND_FLOAT = {
+    "profile-p-th": ("knn", "profile.json", "p_th",
+                     lambda doc: doc["FGF"].update(p_th=HUGE)),
+    "iac-alpha": ("knn", "iac_model.json", "alpha",
+                  lambda doc: doc.update(alpha=HUGE)),
+    "svm-bias": ("svm", "model_svm.json", "bias",
+                 lambda doc: doc.update(bias=HUGE)),
+    "svm-weights": ("svm", "model_svm.json", "weights",
+                    lambda doc: doc["weights"].__setitem__(0, HUGE)),
+    "svm-standardization": ("svm", "model_svm.json", "standardization",
+                            lambda doc: doc["standardization"]["std"]
+                            .__setitem__(0, HUGE)),
+    "knn-points": ("knn", "model_knn.json", "points",
+                   lambda doc: doc["points"][0].__setitem__(0, HUGE)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BEYOND_FLOAT))
+def test_detect_refuses_a_number_beyond_float_range(case, campaign_dir,
+                                                    tmp_path, capsys):
+    kind, name, key, spoil = BEYOND_FLOAT[case]
+    models = tmp_path / "models"
+    data = ["--data", str(campaign_dir / "MD_test.csv"),
+            "--events", str(campaign_dir / "MD_test.events")]
+    assert main(["train"] + data + ["--algo", kind, "--out", str(models)]) == 0
+    path = models / name
+    doc = json.loads(path.read_text())
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["detect"] + data + ["--models", str(models)]) == 3
+    err = capsys.readouterr().err
+    assert name in err and key in err, err
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"signal": [["FGF", {"psi": HUGE, "mu": 334.17}]]}, "psi"),
+    ({"power_offsets": {"MD": HUGE, "AD": 1.06, "ED": 1.12, "ND": 0.94}},
+     "power offsets")], ids=["signal-psi", "power-offset"])
+def test_gen_refuses_a_number_beyond_float_range(config, key, tmp_path,
+                                                 capsys):
+    path = tmp_path / "gen_config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "campaign"
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 3
+    assert key in capsys.readouterr().err
+    assert not out.exists()

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -305,6 +306,102 @@ def test_mann_whitney_empty_sample():
         mann_whitney_u([], [1.0])
     with pytest.raises(InsufficientDataError):
         mann_whitney_u([1.0], [])
+
+
+def test_mann_whitney_refuses_nan():
+    # NaN breaks the sort the ranks come from: U_a + U_b != n*m
+    for a, b, name in (([float("nan"), 1.0], [1.0, 2.0], "sample a"),
+                       ([1.0, 2.0], [1.0, float("nan")], "sample b")):
+        with pytest.raises(ConfigError, match=name):
+            mann_whitney_u(a, b)
+    inf = float("inf")
+    u_a, _ = mann_whitney_u([inf, 1.0], [1.0, -inf])
+    u_b, _ = mann_whitney_u([1.0, -inf], [inf, 1.0])
+    assert (u_a, u_b) == (3.5, 0.5)
+
+
+def reference_exact_p(a, b, tu_obs):
+    """The state-pair DP _exact_p replaced, kept as its oracle: states
+    {(a values used, 2U): ways}, every c of every group, final states with
+    fewer than n a values dropped at the end."""
+    n, m = len(a), len(b)
+    pooled = sorted(list(a) + list(b))
+    states = {(0, 0): 1}
+    seen = 0
+    for _, grp in groupby(pooled):
+        g = len(list(grp))
+        nxt = {}
+        for (used, tu), ways in states.items():
+            b_before = seen - used
+            top = min(g, n - used)
+            for c in range(top + 1):
+                key = (used + c, tu + 2 * c * b_before + c * (g - c))
+                nxt[key] = nxt.get(key, 0) + ways * math.comb(g, c)
+        states = nxt
+        seen += g
+    center = n * m
+    dev = abs(tu_obs - center)
+    qualifying = sum(w for (used, tu), w in states.items()
+                     if used == n and abs(tu - center) >= dev)
+    total = math.comb(n + m, n)
+    return qualifying / total
+
+
+# ties between the two zeros, and half steps between integers
+MWU_VALUES = (-0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0, -1.5)
+
+
+@st.composite
+def mwu_pairs(draw):
+    """Samples with n * m <= EXACT_LIMIT: pooled from an alphabet of 1-6
+    values, all distinct, or integers in a against half steps in b."""
+    n = draw(st.integers(1, 20))
+    m = draw(st.integers(1, min(20, iac.EXACT_LIMIT // n)))
+    kind = draw(st.sampled_from(("alphabet", "distinct", "offset")))
+    if kind == "alphabet":
+        alphabet = draw(st.lists(st.sampled_from(MWU_VALUES), min_size=1,
+                                 max_size=6))
+        pool = draw(st.lists(st.sampled_from(alphabet), min_size=n + m,
+                             max_size=n + m))
+        return pool[:n], pool[n:]
+    if kind == "distinct":
+        pool = draw(st.permutations(range(n + m)))
+        return [k / 2 for k in pool[:n]], [k / 2 for k in pool[n:]]
+    steps = st.integers(0, draw(st.integers(0, 5)))
+    a = draw(st.lists(steps, min_size=n, max_size=n))
+    b = draw(st.lists(steps, min_size=m, max_size=m))
+    return [float(k) for k in a], [k + 0.5 for k in b]
+
+
+def assert_exact_p_is_reference(a, b):
+    tu = iac._twice_u(a, b)
+    assert len(a) * len(b) <= iac.EXACT_LIMIT
+    p = mann_whitney_u(a, b)[1]
+    # the same integer count over comb(n + m, n), so bit-equal
+    assert p == reference_exact_p(a, b, tu)
+    return p
+
+
+@settings(max_examples=150, deadline=None)
+@given(mwu_pairs())
+def test_exact_p_equals_reference_property(pair):
+    assert_exact_p_is_reference(*pair)
+
+
+def test_exact_p_equals_reference_pinned():
+    # every value tied
+    assert assert_exact_p_is_reference([3.0] * 7, [3.0] * 9) == 1.0
+    # a curve test of detect-replay: 18 x 18 in 3 tie groups of 19, 5, 12
+    assert assert_exact_p_is_reference(
+        [1.0] + [2.0] * 5 + [3.0] * 12, [1.0] * 18) == 4.18726539537102e-09
+    # 20 x 20 all distinct, interleaved
+    assert_exact_p_is_reference([float(k) for k in range(0, 40, 2)],
+                                [float(k) for k in range(1, 40, 2)])
+    assert assert_exact_p_is_reference([1.0], [2.0]) == 1.0
+    # x < y = y = y: 2U is 0 in 1 assignment and 4 in 3, not symmetric
+    # about n*m = 3; both tails are counted about that mean
+    assert assert_exact_p_is_reference([0.0], [1.0, 1.0, 1.0]) == 0.25
+    assert assert_exact_p_is_reference([1.0], [0.0, 1.0, 1.0]) == 1.0
 
 
 def jittered_traces(base, reps, seed):
