@@ -30,9 +30,9 @@ from .synth import (Campaign, GeneratorConfig, GroupData, ParamModel,
                     config_hash, default_config, gen_campaign, gen_normal,
                     group_profile, inject_attacks, load_campaign,
                     save_campaign)
-from .harness import (DualVerdict, EvaluationReport, MatrixConfig,
+from .harness import (Detector, DualVerdict, EvaluationReport, MatrixConfig,
                       ScenarioResult, dual_detect, event_chunks,
-                      label_ground_truth, metrics, run_matrix)
+                      label_ground_truth, metrics, read_paired, run_matrix)
 
 __version__ = "0.1.0"
 
@@ -59,7 +59,7 @@ __all__ = [
     "Campaign", "GroupData", "GeneratorConfig", "ParamModel", "config_hash",
     "default_config", "gen_campaign", "gen_normal", "group_profile",
     "inject_attacks", "load_campaign", "save_campaign",
-    "DualVerdict", "EvaluationReport", "MatrixConfig", "ScenarioResult",
-    "dual_detect", "event_chunks", "label_ground_truth", "metrics",
-    "run_matrix",
+    "Detector", "DualVerdict", "EvaluationReport", "MatrixConfig",
+    "ScenarioResult", "dual_detect", "event_chunks", "label_ground_truth",
+    "metrics", "read_paired", "run_matrix",
 ]

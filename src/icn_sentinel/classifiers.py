@@ -544,38 +544,17 @@ def _best_split(x, y):
     return jb, (xs[rb, jb] + xs[rb + 1, jb]) / 2.0
 
 
-@dataclass
-class _Node:
-    feature: int = None
-    threshold: float = None
-    left: "_Node" = None
-    right: "_Node" = None
-    klass: int = None
-
-    def is_leaf(self):
-        return self.feature is None
-
-
-def _grow(x, y):
-    if len(np.unique(y)) == 1:
-        return _Node(klass=int(y[0]))
-    split = _best_split(x, y)
+def _rules(x, y, prefix=()):
+    """Each root-to-leaf Rule of the gain-ratio tree grown on (x, y), the
+    ``<=`` branch first; ``prefix`` holds the conditions above the node."""
+    split = _best_split(x, y) if len(np.unique(y)) > 1 else None
     if split is None:
-        return _Node(klass=_majority(y))
+        yield Rule(prefix, _majority(y))
+        return
     j, thr = split
     mask = x[:, j] <= thr
-    node = _Node(feature=j, threshold=float(thr))
-    node.left = _grow(x[mask], y[mask])
-    node.right = _grow(x[~mask], y[~mask])
-    return node
-
-
-def _paths(node, prefix=()):
-    if node.is_leaf():
-        yield Rule(tuple(prefix), node.klass)
-        return
-    yield from _paths(node.left, prefix + ((node.feature, "<=", node.threshold),))
-    yield from _paths(node.right, prefix + ((node.feature, ">", node.threshold),))
+    for op, rows in (("<=", mask), (">", ~mask)):
+        yield from _rules(x[rows], y[rows], prefix + ((j, op, float(thr)),))
 
 
 # Pruning asks for few distinct (errors, n): 1488 in the 145,611 calls of one
@@ -645,10 +624,8 @@ def c45_train(data: LabeledSet) -> C45Model:
     _require_two_classes(data)
 
     xz, y = data.xz, data.y
-    tree = _grow(xz, y)
-
     rules, seen = [], set()
-    for raw in _paths(tree):
+    for raw in _rules(xz, y):
         simplified = _simplify(raw, xz, y)
         if not simplified.conditions:
             continue

@@ -20,15 +20,13 @@ import os
 import sys
 from dataclasses import replace
 
-from .core import (NORMAL, ConfigError, SchemaError,
-                   SensitivityDegree, SentinelError, infer_schema, json_float,
-                   parse_data_trace, parse_event_trace, read_json, write_json)
-from .classifiers import (CLASSIFIER_KINDS, LabeledSet, load_model,
-                          save_model, train_classifier)
+from .core import (ConfigError, SchemaError, SensitivityDegree,
+                   SentinelError, infer_schema, json_float, parse_data_trace,
+                   read_json, write_json)
+from .classifiers import CLASSIFIER_KINDS, LabeledSet
 from .featsel import GaConfig, genetic_select, greedy_select
-from .harness import (MatrixConfig, dual_detect, event_chunks, run_matrix)
-from .iac import IacModel, train_iac_model
-from .profiler import ThresholdProfile, build_profile
+from .harness import (Detector, MatrixConfig, dual_detect, read_paired,
+                      run_matrix)
 from .synth import (GeneratorConfig, config_hash, default_config,
                     gen_campaign, load_campaign, save_campaign)
 
@@ -69,94 +67,26 @@ def cmd_gen(args):
     return 0
 
 
-def _read_paired(data, events, schema):
-    """The data trace and its event windows, one window per row."""
-    trace = parse_data_trace(data, schema)
-    chunks = event_chunks(parse_event_trace(events), len(schema))
-    if len(chunks) != len(trace):
-        raise ConfigError("event trace does not pair with the data rows: "
-                          "%d event windows of %d symbols for %d data rows"
-                          % (len(chunks), len(schema), len(trace)))
-    return trace, chunks
-
-
 def cmd_train(args):
     seed = _resolve_seed(args.seed)
-    schema = infer_schema(args.data)
-    trace, chunks = _read_paired(args.data, args.events, schema)
-    if not trace.is_labeled():
-        raise ConfigError("training data must be labeled")
-
-    labels = trace.labels()
-    normal_rows = [i for i, y in enumerate(labels.tolist()) if y == NORMAL]
-    if not normal_rows:
-        raise ConfigError("no normal rows to profile")
+    trace, windows = read_paired(args.data, args.events,
+                                 infer_schema(args.data))
     config = _generator_config(args.config)
-    profile = build_profile(trace.take(normal_rows),
-                            {name: pm.psi for name, pm
-                             in config.parameters().items()})
-    iac_model = train_iac_model([chunks[i] for i in normal_rows],
-                                w_delta=args.w_delta, alpha=args.alpha,
-                                sigma_th=args.sigma_th)
-    data = LabeledSet.from_raw(trace.to_matrix(), labels)
-    model = train_classifier(args.algo, data)
-
-    os.makedirs(args.out, exist_ok=True)
-    profile.save(os.path.join(args.out, "profile.json"))
-    iac_model.save(os.path.join(args.out, "iac_model.json"))
-    save_model(model, os.path.join(args.out, "model_%s.json" % args.algo))
-    meta = {"schema": list(schema), "features": list(schema),
-            "algo": args.algo, "seed": seed, "config_hash": config_hash(config)}
-    write_json(os.path.join(args.out, "meta.json"), meta)
+    limits = {name: pm.psi for name, pm in config.parameters().items()}
+    detector = Detector.fit(trace, windows, args.algo, limits,
+                            w_delta=args.w_delta, alpha=args.alpha,
+                            sigma_th=args.sigma_th)
+    detector.save(args.out, seed, config_hash(config))
     print("models written to %s (profile, curves, %s)" % (args.out, args.algo))
     return 0
 
 
-def _names(doc, key):
-    names = doc[key]
-    if not isinstance(names, list) or not names \
-            or not all(isinstance(n, str) for n in names) \
-            or len(set(names)) != len(names):
-        raise SchemaError("%s: expected a non-empty list of distinct "
-                          "strings, got %r" % (key, names))
-    return tuple(names)
-
-
-def _parse_meta(doc):
-    schema, features = _names(doc, "schema"), _names(doc, "features")
-    # dual_detect builds the classifier's columns in features order
-    if list(features) != [n for n in schema if n in features]:
-        raise SchemaError("features: expected schema names in schema "
-                          "order, got %r" % (list(features),))
-    if doc["algo"] not in CLASSIFIER_KINDS:
-        raise SchemaError("algo: expected one of %s, got %r"
-                          % (", ".join(CLASSIFIER_KINDS), doc["algo"]))
-    return schema, features, doc["algo"]
-
-
 def cmd_detect(args):
-    meta_path = os.path.join(args.models, "meta.json")
-    schema, features, algo = read_json(meta_path, _parse_meta)
-    algo = args.algo or algo
-    profile_path = os.path.join(args.models, "profile.json")
-    profile = ThresholdProfile.load(profile_path)
-    missing = [n for n in schema if n not in profile.parameters]
-    if missing:
-        raise SchemaError("%s: no parameter %s" % (profile_path, missing))
-    iac_model = IacModel.load(os.path.join(args.models, "iac_model.json"))
-    model_name = "model_%s.json" % algo
-    model = load_model(os.path.join(args.models, model_name))
-    width = len(model.standardization.mean)
-    if len(features) != width:
-        raise SchemaError("%s: features lists %d names, but %s takes %d"
-                          % (meta_path, len(features), model_name, width))
-
-    trace, chunks = _read_paired(args.data, args.events, schema)
-    sens = SensitivityDegree(args.sensitivity)
-
-    verdicts = dual_detect(trace, chunks, profile, iac_model, model,
-                           features, sens, alpha=args.alpha,
-                           sigma_th=args.sigma_th)
+    detector = Detector.load(args.models, algo=args.algo)
+    trace, windows = read_paired(args.data, args.events, detector.schema)
+    verdicts = dual_detect(detector, trace, windows,
+                           SensitivityDegree(args.sensitivity),
+                           alpha=args.alpha, sigma_th=args.sigma_th)
     lines = [("row", "ts", "group", "threshold_pass", "iac_pass", "verdict")]
     anomalous = 0
     for i, (ts, group, verdict) in enumerate(zip(trace.timestamps,

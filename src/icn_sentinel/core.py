@@ -76,6 +76,13 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def is_name_list(value) -> bool:
+    """True for a JSON artifact's non-empty list of distinct strings."""
+    return isinstance(value, list) and bool(value) \
+        and all(isinstance(n, str) for n in value) \
+        and len(set(value)) == len(value)
+
+
 def json_float(value, key, convert=float):
     """``convert(value)`` for a number read from a JSON artifact; an integer
     beyond float range raises SchemaError naming ``key``, not OverflowError."""

@@ -1,5 +1,5 @@
-"""Scenario evaluation: ground-truth labeling, metrics, dual detection and
-the full group x dataset x sensitivity x classifier matrix.
+"""The Detector and dual detection, ground-truth labeling, metrics and the
+full group x dataset x sensitivity x classifier matrix.
 
 A row is ground-truth anomalous at sensitivity S when the number of signal
 parameters above threshold reaches the sensitivity's required count (all of
@@ -13,16 +13,20 @@ the per-group result-table layout with full and reduced feature views.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ANOMALOUS, ConfigError, DataTrace, EventTrace, GROUPS,
-                   MetricError, NORMAL, SensitivityDegree, derive_seed)
-from .classifiers import (CLASSIFIER_KINDS, LabeledSet, predict_labels,
+                   MetricError, NORMAL, SchemaError, SensitivityDegree,
+                   derive_seed, is_name_list, parse_data_trace,
+                   parse_event_trace, read_json, write_json)
+from .classifiers import (CLASSIFIER_KINDS, LabeledSet, load_model,
+                          model_kind, predict_labels, save_model,
                           train_classifier)
-from .iac import classify_trace
-from .profiler import count_compromised
+from .iac import IacModel, classify_trace, train_iac_model
+from .profiler import ThresholdProfile, build_profile, count_compromised
 from .synth import Campaign, inject_attacks
 
 DATASET_KINDS = ("full", "reduced")
@@ -107,30 +111,134 @@ def event_chunks(events: EventTrace, symbols_per_row) -> list:
             for i in range(0, len(events), symbols_per_row)]
 
 
-def dual_detect(trace: DataTrace, windows, profile, iac_model, model, features,
-                sensitivity: SensitivityDegree, alpha=None, sigma_th=None) -> list:
+def _check_paired(trace: DataTrace, windows):
+    """Raise ConfigError unless there is one event window per row."""
+    if len(windows) != len(trace):
+        raise ConfigError("event trace does not pair with the data rows: "
+                          "%d event windows of %d symbols for %d data rows"
+                          % (len(windows), len(trace.schema), len(trace)))
+
+
+def read_paired(data, events, schema):
+    """The data trace of the ``data`` CSV over ``schema`` and the event
+    windows of the ``events`` file, ``len(schema)`` symbols each, one per
+    row."""
+    trace = parse_data_trace(data, schema)
+    windows = event_chunks(parse_event_trace(events), len(schema))
+    _check_paired(trace, windows)
+    return trace, windows
+
+
+def _check_order(schema, features):
+    """Raise SchemaError unless ``features`` are ``schema`` names in schema
+    order, the order ``to_matrix(features)`` gives the classifier."""
+    if list(features) != [n for n in schema if n in features]:
+        raise SchemaError("features: expected schema names in schema "
+                          "order, got %r" % (list(features),))
+
+
+def _parse_meta(doc):
+    """(schema, features, algo) from a model directory's meta.json."""
+    for key in ("schema", "features"):
+        if not is_name_list(doc[key]):
+            raise SchemaError("%s: expected a non-empty list of distinct "
+                              "strings, got %r" % (key, doc[key]))
+    _check_order(doc["schema"], doc["features"])
+    if doc["algo"] not in CLASSIFIER_KINDS:
+        raise SchemaError("algo: expected one of %s, got %r"
+                          % (", ".join(CLASSIFIER_KINDS), doc["algo"]))
+    return tuple(doc["schema"]), tuple(doc["features"]), doc["algo"]
+
+
+# eq=False: the models hold numpy arrays, which no field-wise == can compare
+@dataclass(frozen=True, eq=False)
+class Detector:
+    """What ``train`` fits and ``detect`` runs: the threshold profile over
+    ``schema``, the curve model and a classifier over ``features`` (schema
+    names in schema order).  ``save`` and ``load`` are the one writer and
+    reader of a model directory."""
+
+    schema: tuple
+    features: tuple
+    profile: ThresholdProfile
+    iac_model: IacModel
+    model: object
+
+    @classmethod
+    def fit(cls, trace: DataTrace, windows, algo, limits,
+            **curve_settings) -> "Detector":
+        """Fit on a labeled trace and its event windows: the profile (psi
+        from ``limits``) and the curve model (``curve_settings`` are
+        train_iac_model's w_delta, alpha and sigma_th) on the normal rows,
+        the ``algo`` classifier on every row over the whole schema."""
+        _check_paired(trace, windows)
+        if not trace.is_labeled():
+            raise ConfigError("training data must be labeled")
+        labels = trace.labels()
+        normal_rows = [i for i, y in enumerate(labels.tolist()) if y == NORMAL]
+        if not normal_rows:
+            raise ConfigError("no normal rows to profile")
+        profile = build_profile(trace.take(normal_rows), limits)
+        iac_model = train_iac_model([windows[i] for i in normal_rows],
+                                    **curve_settings)
+        model = train_classifier(
+            algo, LabeledSet.from_raw(trace.to_matrix(), labels))
+        return cls(trace.schema, trace.schema, profile, iac_model, model)
+
+    def save(self, directory, seed, config_hash):
+        """Write the model directory; meta.json records ``seed`` and the
+        generator's ``config_hash``."""
+        algo = model_kind(self.model)
+        os.makedirs(directory, exist_ok=True)
+        self.profile.save(os.path.join(directory, "profile.json"))
+        self.iac_model.save(os.path.join(directory, "iac_model.json"))
+        save_model(self.model, os.path.join(directory, "model_%s.json" % algo))
+        meta = {"schema": list(self.schema), "features": list(self.features),
+                "algo": algo, "seed": seed, "config_hash": config_hash}
+        write_json(os.path.join(directory, "meta.json"), meta)
+
+    @classmethod
+    def load(cls, directory, algo=None) -> "Detector":
+        """Read a model directory with its ``algo`` classifier (meta.json's
+        by default).  A profile without a schema name, or a classifier not
+        as wide as ``features``, raises SchemaError naming the file."""
+        meta_path = os.path.join(directory, "meta.json")
+        schema, features, meta_algo = read_json(meta_path, _parse_meta)
+        profile_path = os.path.join(directory, "profile.json")
+        profile = ThresholdProfile.load(profile_path)
+        missing = [n for n in schema if n not in profile.parameters]
+        if missing:
+            raise SchemaError("%s: no parameter %s" % (profile_path, missing))
+        iac_model = IacModel.load(os.path.join(directory, "iac_model.json"))
+        model_name = "model_%s.json" % (algo or meta_algo)
+        model = load_model(os.path.join(directory, model_name))
+        width = len(model.standardization.mean)
+        if len(features) != width:
+            raise SchemaError("%s: features lists %d names, but %s takes %d"
+                              % (meta_path, len(features), model_name, width))
+        return cls(schema, features, profile, iac_model, model)
+
+
+def dual_detect(detector: Detector, trace: DataTrace, windows,
+                sensitivity: SensitivityDegree, alpha=None,
+                sigma_th=None) -> list:
     """Joint threshold/event verdicts, one DualVerdict per row of ``trace``.
 
-    The trace's schema must list ``features`` in that order;
-    ``windows[i]`` is the event window aligned with row i.  The threshold
-    branch is the trained classifier's prediction on the row's
+    The trace's schema must list the detector's ``features`` in that
+    order; ``windows[i]`` is the event window aligned with row i.  The
+    threshold branch is the detector's classifier prediction on the row's
     ``features`` values, scored for all rows in one batch from the
     trace's matrix; the event branch conformance-tests each window
-    against the curve model.  A row is normal only when both branches
-    pass.
+    against the detector's curve model.  A row is normal only when both
+    branches pass.
     """
-    if len(trace) != len(windows):
-        raise ConfigError("%d rows but %d event windows"
-                          % (len(trace), len(windows)))
-    for name in features:
-        profile.spec(name)  # schema consistency with the learned profile
-    if [n for n in trace.schema if n in features] != list(features):
-        raise ConfigError("features %s do not follow the trace's schema "
-                          "order" % (list(features),))
-    threshold = predict_labels(model, trace.to_matrix(features)) == NORMAL
+    _check_paired(trace, windows)
+    _check_order(trace.schema, detector.features)
+    x = trace.to_matrix(detector.features)
+    threshold = predict_labels(detector.model, x) == NORMAL
     verdicts = []
     for window, threshold_pass in zip(windows, threshold.tolist()):
-        detail = classify_trace(window, iac_model, alpha=alpha,
+        detail = classify_trace(window, detector.iac_model, alpha=alpha,
                                 sigma_th=sigma_th, sensitivity=sensitivity)
         iac_pass = not detail.anomalous
         verdicts.append(DualVerdict(threshold_pass, iac_pass,

@@ -25,8 +25,8 @@ from scipy.stats import t as student_t
 
 from .core import (ConfigError, EventNotFoundError, EventTrace,
                    InsufficientDataError, SchemaError, SensitivityDegree,
-                   SentinelError, is_finite_number, json_float, read_json,
-                   write_json)
+                   SentinelError, is_finite_number, is_name_list, json_float,
+                   read_json, write_json)
 
 DEFAULT_W_DELTA = 25
 DEFAULT_CONFIDENCE = 0.95
@@ -367,9 +367,7 @@ class IacModel:
             raise SchemaError("events: expected an object of event -> bands")
         curves = {e: _bands_from_json(e, bands) for e, bands in events.items()}
         feature_events = doc["feature_events"]
-        if not isinstance(feature_events, list) or not feature_events \
-                or not all(isinstance(e, str) for e in feature_events) \
-                or len(set(feature_events)) != len(feature_events):
+        if not is_name_list(feature_events):
             raise SchemaError("feature_events: expected a non-empty list of "
                               "distinct strings")
         w_delta = doc["w_delta"]

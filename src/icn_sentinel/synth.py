@@ -47,6 +47,13 @@ FILLER_POOL = (
     ("WFT", 85.0),
 )
 
+# Size caps GeneratorConfig checks before anything is allocated.  Rows per
+# group: 43x the largest size in use (16x the benchmark's 1440 is 23,040),
+# 144 MB of readings per default-width partition.  Extra parameters: 77x
+# the default config's 13 filler channels.
+MAX_ROWS_PER_GROUP = 1_000_000
+MAX_EXTRA_PARAMS = 1000
+
 
 @dataclass(frozen=True)
 class ParamModel:
@@ -102,10 +109,12 @@ class GeneratorConfig:
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError("%s must be an integer, got %r"
                                   % (field, value))
-        if self.extra_params < 0:
-            raise ConfigError("extra_params must be >= 0")
-        if self.rows_per_group < 1:
-            raise ConfigError("rows_per_group must be >= 1")
+        if not 0 <= self.extra_params <= MAX_EXTRA_PARAMS:
+            raise ConfigError("extra_params must be in [0, %d]"
+                              % MAX_EXTRA_PARAMS)
+        if not 1 <= self.rows_per_group <= MAX_ROWS_PER_GROUP:
+            raise ConfigError("rows_per_group must be in [1, %d]"
+                              % MAX_ROWS_PER_GROUP)
         if not 0 <= self.attack_rate <= 1:
             raise ConfigError("attack_rate must be in [0, 1]")
         if self.attack_pattern not in ATTACK_PATTERNS:
@@ -407,17 +416,24 @@ def save_campaign(campaign: Campaign, outdir):
 
 
 def _parse_manifest(doc):
-    """(config, {group: (train csv, test csv, train events, test events)},
-    signal) from a campaign manifest."""
+    """(config, {group: (train csv, test csv, train events, test events)})
+    from a campaign manifest.  Its ``signal`` and ``schema`` lists copy
+    what ``config`` defines; a copy that disagrees raises SchemaError."""
     files = {group: tuple(entries[part][kind] for kind in ("data", "events")
                           for part in ("train", "test"))
              for group, entries in doc["files"].items()}
-    return GeneratorConfig.from_json(doc["config"]), files, tuple(doc["signal"])
+    config = GeneratorConfig.from_json(doc["config"])
+    for key, names in (("signal", config.signal_names()),
+                       ("schema", config.schema())):
+        if doc[key] != list(names):
+            raise SchemaError("%s: expected %r from config, got %r"
+                              % (key, list(names), doc[key]))
+    return config, files
 
 
 def load_campaign(directory) -> Campaign:
-    config, files, signal = read_json(os.path.join(directory, "manifest.json"),
-                                      _parse_manifest)
+    config, files = read_json(os.path.join(directory, "manifest.json"),
+                              _parse_manifest)
     schema = config.schema()
     groups = {}
     for group, names in files.items():
@@ -427,4 +443,4 @@ def load_campaign(directory) -> Campaign:
         groups[group] = GroupData(
             parse_data_trace(train, schema), parse_data_trace(test, schema),
             parse_event_trace(train_ev), parse_event_trace(test_ev), profile)
-    return Campaign(config, groups, signal)
+    return Campaign(config, groups, config.signal_names())

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -593,6 +594,48 @@ def reference_simplify(rule, xz, y):
     return Rule(tuple(conds), rule.klass)
 
 
+@dataclasses.dataclass
+class ReferenceNode:
+    feature: int = None
+    threshold: float = None
+    left: "ReferenceNode" = None
+    right: "ReferenceNode" = None
+    klass: int = None
+
+    def is_leaf(self):
+        return self.feature is None
+
+
+def reference_grow(x, y):
+    if len(np.unique(y)) == 1:
+        return ReferenceNode(klass=int(y[0]))
+    split = classifiers._best_split(x, y)
+    if split is None:
+        return ReferenceNode(klass=classifiers._majority(y))
+    j, thr = split
+    mask = x[:, j] <= thr
+    node = ReferenceNode(feature=j, threshold=float(thr))
+    node.left = reference_grow(x[mask], y[mask])
+    node.right = reference_grow(x[~mask], y[~mask])
+    return node
+
+
+def reference_paths(node, prefix=()):
+    if node.is_leaf():
+        yield Rule(tuple(prefix), node.klass)
+        return
+    yield from reference_paths(
+        node.left, prefix + ((node.feature, "<=", node.threshold),))
+    yield from reference_paths(
+        node.right, prefix + ((node.feature, ">", node.threshold),))
+
+
+def reference_rules(x, y):
+    """The rule list c45_train took from a whole grown tree, walked
+    root-to-leaf with the ``<=`` branch first."""
+    return list(reference_paths(reference_grow(x, y)))
+
+
 # small alphabets hold ties, repeated values and both zeros (-0.0 == 0.0);
 # 40 values leave most rows distinct
 SPLIT_VALUES = st.one_of(
@@ -651,6 +694,27 @@ def test_c45_matches_scalar_reference_property(case):
         patch.setattr(classifiers, "_best_split", reference_best_split)
         patch.setattr(classifiers, "_simplify", reference_simplify)
         assert model_bytes(c45_train(data)) == model_bytes(model)
+
+
+def rule_key(rule):
+    """A rule's conditions with each threshold as its float bits, class
+    and error."""
+    return ([(f, op, np.float64(thr).tobytes()) for f, op, thr in
+             rule.conditions], type(rule.klass), rule.klass, rule.error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c45_cases())
+# class runs of two along one column: a path seven conditions deep
+@example((np.arange(16.0)[:, None], np.array([1, 1, -1, -1] * 4), [0.0]))
+def test_c45_rules_match_reference_tree_property(case):
+    """The generator that grows and walks the tree in one recursion yields
+    the rules of the whole grown tree, in the same order, bit for bit."""
+    x, y, _ = case
+    xz = LabeledSet.from_raw(x, y).xz
+    got = list(classifiers._rules(xz, y))
+    assert [rule_key(r) for r in got] \
+        == [rule_key(r) for r in reference_rules(xz, y)]
 
 
 def test_run_matrix_same_with_scalar_c45_reference(monkeypatch):

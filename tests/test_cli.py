@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import shutil
@@ -9,9 +10,8 @@ from icn_sentinel.cli import main
 from icn_sentinel.core import (ConfigError, DataRow, SchemaError,
                                SensitivityDegree,
                                parse_data_trace, parse_event_trace)
-from icn_sentinel.harness import dual_detect, event_chunks
+from icn_sentinel.harness import Detector, dual_detect, event_chunks
 from icn_sentinel.iac import IacModel
-from icn_sentinel.profiler import ThresholdProfile
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +241,45 @@ def test_gen_refuses_a_non_integer_config_field(tmp_path, capsys, field,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rows", [10 ** 11, 10 ** 400],
+                         ids=["rows-1e11", "rows-401-digits"])
+def test_gen_refuses_a_size_above_the_cap(rows, tmp_path, capsys):
+    # refused in GeneratorConfig, before the rows are allocated
+    config = tmp_path / "gen_config.json"
+    config.write_text(json.dumps({"rows_per_group": rows}))
+    out = tmp_path / "campaign"
+    assert main(["gen", "--config", str(config), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "rows_per_group must be in [1, " in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_campaign_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli-small")
+    (out / "gen.json").write_text(json.dumps({"rows_per_group": 60}))
+    assert main(["gen", "--config", str(out / "gen.json"), "--seed", "3",
+                 "--out", str(out / "campaign")]) == 0
+    return out / "campaign"
+
+
+@pytest.mark.parametrize("key, spoil", [
+    ("schema", lambda doc: doc.update(schema=["x"])),
+    ("signal", lambda doc: doc["signal"].__setitem__(
+        doc["signal"].index("Power"), "AFR"))], ids=["schema", "signal"])
+def test_evaluate_refuses_a_manifest_copy_that_disagrees_with_config(
+        key, spoil, small_campaign_dir, tmp_path, capsys):
+    # the manifest's signal and schema lists copy what its config defines
+    campaign = tmp_path / "campaign"
+    shutil.copytree(small_campaign_dir, campaign)
+    doc = json.loads((campaign / "manifest.json").read_text())
+    spoil(doc)
+    (campaign / "manifest.json").write_text(json.dumps(doc))
+    assert main(["evaluate", "--campaign", str(campaign)]) == 3
+    err = capsys.readouterr().err
+    assert "manifest.json: %s: expected" % key in err, err
+
+
 def test_data_errors_exit_three(campaign_dir, models_dir, tmp_path, capsys):
     assert main(["train", "--data", str(tmp_path / "missing.csv"),
                  "--events", str(tmp_path / "missing.events"),
@@ -295,18 +334,17 @@ def test_detect_matches_cold_per_row_dual_detect(campaign_dir, models_dir,
                  "--out", str(out)]) == 0
     capsys.readouterr()
 
-    meta = json.loads((models_dir / "meta.json").read_text())
-    profile = ThresholdProfile.load(models_dir / "profile.json")
-    model = load_model(models_dir / "model_knn.json")
-    trace = parse_data_trace(data, meta["schema"])
-    chunks = event_chunks(parse_event_trace(events), len(meta["schema"]))
+    detector = Detector.load(models_dir)
+    trace = parse_data_trace(data, detector.schema)
+    chunks = event_chunks(parse_event_trace(events), len(detector.schema))
     # cyclic traffic: far fewer distinct windows than rows
     assert len({c.events for c in chunks}) < len(chunks) // 2
     lines = ["row,ts,group,threshold_pass,iac_pass,verdict"]
     for i in range(len(trace)):
-        cold = IacModel.load(models_dir / "iac_model.json")
-        v, = dual_detect(trace.take([i]), [chunks[i]], profile, cold, model,
-                         meta["features"], SensitivityDegree(60))
+        cold = dataclasses.replace(
+            detector, iac_model=IacModel.load(models_dir / "iac_model.json"))
+        v, = dual_detect(cold, trace.take([i]), [chunks[i]],
+                         SensitivityDegree(60))
         lines.append("%d,%d,%s,%s,%s,%s" % (
             i, trace.timestamps[i], trace.groups[i], v.threshold_pass,
             v.iac_pass,

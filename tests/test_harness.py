@@ -1,18 +1,24 @@
+import dataclasses
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from icn_sentinel import harness
 from icn_sentinel.classifiers import (CLASSIFIER_KINDS, LabeledSet,
                                       predict_label, train_classifier)
 from icn_sentinel.core import (ANOMALOUS, NORMAL, ConfigError, DataRow,
-                               EventTrace, GROUPS, MetricError,
+                               EventTrace, GROUPS, MetricError, SchemaError,
                                SensitivityDegree, derive_seed)
-from icn_sentinel.harness import (DATASET_KINDS, SENSITIVITIES,
+from icn_sentinel.harness import (DATASET_KINDS, SENSITIVITIES, Detector,
                                   EvaluationReport, MatrixConfig, dual_detect,
                                   event_chunks, label_ground_truth, metrics,
                                   run_matrix)
 from icn_sentinel.iac import train_iac_model
-from icn_sentinel.synth import (default_config, gen_campaign, group_profile,
+from icn_sentinel.synth import (config_hash, default_config, gen_campaign,
+                                group_profile,
                                 inject_attacks)
 
 
@@ -108,28 +114,27 @@ def dual_setup():
     model = train_classifier("knn", data)
     chunks = event_chunks(train_ev, len(schema))
     iac_model = train_iac_model(chunks, w_delta=len(schema))
-    return config, profile, schema, mixed, chunks, model, iac_model, sens
+    detector = Detector(schema, schema, profile, iac_model, model)
+    return schema, mixed, chunks, detector, sens
 
 
 def test_dual_detect_branches():
-    (config, profile, schema, mixed, chunks, model,
-     iac_model, sens) = dual_setup()
+    schema, mixed, chunks, detector, sens = dual_setup()
     labels = mixed.labels().tolist()
     normal_i, attacked_i = labels.index(NORMAL), labels.index(ANOMALOUS)
 
-    clean, = dual_detect(mixed.take([normal_i]), [chunks[normal_i]],
-                         profile, iac_model, model, schema, sens)
+    clean, = dual_detect(detector, mixed.take([normal_i]), [chunks[normal_i]],
+                         sens)
     assert clean.threshold_pass and clean.iac_pass and clean.normal
 
-    hit, = dual_detect(mixed.take([attacked_i]), [chunks[attacked_i]],
-                       profile, iac_model, model, schema, sens)
+    hit, = dual_detect(detector, mixed.take([attacked_i]),
+                       [chunks[attacked_i]], sens)
     assert not hit.threshold_pass
     assert not hit.normal
 
     # a window missing a feature event trips only the event branch
     gap = chunks[normal_i].slice(1, len(schema))
-    verdict, = dual_detect(mixed.take([normal_i]), [gap], profile,
-                           iac_model, model, schema, sens)
+    verdict, = dual_detect(detector, mixed.take([normal_i]), [gap], sens)
     assert verdict.threshold_pass
     assert not verdict.iac_pass
     assert not verdict.normal
@@ -138,37 +143,68 @@ def test_dual_detect_branches():
 
 
 def test_dual_detect_batch_matches_one_row_calls():
-    (config, profile, schema, mixed, chunks, model,
-     iac_model, sens) = dual_setup()
-    batch = dual_detect(mixed, chunks, profile, iac_model, model,
-                        schema, sens)
+    schema, mixed, chunks, detector, sens = dual_setup()
+    batch = dual_detect(detector, mixed, chunks, sens)
     assert len(batch) == len(mixed)
     assert {v.normal for v in batch} == {True, False}
     for i, (window, verdict) in enumerate(zip(chunks, batch)):
-        one, = dual_detect(mixed.take([i]), [window], profile, iac_model,
-                           model, schema, sens)
+        one, = dual_detect(detector, mixed.take([i]), [window], sens)
         assert (one.threshold_pass, one.iac_pass, one.normal) == \
             (verdict.threshold_pass, verdict.iac_pass, verdict.normal)
-    assert dual_detect(mixed.take([]), [], profile, iac_model, model, schema,
-                       sens) == []
-    with pytest.raises(ConfigError):
-        dual_detect(mixed.take([0, 1]), chunks[:1], profile, iac_model, model,
-                    schema, sens)
+    assert dual_detect(detector, mixed.take([]), [], sens) == []
+    with pytest.raises(ConfigError, match="1 event windows of %d symbols "
+                       "for 2 data rows" % len(schema)):
+        dual_detect(detector, mixed.take([0, 1]), chunks[:1], sens)
 
 
 def test_dual_detect_scores_a_trace_from_its_matrix():
-    (config, profile, schema, mixed, chunks, model,
-     iac_model, sens) = dual_setup()
-    from_trace = dual_detect(mixed, chunks, profile, iac_model, model,
-                             schema, sens)
+    schema, mixed, chunks, detector, sens = dual_setup()
+    from_trace = dual_detect(detector, mixed, chunks, sens)
     # the threshold branch is each row's own prediction from its values
-    per_row = [predict_label(model, [row.values[n] for n in schema]) == NORMAL
-               for row in mixed.rows]
+    per_row = [predict_label(detector.model, [row.values[n] for n in schema])
+               == NORMAL for row in mixed.rows]
     assert [v.threshold_pass for v in from_trace] == per_row
     # the matrix follows the trace's schema, so other orders are refused
-    with pytest.raises(ConfigError, match="schema order"):
-        dual_detect(mixed, chunks, profile, iac_model, model, schema[::-1],
-                    sens)
+    reordered = dataclasses.replace(detector, features=schema[::-1])
+    with pytest.raises(SchemaError, match="schema order"):
+        dual_detect(reordered, mixed, chunks, sens)
+
+
+def verdict_keys(verdicts):
+    return [(v.threshold_pass, v.iac_pass, v.normal, repr(v.iac_detail))
+            for v in verdicts]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(CLASSIFIER_KINDS), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(SENSITIVITIES))
+def test_detector_save_load_round_trip_property(algo, seed, s_pct):
+    """fit, save, load and save again: the model directories are byte-equal,
+    and the loaded detector gives the fitted one's verdicts."""
+    config = default_config(seed=seed, extra_params=2, rows_per_group=40,
+                            attack_pattern="mixed")
+    campaign = gen_campaign(config)
+    width = len(config.schema())
+    train = campaign.groups["MD"]
+    limits = {name: pm.psi for name, pm in config.parameters().items()}
+    fitted = Detector.fit(train.test, event_chunks(train.test_events, width),
+                          algo, limits)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = pathlib.Path(tmp, "first"), pathlib.Path(tmp, "second")
+        fitted.save(first, seed, config_hash(config))
+        loaded = Detector.load(first)
+        loaded.save(second, seed, config_hash(config))
+        files = sorted(p.name for p in first.iterdir())
+        assert files == sorted(["meta.json", "profile.json", "iac_model.json",
+                                "model_%s.json" % algo])
+        assert [(first / f).read_bytes() for f in files] \
+            == [(second / f).read_bytes() for f in files]
+    sens = SensitivityDegree(s_pct)
+    for group in ("MD", "AD"):
+        data = campaign.groups[group]
+        windows = event_chunks(data.test_events, width)
+        assert verdict_keys(dual_detect(loaded, data.test, windows, sens)) \
+            == verdict_keys(dual_detect(fitted, data.test, windows, sens))
 
 
 def test_run_matrix_shape_and_order(report):

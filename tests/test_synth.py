@@ -11,7 +11,8 @@ from icn_sentinel.core import (ANOMALOUS, GROUP_HOURS, GROUPS, NORMAL,
                                ConfigError, DataRow, DataTrace, EventTrace,
                                SchemaError, derive_seed, write_data_trace)
 from icn_sentinel.profiler import ParameterSpec, count_compromised
-from icn_sentinel.synth import (ATTACK_PATTERNS, Campaign, GeneratorConfig,
+from icn_sentinel.synth import (ATTACK_PATTERNS, MAX_EXTRA_PARAMS,
+                                MAX_ROWS_PER_GROUP, Campaign, GeneratorConfig,
                                 ParamModel, _PATTERN_COUNTS, config_hash,
                                 default_config, gen_campaign, gen_normal,
                                 group_profile, inject_attacks, load_campaign,
@@ -272,6 +273,16 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         default_config(power_offsets={"MD": 1.0, "AD": 1.06, "ED": 1.4,
                                       "ND": 0.94})
+
+
+@pytest.mark.parametrize("field, cap", [
+    ("rows_per_group", MAX_ROWS_PER_GROUP), ("extra_params", MAX_EXTRA_PARAMS)])
+def test_config_refuses_sizes_above_the_cap(field, cap):
+    # refused in GeneratorConfig, before any row or parameter is built
+    assert getattr(default_config(**{field: cap}), field) == cap
+    for value in (cap + 1, 10 ** 11, 10 ** 400):
+        with pytest.raises(ConfigError, match="%s must be in" % field):
+            default_config(**{field: value})
 
 
 def test_config_hash_and_json_round_trip():
