@@ -2,8 +2,6 @@
 # Train the three classifiers on one demand group and compare their
 # confusion counts on the held-out test partition.
 
-import numpy as np
-
 from icn_sentinel import (ANOMALOUS, LabeledSet, NORMAL, SensitivityDegree,
                           default_config, derive_seed, gen_campaign,
                           label_ground_truth, predict_labels, train_classifier)
@@ -25,10 +23,8 @@ train, _ = inject_attacks(group.train, None, group.profile,
                           burst_len=campaign.config.burst_len)
 
 sens = SensitivityDegree(100)
-y_train = np.array([label_ground_truth(r, group.profile, signal, sens)
-                    for r in train.rows])
-y_test = np.array([label_ground_truth(r, group.profile, signal, sens)
-                   for r in group.test.rows])
+y_train = label_ground_truth(train, group.profile, signal, sens)
+y_test = label_ground_truth(group.test, group.profile, signal, sens)
 x_train = train.to_matrix(schema)
 x_test = group.test.to_matrix(schema)
 data = LabeledSet.from_raw(x_train, y_train)

@@ -31,8 +31,7 @@ for name in config.signal_names():
     print("  %-9s mu=%8.3f  p_th=%8.3f" % (name, spec.mu, spec.p_th))
 
 # normal rows never cross their own profile's thresholds
-counts = [count_compromised(r, profile, config.signal_names())
-          for r in trace.rows]
+counts = count_compromised(trace, profile, config.signal_names())
 print("\ncompromised counts over %d clean rows: min=%d max=%d"
       % (len(trace), min(counts), max(counts)))
 

@@ -24,7 +24,9 @@ from .core import (ConfigError, DegenerateDataError, NORMAL, ANOMALOUS,
                    SchemaError, SentinelError, is_finite_number, json_float,
                    read_json, write_json)
 
-@dataclass(frozen=True)
+# eq=False here and on the models: numpy arrays have no field-wise ==, so
+# two instances compare by identity; compare model content by saved JSON
+@dataclass(frozen=True, eq=False)
 class Standardization:
     """Per-feature z-scoring; zero-spread features keep scale 1."""
 
@@ -113,7 +115,7 @@ def _require_two_classes(data):
 # linear soft-margin SVM
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvmModel:
     weights: np.ndarray
     bias: float
@@ -347,7 +349,7 @@ def _nearest(planes, columns) -> np.ndarray:
     return np.sqrt(total).argmin(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnnModel:
     points: np.ndarray  # standardized stored vectors
     labels: np.ndarray
@@ -415,7 +417,7 @@ class Rule:
     error: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class C45Model:
     rules: tuple
     default_class: int

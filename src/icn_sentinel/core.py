@@ -226,15 +226,22 @@ class DataTrace:
         ``features`` restricts the columns but never reorders them: the
         schema order is canonical for vectorization.
         """
-        names = self.schema
-        if features is not None:
-            wanted = set(features)
-            unknown = wanted - set(names)
-            if unknown:
-                raise SchemaError("unknown features %s" % sorted(unknown))
-            names = [n for n in names if n in wanted]
-        columns = [self.schema.index(n) for n in names]
-        return self._matrix.take(columns, axis=1)
+        at = self._positions(self.schema if features is None else features)
+        return self._matrix.take(sorted(set(at)), axis=1)
+
+    def columns(self, names) -> np.ndarray:
+        """A fresh C-ordered float matrix of the columns ``names`` in the
+        order listed, a name listed twice giving its column twice."""
+        return self._matrix.take(self._positions(names), axis=1)
+
+    def _positions(self, names) -> list:
+        """Schema positions of ``names``; an unknown name raises
+        SchemaError."""
+        names = list(names)
+        unknown = set(names) - set(self.schema)
+        if unknown:
+            raise SchemaError("unknown features %s" % sorted(unknown))
+        return [self.schema.index(n) for n in names]
 
     def labels(self) -> np.ndarray:
         """Label vector; raises when any row is unlabeled."""
@@ -382,11 +389,14 @@ def parse_data_trace(path, schema) -> DataTrace:
 
     Column order in the file is free; the returned trace follows ``schema``
     order.  An empty group cell falls back to the timestamp's time-of-day
-    bucket, and blank lines are skipped.  Raises SchemaError for missing
-    or repeated columns and TraceParseError (with the 1-based data row
-    index) for the first malformed row in file order.
+    bucket, and blank lines are skipped.  Raises SchemaError for an empty
+    ``schema`` and for missing or repeated columns, and TraceParseError
+    (with the 1-based data row index) for the first malformed row in file
+    order.
     """
     schema = tuple(schema)
+    if not schema:
+        raise SchemaError("no parameter columns in %s" % (path,))
     with _open_trace(path) as fh:
         reader = csv.reader(fh)
         header = _read_header(reader, path)

@@ -33,16 +33,19 @@ DATASET_KINDS = ("full", "reduced")
 SENSITIVITIES = (20, 60, 100)
 
 
-def label_ground_truth(row, profile, features, sensitivity: SensitivityDegree) -> int:
-    """-1 when enough of ``features`` sit above threshold, else +1.
+def label_ground_truth(row, profile, features, sensitivity: SensitivityDegree):
+    """-1 when enough of ``features`` sit above threshold, else +1: an int
+    for a DataRow, and for a DataTrace an int vector with one label per
+    row.
 
     ``features`` should name the signal parameters of the feature view;
     the required count comes from the sensitivity degree over that list.
     """
     features = list(features)
     required = sensitivity.required_count(len(features))
-    return ANOMALOUS if count_compromised(row, profile, features) >= required \
-        else NORMAL
+    labels = np.where(count_compromised(row, profile, features) >= required,
+                      ANOMALOUS, NORMAL)
+    return labels if labels.ndim else int(labels)
 
 
 def metrics(tp, fp, tn, fn):
@@ -290,12 +293,15 @@ class EvaluationReport:
         """Aligned text tables, one per classifier and sensitivity, with
         full and reduced feature views side by side plus group averages."""
         lines = []
-        present_groups = [g for g in GROUPS
-                          if any(r.group == g for r in self.results)]
+        by_cell = {}
+        for r in self.results:  # the first result of a cell is shown
+            by_cell.setdefault((r.classifier, r.s_pct, r.dataset, r.group), r)
+        blocks = {(r.classifier, r.s_pct) for r in self.results}
+        groups = {r.group for r in self.results}
+        present_groups = [g for g in GROUPS if g in groups]
         for clf in CLASSIFIER_KINDS:
             for s_pct in SENSITIVITIES:
-                block = self.rows(classifier=clf, s_pct=s_pct)
-                if not block:
+                if (clf, s_pct) not in blocks:
                     continue
                 lines.append("%s, sensitivity %d%%" % (clf.upper(), s_pct))
                 header = ["metric"]
@@ -309,9 +315,8 @@ class EvaluationReport:
                     for dataset in DATASET_KINDS:
                         vals = []
                         for g in present_groups:
-                            rs = self.rows(classifier=clf, s_pct=s_pct,
-                                           dataset=dataset, group=g)
-                            vals.append(getattr(rs[0], metric) if rs else None)
+                            r = by_cell.get((clf, s_pct, dataset, g))
+                            vals.append(getattr(r, metric) if r else None)
                         cells += ["%.1f" % v if v is not None else "-"
                                   for v in vals]
                         shown = [v for v in vals if v is not None]
@@ -371,9 +376,8 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
                 sens = SensitivityDegree(s_pct)
                 for group in groups:
                     data, train_mixed = prepared[group]
-                    y_train = np.array(
-                        [label_ground_truth(r, data.profile, signal, sens)
-                         for r in train_mixed.rows])
+                    y_train = label_ground_truth(train_mixed, data.profile,
+                                                 signal, sens)
                     key = (clf, dataset, group, y_train.tobytes())
                     y_pred = predictions.get(key)
                     if y_pred is None:
@@ -383,9 +387,8 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
                         x_test = data.test.to_matrix(features)
                         y_pred = predictions[key] = predict_labels(model, x_test)
 
-                    y_true = np.array(
-                        [label_ground_truth(r, data.profile, signal, sens)
-                         for r in data.test.rows])
+                    y_true = label_ground_truth(data.test, data.profile,
+                                                signal, sens)
                     tp = int(((y_pred == ANOMALOUS) & (y_true == ANOMALOUS)).sum())
                     fp = int(((y_pred == ANOMALOUS) & (y_true == NORMAL)).sum())
                     tn = int(((y_pred == NORMAL) & (y_true == NORMAL)).sum())

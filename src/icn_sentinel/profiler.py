@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, InsufficientDataError, ParameterSpec,
-                   SchemaError, is_finite_number, read_json, write_json)
+from .core import (ConfigError, DataTrace, InsufficientDataError,
+                   ParameterSpec, SchemaError, is_finite_number, read_json,
+                   write_json)
 
 DEFAULT_TRIM_FRACTION = 0.1
 DEFAULT_WINDOW_LEN = 1440
@@ -157,13 +158,20 @@ def build_profile(train, limits) -> ThresholdProfile:
     return ThresholdProfile(params)
 
 
-def count_compromised(row, profile: ThresholdProfile, features) -> int:
-    """Number of ``features`` whose reading strictly exceeds its threshold."""
-    count = 0
-    for name in features:
-        spec = profile.spec(name)
-        if name not in row.values:
-            raise SchemaError("row has no parameter %r" % (name,))
-        if row.values[name] > spec.p_th:
-            count += 1
-    return count
+def count_compromised(row, profile: ThresholdProfile, features):
+    """Number of ``features`` whose reading strictly exceeds its threshold,
+    a name listed twice counting twice: an int for a DataRow, and for a
+    DataTrace an int vector with one count per row."""
+    features = list(features)
+    p_th = np.array([profile.threshold(name) for name in features],
+                    dtype=float)
+    if isinstance(row, DataTrace):
+        values = row.columns(features)
+    else:
+        for name in features:
+            if name not in row.values:
+                raise SchemaError("row has no parameter %r" % (name,))
+        values = np.array([row.values[name] for name in features],
+                          dtype=float)
+    counts = (values > p_th).sum(axis=-1)
+    return counts if counts.ndim else int(counts)

@@ -756,6 +756,18 @@ def test_model_json_round_trips(tmp_path):
     assert restored.bias == svm.bias
 
 
+@pytest.mark.parametrize("kind", CLASSIFIER_KINDS)
+def test_loaded_models_compare_without_raising(kind, tmp_path):
+    # the models and their standardization hold numpy arrays, so == is
+    # identity; a field-wise == raised "truth value ... is ambiguous"
+    path = tmp_path / "model.json"
+    save_model(train_classifier(kind, blob_data(seed=15)), path)
+    first, second = load_model(path), load_model(path)
+    assert first == first and not first == second
+    assert first.standardization != second.standardization
+    assert model_to_json(first) == model_to_json(second)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(CLASSIFIER_KINDS), c45_cases(), st.data())
 def test_model_json_round_trip_property(kind, case, draw):

@@ -522,6 +522,23 @@ def test_every_command_rejects_a_repeated_column(campaign_dir, models_dir,
     assert not (tmp_path / "m").exists()
 
 
+def test_train_and_select_refuse_a_csv_with_no_parameter_columns(
+        tmp_path, capsys):
+    # an empty schema used to end in an IndexError traceback, exit 1
+    data = tmp_path / "bare.csv"
+    data.write_text("ts,group,label\n0,MD,1\n60,MD,-1\n")
+    events = tmp_path / "bare.events"
+    events.write_text("A\nB\n")
+    for argv in (["train", "--data", str(data), "--events", str(events),
+                  "--out", str(tmp_path / "m")],
+                 ["select", "--data", str(data)]):
+        assert main(argv) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "no parameter columns in %s" % data in err, err
+    assert not (tmp_path / "m").exists()
+
+
 def test_model_and_config_errors_name_the_file(campaign_dir, models_dir,
                                                tmp_path, capsys):
     models = tmp_path / "models"

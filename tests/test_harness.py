@@ -10,13 +10,16 @@ from icn_sentinel import harness
 from icn_sentinel.classifiers import (CLASSIFIER_KINDS, LabeledSet,
                                       predict_label, train_classifier)
 from icn_sentinel.core import (ANOMALOUS, NORMAL, ConfigError, DataRow,
-                               EventTrace, GROUPS, MetricError, SchemaError,
-                               SensitivityDegree, derive_seed)
+                               DataTrace, EventTrace, GROUPS, MetricError,
+                               ParameterSpec, SchemaError, SensitivityDegree,
+                               derive_seed)
 from icn_sentinel.harness import (DATASET_KINDS, SENSITIVITIES, Detector,
                                   EvaluationReport, MatrixConfig, dual_detect,
                                   event_chunks, label_ground_truth, metrics,
                                   run_matrix)
 from icn_sentinel.iac import train_iac_model
+from icn_sentinel.profiler import (ThresholdProfile, compute_threshold,
+                                   count_compromised)
 from icn_sentinel.synth import (config_hash, default_config, gen_campaign,
                                 group_profile,
                                 inject_attacks)
@@ -83,6 +86,49 @@ def test_label_ground_truth_by_sensitivity():
             got = label_ground_truth(row, profile, signal,
                                      SensitivityDegree(s_pct))
             assert got == label, (n_exceed, s_pct)
+
+
+@st.composite
+def labelling_cases(draw):
+    """(trace, profile, features, sensitivity): a trace over 1-5 drawn
+    parameters whose cells are often exactly a threshold, and features
+    drawn from its schema, sometimes with a name listed twice."""
+    schema = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]),
+                           min_size=1, max_size=5, unique=True))
+    specs = {}
+    for name in schema:
+        psi = draw(st.floats(1.0, 1e4))
+        mu = psi * draw(st.floats(0.0, 1.0))
+        specs[name] = ParameterSpec(name, psi, mu, *compute_threshold(psi, mu))
+    cell = {n: st.one_of(st.just(s.p_th), st.floats(0.0, 2 * s.psi))
+            for n, s in specs.items()}
+    rows = [DataRow(60 * i, "MD", {n: draw(cell[n]) for n in schema})
+            for i in range(draw(st.integers(0, 12)))]
+    features = draw(st.lists(st.sampled_from(schema), min_size=1,
+                             max_size=6))
+    if draw(st.booleans()):
+        features.append(features[0])
+    sens = SensitivityDegree(draw(st.sampled_from(SENSITIVITIES)))
+    return (DataTrace(schema, rows), ThresholdProfile(specs), features,
+            sens)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labelling_cases())
+def test_trace_labelling_matches_per_row_labels(case):
+    trace, profile, features, sens = case
+    # reference: one Python comparison per listed name, row by row
+    counts = [sum(r.values[n] > profile.threshold(n) for n in features)
+              for r in trace.rows]
+    assert count_compromised(trace, profile, features).tolist() == counts
+    assert [count_compromised(r, profile, features)
+            for r in trace.rows] == counts
+    labels = label_ground_truth(trace, profile, features, sens)
+    assert labels.tolist() == [label_ground_truth(r, profile, features, sens)
+                               for r in trace.rows]
+    required = sens.required_count(len(features))
+    assert labels.tolist() == [ANOMALOUS if c >= required else NORMAL
+                               for c in counts]
 
 
 def test_event_chunks():
@@ -270,6 +316,76 @@ def test_report_csv_and_tables(tmp_path, report):
     assert "KNN, sensitivity 100%" in text
     assert "full/MD" in text and "reduced/avg" in text
     assert "ADR" in text and "FPR" in text and "SA" in text
+
+
+def reference_tables(report):
+    """render_tables as it was written over rows() scans: the reference."""
+    lines = []
+    present_groups = [g for g in GROUPS
+                      if any(r.group == g for r in report.results)]
+    for clf in CLASSIFIER_KINDS:
+        for s_pct in SENSITIVITIES:
+            if not report.rows(classifier=clf, s_pct=s_pct):
+                continue
+            lines.append("%s, sensitivity %d%%" % (clf.upper(), s_pct))
+            header = ["metric"]
+            for dataset in DATASET_KINDS:
+                header += ["%s/%s" % (dataset, g) for g in present_groups]
+                header.append("%s/avg" % dataset)
+            widths = [max(10, len(h) + 2) for h in header]
+            lines.append("".join(h.ljust(w) for h, w in zip(header, widths)))
+            for metric in ("adr", "fpr", "sa"):
+                cells = [metric.upper()]
+                for dataset in DATASET_KINDS:
+                    vals = []
+                    for g in present_groups:
+                        rs = report.rows(classifier=clf, s_pct=s_pct,
+                                         dataset=dataset, group=g)
+                        vals.append(getattr(rs[0], metric) if rs else None)
+                    cells += ["%.1f" % v if v is not None else "-"
+                              for v in vals]
+                    shown = [v for v in vals if v is not None]
+                    cells.append("%.1f" % (sum(shown) / len(shown))
+                                 if shown else "-")
+                lines.append("".join(c.ljust(w) for c, w in zip(cells, widths)))
+            lines.append("")
+    return "\n".join(lines)
+
+
+def test_render_tables_matches_reference(campaign, report):
+    filtered = run_matrix(campaign, groups=["MD", "ED"], classifiers=["knn"])
+    # no SVM 60 % block, no reduced/AD cell anywhere, no ND group at all
+    gaps = EvaluationReport(tuple(
+        r for r in report.results
+        if (r.classifier, r.s_pct) != ("svm", 60)
+        and (r.dataset, r.group) != ("reduced", "AD") and r.group != "ND"))
+    # a repeated cell shows its first result
+    repeated = EvaluationReport(report.results + tuple(
+        dataclasses.replace(r, adr=0.0, sa=0.0) for r in report.results[:9]))
+    for case in (report, filtered, gaps, repeated, EvaluationReport(())):
+        assert case.render_tables() == reference_tables(case)
+    assert "SVM, sensitivity 60%" not in gaps.render_tables()
+    assert "ND" not in gaps.render_tables()
+
+
+def test_run_matrix_labels_from_the_matrix(monkeypatch):
+    # ground truth comes from each partition's matrix: no trace builds its
+    # DataRow views (rows is a cached_property, so it shows in vars())
+    camp = gen_campaign(default_config(seed=1))
+    mixed = []
+    inject = harness.inject_attacks
+
+    def keep(*args, **kwargs):
+        out = inject(*args, **kwargs)
+        mixed.append(out[0])
+        return out
+
+    monkeypatch.setattr(harness, "inject_attacks", keep)
+    assert len(run_matrix(camp).results) == 72
+    partitions = mixed + [t for data in camp.groups.values()
+                          for t in (data.train, data.test)]
+    assert len(partitions) == 12
+    assert all("rows" not in vars(t) for t in partitions)
 
 
 def distinct_training_sets(campaign):
