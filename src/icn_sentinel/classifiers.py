@@ -229,12 +229,13 @@ class _HingeSkip:
         self.tiny = _TINY * (k + d)
         self.floor = _TINY * (n + d) * (1.0 + self.absz.sum(axis=1).max())
 
-    def sure(self, i, w, b, decay) -> np.ndarray:
+    def sure(self, i, w, b, powers) -> np.ndarray:
         """True for each of samples i, i+1, ... whose hinge test is certain
         not to fire when it is reached from weights ``w`` and bias ``b``
-        by decays alone."""
+        by decays alone.  ``powers`` is the epoch's ``cumprod`` of n
+        decays; a ``cumprod`` prefix is bit for bit that of fewer."""
         m = len(self.y) - i
-        powers = np.cumprod(np.full(m, decay))
+        powers = powers[:m]
         low = self.yz[i:] @ w
         low *= powers
         slack = self.absz[i:] @ np.abs(w)
@@ -287,13 +288,16 @@ def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
         # eta * c_param * yi * zi did, so every rounding is the same
         decay = max(1.0 - eta / n, 0.0)
         step = eta * c_param
+        powers = None  # the decay powers, once a run is checked
         i = 0
         while i < n:
             if plain:
                 end = min(n, i + plain)
                 plain -= end - i
             else:
-                sure = skip.sure(i, w, b, decay)
+                if powers is None:
+                    powers = np.cumprod(np.full(n, decay))
+                sure = skip.sure(i, w, b, powers)
                 run = int(sure.argmin())
                 if sure[run]:
                     run = len(sure)

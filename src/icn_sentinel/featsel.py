@@ -22,9 +22,10 @@ PARSIMONY_PENALTY = 0.002
 # cross-validation folds that score a subset
 FOLDS = 5
 
-# kNN cross-validation keeps each fold's squared-difference tensor while
-# all folds' tensors together hold at most this many floats (about
-# 0.8 * rows**2 * features for 5 folds)
+# kNN cross-validation keeps a split's stacked squared-difference tensor
+# while its folds' own (test, train, feature) blocks together hold at most
+# this many floats (about 0.8 * rows**2 * features for 5 folds); the +inf
+# padding, at most 2 columns per fold, is not counted
 KNN_TENSOR_FLOATS = 2 ** 22
 
 # the inner CV loop trains the SVM for fewer epochs than its default
@@ -80,29 +81,62 @@ def stratified_folds(y, seed=0):
 
 @dataclass(frozen=True)
 class _Fold:
-    """One CV fold at full width: C-ordered raw train and test rows, their
-    labels and, once k-NN asks for it, the squared-difference tensor."""
+    """One CV fold at full width: C-ordered raw train and test rows and
+    their labels."""
 
     train_x: np.ndarray
     train_y: np.ndarray
     test_x: np.ndarray
     test_y: np.ndarray
 
+
+@dataclass(frozen=True)
+class _Split:
+    """The non-empty CV folds of one (data, seed) and, once k-NN asks for
+    them, their squared differences stacked along the query axis."""
+
+    folds: tuple
+
     @cached_property
-    def sq_diff(self) -> np.ndarray:
-        """Squared differences of the standardized test and training rows,
-        one C-ordered (test, train) plane per feature, built on first use.
-        From two columns up a subset's planes equal those of its own fit."""
-        if len(np.unique(self.train_y)) < 2:
-            raise DegenerateDataError(
-                "training data must contain both classes")
-        std = Standardization.fit(self.train_x)
-        return _sq_planes(std.apply(self.train_x), std.apply(self.test_x))
+    def sq_diff(self):
+        """(planes, query_fold, train_y, test_y), built on first use.
+
+        planes holds one C-ordered (all test rows, widest training fold)
+        plane per feature.  Each fold's test rows hold the squared
+        differences of that fold's standardized test and training rows,
+        then +inf in the columns past its own training size: at most 2,
+        as stratified training folds differ by at most one row per class.
+        query_fold is each test row's fold, train_y[f] fold f's training
+        labels, padded alike, and test_y the test labels in row order.
+        From two columns up a subset's block of a fold equals the planes
+        of its own fit, and a finite distance always beats a padding
+        column.
+        """
+        folds = self.folds
+        width = max(len(f.train_y) for f in folds)
+        sizes = [len(f.test_y) for f in folds]
+        planes = np.full((folds[0].test_x.shape[1], sum(sizes), width),
+                         np.inf)
+        test_y = np.concatenate([f.test_y for f in folds])
+        train_y = np.zeros((len(folds), width), dtype=test_y.dtype)
+        start = 0
+        for i, f in enumerate(folds):
+            if len(np.unique(f.train_y)) < 2:
+                raise DegenerateDataError(
+                    "training data must contain both classes")
+            std = Standardization.fit(f.train_x)
+            m = len(f.train_y)
+            planes[:, start:start + sizes[i], :m] = _sq_planes(
+                std.apply(f.train_x), std.apply(f.test_x))
+            train_y[i, :m] = f.train_y
+            start += sizes[i]
+        query_fold = np.repeat(np.arange(len(folds)), sizes)
+        return planes, query_fold, train_y, test_y
 
 
-def _cv_folds(data: LabeledSet, seed):
-    """The non-empty folds of data, split once per seed; the memo on data
-    keeps the latest seed only."""
+def _cv_folds(data: LabeledSet, seed) -> _Split:
+    """The split of data into its non-empty folds, made once per seed; the
+    memo on data keeps the latest seed only."""
     memo = data._folds
     if seed not in memo:
         y = data.y
@@ -111,15 +145,15 @@ def _cv_folds(data: LabeledSet, seed):
             raise DegenerateDataError(
                 "cross-validation needs >= 2 members per class")
         assignment = stratified_folds(y, seed=seed)
-        split = []
+        folds = []
         for fold in range(FOLDS):
             mask = assignment == fold
             if not mask.any():
                 continue
-            split.append(_Fold(np.ascontiguousarray(data.x[~mask]), y[~mask],
+            folds.append(_Fold(np.ascontiguousarray(data.x[~mask]), y[~mask],
                                np.ascontiguousarray(data.x[mask]), y[mask]))
         memo.clear()
-        memo[seed] = split
+        memo[seed] = _Split(tuple(folds))
     return memo[seed]
 
 
@@ -129,9 +163,11 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn",
 
     Standardization is refit on each training fold; folds whose training
     side lost a class are impossible by the round-robin construction for
-    classes with >= 2 members.  The folds are split once per (data, seed).  A k-NN subset of two or more columns is scored from each
-    fold's squared-difference tensor while the tensors fit
-    KNN_TENSOR_FLOATS; any other subset refits its own columns per fold.
+    classes with >= 2 members.  The folds are split once per (data, seed).
+    A k-NN subset of two or more columns is scored over all folds at once,
+    by one _nearest call on the split's stacked squared differences, while
+    the folds' blocks fit KNN_TENSOR_FLOATS; any other subset refits its
+    own columns per fold.
     """
     indices = sorted(indices)
     if not indices:
@@ -144,23 +180,24 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn",
                               % (j, data.n_features))
         if j == before:
             raise ConfigError("feature index %r is repeated" % (j,))
-    columns = np.asarray(indices)
     split = _cv_folds(data, seed)
-    planes = evaluator == "knn" and len(indices) > 1 and sum(
-        len(f.test_y) * f.train_x.size for f in split) <= KNN_TENSOR_FLOATS
+    if evaluator == "knn" and len(indices) > 1 and sum(
+            len(f.test_y) * f.train_x.size for f in split.folds) \
+            <= KNN_TENSOR_FLOATS:
+        planes, query_fold, train_y, test_y = split.sq_diff
+        predicted = train_y[query_fold, _nearest(planes, indices)]
+        return np.count_nonzero(predicted == test_y) / len(data.y)
+    columns = np.asarray(indices)
     correct = 0
-    for fold in split:
-        if planes:
-            predicted = fold.train_y[_nearest(fold.sq_diff, indices)]
-        else:
-            x = np.ascontiguousarray(fold.train_x[:, columns])
-            std = Standardization.fit(x)
-            model = train_classifier(evaluator,
-                                     LabeledSet(x, fold.train_y, std,
-                                                std.apply(x)),
-                                     **_EVAL_HYPER.get(evaluator, {}))
-            predicted = predict_labels(
-                model, np.ascontiguousarray(fold.test_x[:, columns]))
+    for fold in split.folds:
+        x = np.ascontiguousarray(fold.train_x[:, columns])
+        std = Standardization.fit(x)
+        model = train_classifier(evaluator,
+                                 LabeledSet(x, fold.train_y, std,
+                                            std.apply(x)),
+                                 **_EVAL_HYPER.get(evaluator, {}))
+        predicted = predict_labels(
+            model, np.ascontiguousarray(fold.test_x[:, columns]))
         correct += np.count_nonzero(predicted == fold.test_y)
     return correct / len(data.y)
 
@@ -237,8 +274,7 @@ def genetic_select(data: LabeledSet, evaluator="knn", config=None,
 
     population = [random_mask() for _ in range(config.population)]
 
-    def tournament(scores):
-        picks = rng.integers(0, len(population), size=3).tolist()
+    def tournament(scores, picks):
         best = min(picks, key=lambda i: (-scores[i], i))
         return population[best]
 
@@ -257,8 +293,12 @@ def genetic_select(data: LabeledSet, evaluator="knn", config=None,
 
         nxt = [best_mask.copy()]  # elitism
         while len(nxt) < config.population:
-            pa = tournament(scores)
-            pb = tournament(scores)
+            # one draw for both tournaments gives the two size-3 draws'
+            # values and leaves the generator as they do: each bounded
+            # value takes its own 32-bit output, whatever the size
+            picks = rng.integers(0, len(population), size=6).tolist()
+            pa = tournament(scores, picks[:3])
+            pb = tournament(scores, picks[3:])
             if rng.random() < config.crossover_rate:
                 coin = rng.random(n) < 0.5
                 child = np.where(coin, pa, pb)

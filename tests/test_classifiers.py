@@ -288,7 +288,8 @@ def test_hinge_skip_never_skips_a_firing_test(case):
     rng = np.random.default_rng(m)
     trials.append((w * (2.0 ** -1070 if tiny else 1.0), rng.uniform(-3, 3)))
     for weights, b in trials:
-        sure = skip.sure(i, weights, b, decay)
+        sure = skip.sure(i, weights, b,
+                         np.cumprod(np.full(len(y), decay)))
         fires = decayed_margins(z, y, i, m, weights, b, decay) < 1.0
         assert not (sure & fires).any()
 
@@ -300,8 +301,9 @@ def test_hinge_skip_certifies_a_unit_margin():
     y = np.ones(30)
     skip = classifiers._HingeSkip(z, y)
     for decay in (0.0, 0.5, 1.0 - 1.0 / 30):
-        assert skip.sure(0, np.zeros(4), 1.0, decay).all()
-        assert not skip.sure(5, np.zeros(4), -1.0, decay).any()
+        powers = np.cumprod(np.full(30, decay))
+        assert skip.sure(0, np.zeros(4), 1.0, powers).all()
+        assert not skip.sure(5, np.zeros(4), -1.0, powers).any()
     assert not (decayed_margins(z, y, 0, 30, np.zeros(4), 1.0, 0.5)
                 < 1.0).any()
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from icn_sentinel import classifiers, featsel
 from icn_sentinel.classifiers import (CLASSIFIER_KINDS, LabeledSet,
                                       predict_labels, train_classifier)
+from icn_sentinel.cli import main
 from icn_sentinel.core import (ConfigError, DegenerateDataError)
 from icn_sentinel.featsel import (FOLDS, FeatureSubset, GaConfig,
                                   cross_val_accuracy, genetic_select,
@@ -191,35 +192,49 @@ def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
 
 
 def assert_own_fit_planes(seen, data, indices, seed):
-    """The (planes, columns) pairs a featsel._nearest spy recorded, one per
-    non-empty fold, name the subset's sorted columns and hold, bit for
-    bit, the squared-difference planes of the subset's own from_raw fit."""
+    """The one (planes, columns) pair a featsel._nearest spy recorded for a
+    subset names the subset's sorted columns and stacks the test rows of
+    every non-empty fold in fold order: each fold's block over its own
+    training columns holds, bit for bit, the squared-difference planes of
+    the subset's own from_raw fit, and every cell past them is +inf."""
     indices = sorted(indices)
     x = data.x[:, indices]
     assignment = stratified_folds(data.y, seed=seed)
     masks = [m for m in (assignment == f for f in range(FOLDS)) if m.any()]
-    assert len(seen) == len(masks)
-    for (planes, columns), mask in zip(seen, masks):
-        assert columns == indices
+    assert len(seen) == 1
+    planes, columns = seen[0]
+    assert columns == indices
+    # the layout fixes numpy's summation order
+    width = max(int(np.count_nonzero(~m)) for m in masks)
+    assert planes.dtype == float and planes.flags.c_contiguous
+    assert planes.shape == (data.n_features, len(data.y), width)
+    start = 0
+    for mask in masks:
+        rows = slice(start, start + int(np.count_nonzero(mask)))
         ref = LabeledSet.from_raw(x[~mask], data.y[~mask])
-        assert_bitwise(planes, classifiers._sq_planes(
-            ref.xz, ref.standardization.apply(x[mask])))
+        own = len(ref.y)
+        assert_bitwise(np.ascontiguousarray(planes[indices, rows, :own]),
+                       classifiers._sq_planes(
+                           ref.xz, ref.standardization.apply(x[mask])))
+        assert (planes[:, rows, own:] == np.inf).all()
+        start = rows.stop
+    assert start == len(data.y)
 
 
 def spy_nearest(seen):
-    """A featsel._nearest that records the planes it adds and their
-    columns."""
+    """A featsel._nearest that records the planes it is given and the
+    columns it adds."""
     def nearest_spy(planes, columns):
-        seen.append((planes[columns], list(columns)))
+        seen.append((planes, list(columns)))
         return classifiers._nearest(planes, columns)
     return nearest_spy
 
 
 def check_knn_planes_equal_from_raw(monkeypatch, data, sizes, seeds):
-    """For random subsets of each size, each fold's k-NN planes over the
-    subset's columns are bit for bit those of the subset's own fit, and
-    the accuracy is the cold path's; a one-column subset fits its own
-    column and never reaches the planes."""
+    """For random subsets of each size, one _nearest call scores all folds
+    from planes whose blocks are bit for bit those of the subset's own fit
+    per fold, and the accuracy is the cold path's; a one-column subset
+    fits its own column and never reaches the planes."""
     seen = []
     monkeypatch.setattr(featsel, "_nearest", spy_nearest(seen))
     rng = np.random.default_rng(3)
@@ -230,7 +245,7 @@ def check_knn_planes_equal_from_raw(monkeypatch, data, sizes, seeds):
             seen.clear()
             assert cross_val_accuracy(data, idx, "knn", seed=seed) \
                 == cold_cross_val(data, idx, "knn", seed)
-            assert len(seen) == (0 if size == 1 else FOLDS)
+            assert len(seen) == (0 if size == 1 else 1)
             if seen:
                 assert_own_fit_planes(seen, data, idx, seed)
 
@@ -427,3 +442,159 @@ def test_subset_indices_are_sorted_tuples():
                                                         seed=1))):
         assert isinstance(subset, FeatureSubset)
         assert list(subset.indices) == sorted(subset.indices)
+
+
+def test_stacked_knn_padding_and_overflow(monkeypatch):
+    """Folds of uneven training size pad the stacked planes with +inf, and
+    one fold's training spread in column 0 is tiny but non-zero, so its
+    far test row is at distance inf from every training row (the squares
+    overflow).  The stacked path labels every row as the cold path does:
+    index 0 on that all-inf row, and never a padding column."""
+    y = np.array([1] * 8 + [-1] * 7)
+    seed = 0
+    assignment = stratified_folds(y, seed=seed)
+    sizes = np.bincount(assignment, minlength=FOLDS)
+    assert sizes.min() > 0 and len(set(sizes)) > 1
+    narrow = int(np.argmax(sizes))  # the fold with the fewest training rows
+    far = int(np.flatnonzero(assignment == narrow)[-1])
+    x = np.random.default_rng(8).normal(size=(len(y), 3)) + y[:, None]
+    x[:, 0] = np.where(np.arange(len(y)) % 2, 1e-152, -1e-152)
+    x[far, 0] = 1e3
+    data = LabeledSet.from_raw(x, y)
+    masks = [assignment == f for f in range(FOLDS)]
+    own = [int(np.count_nonzero(~m)) for m in masks]
+    query_fold = np.concatenate([np.full(s, f) for f, s in enumerate(sizes)])
+    far_row = int(np.flatnonzero(query_fold == narrow)[-1])
+    seen = []
+
+    def nearest_spy(planes, columns):
+        nearest = classifiers._nearest(planes, columns)
+        seen.append((planes, nearest))
+        return nearest
+
+    monkeypatch.setattr(featsel, "_nearest", nearest_spy)
+    for subset in ([0, 1], [0, 1, 2], [0, 2]):
+        seen.clear()
+        with np.errstate(over="ignore"):
+            score = cross_val_accuracy(data, subset, "knn", seed=seed)
+            assert score == cold_cross_val(data, subset, "knn", seed)
+            cold = np.concatenate([
+                predict_labels(train_classifier(
+                    "knn", LabeledSet.from_raw(x[~m][:, subset], y[~m])),
+                    x[m][:, subset]) for m in masks])
+        (planes, nearest), = seen
+        assert planes.shape[2] == max(own) > min(own)
+        assert (planes[0, far_row, :own[narrow]] == np.inf).all()
+        assert nearest[far_row] == 0
+        assert (nearest < np.take(own, query_fold)).all()
+        train_y = [y[~m] for m in masks]
+        stacked = np.array([train_y[f][i]
+                            for f, i in zip(query_fold, nearest)])
+        assert stacked.tolist() == cold.tolist()
+
+
+def golden_data():
+    """47 rows over 8 columns of mixed scale, two of them informative, in
+    two classes of 22 and 25 rows, so stratified folds differ in size."""
+    rng = np.random.default_rng(2024)
+    n = 47
+    y = np.where(rng.random(n) < 0.45, 1, -1)
+    x = rng.normal(size=(n, 8)) * 10.0 ** rng.uniform(-2, 2, size=8)
+    x[:, 0] += 0.9 * y * abs(x[:, 0]).mean()
+    x[:, 3] += 0.5 * y * abs(x[:, 3]).mean()
+    return LabeledSet.from_raw(x, y)
+
+
+# (evaluator, GA seed) -> selected indices, score.hex() and each history
+# entry's hex, recorded from the per-fold, one-tournament-per-draw
+# implementation with GaConfig(population=8, generations=5)
+GA_GOLDEN = {
+    ("knn", 0): ((0, 1, 4, 7), "0x1.7d46cefa8d9dfp-1", [
+        "0x1.4fa774e909480p-1", "0x1.6158699fdfedep-1",
+        "0x1.792e3b85d1337p-1", "0x1.792e3b85d1337p-1",
+        "0x1.792e3b85d1337p-1"]),
+    ("knn", 1): ((0, 4, 6, 7), "0x1.72620ae4c415dp-1", [
+        "0x1.6e49777007ab5p-1"] * 5),
+    ("knn", 2): ((0, 1, 3, 5), "0x1.882b931057262p-1", [
+        "0x1.4ea1500bda2d6p-1", "0x1.4ea1500bda2d6p-1",
+        "0x1.7a346063004e1p-1", "0x1.7a346063004e1p-1",
+        "0x1.8412ff9b9abbap-1"]),
+    ("svm", 0): ((0, 1, 7), "0x1.72620ae4c415dp-1", [
+        "0x1.4fa774e909480p-1", "0x1.4fa774e909480p-1",
+        "0x1.6f4f9c4d36c5fp-1", "0x1.6f4f9c4d36c5fp-1",
+        "0x1.6f4f9c4d36c5fp-1"]),
+    ("svm", 1): ((0, 1, 6), "0x1.51b3bea3677d4p-1", [
+        "0x1.4b8ee1744cdd8p-1", "0x1.4d9b2b2eab12cp-1",
+        "0x1.4ea1500bda2d6p-1", "0x1.4ea1500bda2d6p-1",
+        "0x1.4ea1500bda2d6p-1"]),
+    ("svm", 2): ((0, 3), "0x1.72620ae4c415dp-1", [
+        "0x1.587fef44749afp-1", "0x1.59861421a3b59p-1",
+        "0x1.646ad8376d3dcp-1", "0x1.7055c12a65e09p-1",
+        "0x1.7055c12a65e09p-1"]),
+    ("c45", 0): ((0, 4, 5, 6, 7), "0x1.72620ae4c415dp-1", [
+        "0x1.4c9506517bf82p-1", "0x1.4c9506517bf82p-1",
+        "0x1.6158699fdfedep-1", "0x1.6d435292d890bp-1",
+        "0x1.6d435292d890bp-1"]),
+    ("c45", 1): ((4, 6, 7), "0x1.677d46cefa8dap-1", [
+        "0x1.646ad8376d3dcp-1"] * 5),
+    ("c45", 2): ((0, 1, 3), "0x1.677d46cefa8dap-1", [
+        "0x1.6364b35a3e232p-1", "0x1.6364b35a3e232p-1",
+        "0x1.6364b35a3e232p-1", "0x1.646ad8376d3dcp-1",
+        "0x1.646ad8376d3dcp-1"]),
+}
+
+
+@pytest.mark.parametrize("evaluator, seed", list(GA_GOLDEN))
+def test_genetic_select_golden(evaluator, seed):
+    subset, history = genetic_select(
+        golden_data(), evaluator,
+        GaConfig(population=8, generations=5, seed=seed),
+        return_history=True)
+    indices, score, hist = GA_GOLDEN[evaluator, seed]
+    assert subset.indices == indices
+    assert subset.score.hex() == score
+    assert [h.hex() for h in history] == hist
+
+
+def test_greedy_select_golden():
+    subset = greedy_select(golden_data(), "knn")
+    assert subset.indices == (0, 1)
+    assert subset.score.hex() == "0x1.882b931057262p-1"
+
+
+def test_select_cli_golden(tmp_path):
+    """The JSON bytes of a genetic k-NN select on a 40-rows-per-group
+    "mixed" campaign, recorded from the per-fold implementation."""
+    from icn_sentinel.cli import main
+    config = tmp_path / "gen.json"
+    config.write_text('{"rows_per_group": 40, "attack_pattern": "mixed"}')
+    assert main(["gen", "--config", str(config), "--seed", "5",
+                 "--out", str(tmp_path / "campaign")]) == 0
+    out = tmp_path / "selection.json"
+    assert main(["select", "--data", str(tmp_path / "campaign" / "MD_test.csv"),
+                 "--method", "genetic", "--algo", "knn", "--seed", "3",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (
+        b'{\n  "features": [\n    "GBV",\n    "Power",\n    "AFR",\n'
+        b'    "IGV",\n    "LOT"\n  ],\n  "score": 0.95\n}\n')
+
+
+@pytest.mark.parametrize("n", [2, 3, 30, 257, 10 ** 6])
+def test_paired_tournament_draw_equals_two_draws(n):
+    """genetic_select draws a child's two tournaments as one size-6
+    integers call: its values and the generator state after it equal two
+    size-3 calls, amid the float draws of crossover and mutation and the
+    scalar draw that repairs an empty child."""
+    for seed in range(20):
+        paired, split = np.random.default_rng(seed), np.random.default_rng(seed)
+        for step in range(60):
+            assert paired.integers(0, n, size=6).tolist() == \
+                split.integers(0, n, size=3).tolist() \
+                + split.integers(0, n, size=3).tolist()
+            assert paired.random() == split.random()
+            width = 1 + step % 9
+            assert paired.random(width).tobytes() == \
+                split.random(width).tobytes()
+            if step % 4 == 0:
+                assert paired.integers(0, width) == split.integers(0, width)
+        assert paired.bit_generator.state == split.bit_generator.state
