@@ -22,7 +22,7 @@ assert (cmin.values[2], cmax.values[2]) == (1, 2)
 # interval around the per-window means
 clean = [EventTrace(tuple("ABC" * 12)) for _ in range(6)]
 model = train_iac_model(clean, w_delta=18)
-print("\nmodeled events:", " ".join(sorted(model.feature_events)))
+print("\nmodeled events:", " ".join(sorted(model.curves)))
 
 # an identical trace conforms
 verdict = classify_trace(EventTrace(tuple("ABC" * 12)), model)

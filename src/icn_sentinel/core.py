@@ -84,8 +84,17 @@ def is_name_list(value) -> bool:
 
 
 def json_float(value, key, convert=float):
-    """``convert(value)`` for a number read from a JSON artifact; an integer
-    beyond float range raises SchemaError naming ``key``, not OverflowError."""
+    """``convert(value)`` for a number, or nested lists of numbers, read from
+    a JSON artifact.  A string or boolean anywhere in it, which ``float``
+    would read as a number, and an integer beyond float range raise
+    SchemaError naming ``key``."""
+    pending = [value]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending += item
+        elif isinstance(item, (str, bool)):
+            raise SchemaError("%s: expected a number, got %r" % (key, item))
     try:
         return convert(value)
     except OverflowError:

@@ -20,8 +20,8 @@ import numpy as np
 
 from .core import (ANOMALOUS, ConfigError, DataTrace, EventTrace, GROUPS,
                    MetricError, NORMAL, SchemaError, SensitivityDegree,
-                   derive_seed, is_name_list, parse_data_trace,
-                   parse_event_trace, read_json, write_json)
+                   _check_distinct, derive_seed, is_name_list,
+                   parse_data_trace, parse_event_trace, read_json, write_json)
 from .classifiers import (CLASSIFIER_KINDS, LabeledSet, load_model,
                           model_kind, predict_labels, save_model,
                           train_classifier)
@@ -334,8 +334,9 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
 
     Ground truth on both partitions comes from the generator's own
     profile over the signal parameters, so denominators match the
-    injected attack counts exactly.  Filters narrow the matrix; the full
-    default grid is 3 * 2 * 3 * 4 = 72 cells in canonical order.
+    injected attack counts exactly.  Filters narrow the matrix, and a
+    group named twice raises SchemaError; the full default grid is
+    3 * 2 * 3 * 4 = 72 cells in canonical order.
     Training has no randomness, so cells that share a classifier, view,
     group and training labels (every sensitivity, under the "five" attack
     pattern) train once and share the test predictions.
@@ -346,6 +347,7 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
     datasets = tuple(datasets) if datasets else DATASET_KINDS
     sensitivities = tuple(sensitivities) if sensitivities else SENSITIVITIES
     classifiers = tuple(classifiers) if classifiers else CLASSIFIER_KINDS
+    _check_distinct(groups, "group")
     for g in groups:
         if g not in campaign.groups:
             raise ConfigError("campaign has no group %r" % (g,))

@@ -25,7 +25,7 @@ from scipy.stats import t as student_t
 
 from .core import (ConfigError, EventNotFoundError, EventTrace,
                    InsufficientDataError, SchemaError, SensitivityDegree,
-                   SentinelError, is_finite_number, is_name_list, json_float,
+                   SentinelError, is_finite_number, json_float,
                    read_json, write_json)
 
 DEFAULT_W_DELTA = 25
@@ -333,11 +333,8 @@ class IacModel:
 
     curves: dict  # event -> {w: (min_mean, min_lo, min_hi, max_mean, max_lo, max_hi)}
     w_delta: int = DEFAULT_W_DELTA
-    confidence: float = DEFAULT_CONFIDENCE
     alpha: float = DEFAULT_ALPHA
     sigma_th: float = DEFAULT_SIGMA_TH
-    feature_events: tuple = ()
-    frequencies: dict = None
     # classify_trace verdicts by (window, alpha, sigma_th, s_pct)
     _verdicts: dict = field(default_factory=dict, init=False, compare=False,
                             repr=False)
@@ -348,51 +345,26 @@ class IacModel:
     def to_json(self) -> dict:
         events = {e: {str(w): list(band) for w, band in bands.items()}
                   for e, bands in self.curves.items()}
-        return {
-            "events": events,
-            "feature_events": sorted(self.feature_events),
-            "frequencies": dict(self.frequencies or {}),
-            "w_delta": self.w_delta,
-            "confidence": self.confidence,
-            "alpha": self.alpha,
-            "sigma_th": self.sigma_th,
-        }
+        return {"events": events, "w_delta": self.w_delta,
+                "alpha": self.alpha, "sigma_th": self.sigma_th}
 
     @classmethod
     def from_json(cls, doc) -> "IacModel":
         """Rebuild a model; a value that does not fit raises SchemaError
         naming its key.  An infinite sigma_th stays legal."""
         events = doc["events"]
-        if not isinstance(events, dict):
-            raise SchemaError("events: expected an object of event -> bands")
+        if not isinstance(events, dict) or not events:
+            raise SchemaError("events: expected a non-empty object of event "
+                              "-> bands")
         curves = {e: _bands_from_json(e, bands) for e, bands in events.items()}
-        feature_events = doc["feature_events"]
-        if not is_name_list(feature_events):
-            raise SchemaError("feature_events: expected a non-empty list of "
-                              "distinct strings")
         w_delta = doc["w_delta"]
         if type(w_delta) is not int or w_delta < 1:
             raise SchemaError("w_delta: expected an integer >= 1, got %r"
                               % (w_delta,))
-        confidence = json_float(doc["confidence"], "confidence")
-        if not 0 < confidence < 1:
-            raise SchemaError("confidence: expected a value in (0, 1), got %r"
-                              % confidence)
         alpha = json_float(doc["alpha"], "alpha")
         sigma_th = json_float(doc["sigma_th"], "sigma_th")
         _check_gates(alpha, sigma_th, SchemaError)
-        frequencies = doc.get("frequencies", {})
-        if not isinstance(frequencies, dict) or not all(
-                type(n) is int and n >= 0 for n in frequencies.values()):
-            raise SchemaError("frequencies: expected an object of event -> "
-                              "integer >= 0")
-        return cls(curves,
-                   w_delta=w_delta,
-                   confidence=confidence,
-                   alpha=alpha,
-                   sigma_th=sigma_th,
-                   feature_events=tuple(feature_events),
-                   frequencies=dict(frequencies))
+        return cls(curves, w_delta=w_delta, alpha=alpha, sigma_th=sigma_th)
 
     def save(self, path):
         write_json(path, self.to_json())
@@ -406,11 +378,10 @@ def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, alpha=DEFAULT_ALPHA,
                     sigma_th=DEFAULT_SIGMA_TH) -> IacModel:
     """Aggregate per-trace curves from >= 2 normal traces into a model.
 
-    Every event of the traces is a feature event, with bands at
-    DEFAULT_CONFIDENCE; an event present in fewer than two traces gets an
-    empty band map and will fail closed at classification time.  The
-    arguments must pass the checks IacModel.from_json applies, else
-    ConfigError.
+    Every event of the traces gets bands at DEFAULT_CONFIDENCE; an event
+    present in fewer than two traces gets an empty band map and will fail
+    closed at classification time.  The arguments must pass the checks
+    IacModel.from_json applies, else ConfigError.
     """
     if type(w_delta) is not int or w_delta < 1:
         raise ConfigError("w_delta must be an integer >= 1, got %r" % (w_delta,))
@@ -419,12 +390,9 @@ def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, alpha=DEFAULT_ALPHA,
     if len(traces) < 2:
         raise InsufficientDataError(
             "model training needs >= 2 traces, got %d" % len(traces))
-    counts = Counter()
-    for trace in traces:
-        counts.update(trace.events)
-    if not counts:
+    events = sorted(set().union(*(trace.events for trace in traces)))
+    if not events:
         raise InsufficientDataError("the traces hold no events")
-    events = sorted(counts)
 
     mins, maxs, present = _curve_arrays([t.events for t in traces], events,
                                         w_delta)
@@ -439,9 +407,7 @@ def train_iac_model(traces, w_delta=DEFAULT_W_DELTA, alpha=DEFAULT_ALPHA,
         sample = np.stack((mins[k, has][:, shared].T, maxs[k, has][:, shared].T))
         curves[event] = _bands((np.flatnonzero(shared) + 1).tolist(), sample,
                                _t_quantile(n))
-    return IacModel(curves, w_delta=w_delta, alpha=alpha, sigma_th=sigma_th,
-                    feature_events=tuple(events),
-                    frequencies=dict(counts))
+    return IacModel(curves, w_delta=w_delta, alpha=alpha, sigma_th=sigma_th)
 
 
 def _curve_test(curve, bands, pick, shared):
@@ -474,14 +440,14 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
                    sensitivity=None) -> TraceVerdict:
     """Conformance-test a trace against a model.
 
-    Per feature event the test curve values are compared with the model
+    Per model event the test curve values are compared with the model
     mean curve values over shared window sizes by a Mann-Whitney U test,
     independently for the min and max curves; a curve fails when
     p < alpha, and a failed curve only counts as anomalous when its band
-    deviation reaches sigma_th.  Events unknown to the model, or absent
-    from the test trace, fail closed as anomalous (this dominates even an
+    deviation reaches sigma_th.  An event with empty bands, or absent
+    from the test trace, fails closed as anomalous (this dominates even an
     infinite sigma_th).  The trace is anomalous when at least
-    sensitivity.required_count(len(model.feature_events)) events are.
+    sensitivity.required_count(len(model.curves)) events are.
 
     Verdicts are memoized per model, keyed on the window's symbols, alpha,
     sigma_th and the sensitivity grade, for up to VERDICT_MEMO_LIMIT keys:
@@ -491,8 +457,7 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
     event, min or max, the shared windows and the curve's values on them,
     for up to _CURVE_MEMO_LIMIT keys: distinct windows often give one event
     the same curve.  Both gates and the count apply after the lookup.  A
-    NaN alpha or sigma_th, or an event named twice in the model's
-    ``feature_events``, raises ConfigError.
+    NaN alpha or sigma_th, or a model without events, raises ConfigError.
     """
     alpha = model.alpha if alpha is None else alpha
     sigma_th = model.sigma_th if sigma_th is None else sigma_th
@@ -503,16 +468,13 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
     if cached is not None:
         return cached
     # checked on a miss only: such a key is never stored
-    tested = sorted(model.feature_events)
+    tested = sorted(model.curves)
     if not tested:
         raise ConfigError("no events to test")
     _check_gates(alpha, sigma_th, ConfigError)
-    repeated = [a for a, b in zip(tested, tested[1:]) if a == b]
-    if repeated:
-        raise ConfigError("event %r is repeated" % (repeated[0],))
 
     alphabet = test.alphabet()
-    built = [e for e in tested if model.curves.get(e) and e in alphabet]
+    built = [e for e in tested if model.curves[e] and e in alphabet]
     arrays = _curve_arrays([test.events], built, model.w_delta)
     curves = dict(zip(built, zip(*(a[:, 0].tolist() for a in arrays))))
     verdicts = {}

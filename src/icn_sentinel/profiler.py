@@ -71,11 +71,9 @@ def invert_threshold(psi, p_th):
 
 @dataclass(frozen=True)
 class ThresholdProfile:
-    """Per-parameter alarm geometry plus the settings that produced it."""
+    """Per-parameter alarm geometry."""
 
     parameters: dict
-    trim_fraction: float = DEFAULT_TRIM_FRACTION
-    window_len: int = DEFAULT_WINDOW_LEN
 
     def spec(self, name) -> ParameterSpec:
         try:
@@ -87,27 +85,14 @@ class ThresholdProfile:
         return self.spec(name).p_th
 
     def to_json(self) -> dict:
-        doc = {name: {"psi": s.psi, "mu": s.mu, "delta": s.delta, "p_th": s.p_th}
-               for name, s in self.parameters.items()}
-        doc["_settings"] = {"trim_fraction": self.trim_fraction,
-                           "window_len": self.window_len}
-        return doc
+        return {name: {"psi": s.psi, "mu": s.mu, "delta": s.delta, "p_th": s.p_th}
+                for name, s in self.parameters.items()}
 
     @classmethod
     def from_json(cls, doc) -> "ThresholdProfile":
         """Rebuild a profile; a value that does not fit raises SchemaError
-        naming its key."""
-        settings = doc.get("_settings", {})
-        if not isinstance(settings, dict):
-            raise SchemaError("_settings: expected an object")
-        trim_fraction = settings.get("trim_fraction", DEFAULT_TRIM_FRACTION)
-        if not is_finite_number(trim_fraction) or not 0 <= trim_fraction < 0.5:
-            raise SchemaError("_settings: trim_fraction must be in [0, 0.5), "
-                              "got %r" % (trim_fraction,))
-        window_len = settings.get("window_len", DEFAULT_WINDOW_LEN)
-        if type(window_len) is not int or window_len < 1:
-            raise SchemaError("_settings: window_len must be an integer >= 1, "
-                              "got %r" % (window_len,))
+        naming its key.  A ``_settings`` key, which older files carry, is
+        skipped unread."""
         params = {}
         for name, body in doc.items():
             if name == "_settings":
@@ -126,7 +111,7 @@ class ThresholdProfile:
                                   % (name, body["psi"]))
             params[name] = ParameterSpec(name, body["psi"], body["mu"],
                                          body["delta"], body["p_th"])
-        return cls(params, trim_fraction=trim_fraction, window_len=window_len)
+        return cls(params)
 
     def save(self, path):
         write_json(path, self.to_json())

@@ -115,8 +115,9 @@ class GeneratorConfig:
         if not 1 <= self.rows_per_group <= MAX_ROWS_PER_GROUP:
             raise ConfigError("rows_per_group must be in [1, %d]"
                               % MAX_ROWS_PER_GROUP)
-        if not 0 <= self.attack_rate <= 1:
-            raise ConfigError("attack_rate must be in [0, 1]")
+        if not is_finite_number(self.attack_rate) \
+                or not 0 <= self.attack_rate <= 1:
+            raise ConfigError("attack_rate must be a number in [0, 1]")
         if self.attack_pattern not in ATTACK_PATTERNS:
             raise ConfigError("attack_pattern must be one of %s"
                               % (ATTACK_PATTERNS,))
@@ -362,7 +363,10 @@ class GroupData:
 class Campaign:
     config: GeneratorConfig
     groups: dict
-    signal: tuple
+
+    @property
+    def signal(self) -> tuple:
+        return self.config.signal_names()
 
 
 def gen_campaign(config: GeneratorConfig = None) -> Campaign:
@@ -370,7 +374,6 @@ def gen_campaign(config: GeneratorConfig = None) -> Campaign:
     group's data) and test partitions with attacks injected at the
     configured rate.  Fully deterministic under config.seed."""
     config = config or GeneratorConfig()
-    signal = config.signal_names()
     groups = {}
     for group in GROUPS:
         profile = group_profile(config, group)
@@ -384,9 +387,9 @@ def gen_campaign(config: GeneratorConfig = None) -> Campaign:
         test, test_ev = inject_attacks(
             test, test_ev, profile, config.attack_pattern, config.attack_rate,
             seed=derive_seed(config.seed, group, "attack"),
-            signal=signal, burst_len=config.burst_len)
+            signal=config.signal_names(), burst_len=config.burst_len)
         groups[group] = GroupData(train, test, train_ev, test_ev, profile)
-    return Campaign(config, groups, signal)
+    return Campaign(config, groups)
 
 
 def save_campaign(campaign: Campaign, outdir):
@@ -408,8 +411,6 @@ def save_campaign(campaign: Campaign, outdir):
         "seed": campaign.config.seed,
         "config_hash": config_hash(campaign.config),
         "config": campaign.config.to_json(),
-        "schema": list(campaign.config.schema()),
-        "signal": list(campaign.signal),
         "files": files,
     }
     write_json(os.path.join(outdir, "manifest.json"), manifest)
@@ -417,18 +418,11 @@ def save_campaign(campaign: Campaign, outdir):
 
 def _parse_manifest(doc):
     """(config, {group: (train csv, test csv, train events, test events)})
-    from a campaign manifest.  Its ``signal`` and ``schema`` lists copy
-    what ``config`` defines; a copy that disagrees raises SchemaError."""
+    from a campaign manifest."""
     files = {group: tuple(entries[part][kind] for kind in ("data", "events")
                           for part in ("train", "test"))
              for group, entries in doc["files"].items()}
-    config = GeneratorConfig.from_json(doc["config"])
-    for key, names in (("signal", config.signal_names()),
-                       ("schema", config.schema())):
-        if doc[key] != list(names):
-            raise SchemaError("%s: expected %r from config, got %r"
-                              % (key, list(names), doc[key]))
-    return config, files
+    return GeneratorConfig.from_json(doc["config"]), files
 
 
 def load_campaign(directory) -> Campaign:
@@ -443,4 +437,4 @@ def load_campaign(directory) -> Campaign:
         groups[group] = GroupData(
             parse_data_trace(train, schema), parse_data_trace(test, schema),
             parse_event_trace(train_ev), parse_event_trace(test_ev), profile)
-    return Campaign(config, groups, config.signal_names())
+    return Campaign(config, groups)

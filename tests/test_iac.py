@@ -2,7 +2,6 @@ import dataclasses
 import itertools
 import json
 import math
-from collections import Counter
 from itertools import groupby
 
 import numpy as np
@@ -12,8 +11,8 @@ from scipy.stats import mannwhitneyu, t as t_dist
 
 from icn_sentinel import iac
 from icn_sentinel.core import (ConfigError, EventNotFoundError, EventTrace,
-                               InsufficientDataError, SchemaError,
-                               SensitivityDegree, SentinelError)
+                               InsufficientDataError, SensitivityDegree,
+                               SentinelError)
 from icn_sentinel.harness import event_chunks
 from icn_sentinel.iac import (_CURVE_MEMO_LIMIT, VERDICT_MEMO_LIMIT, IacModel,
                               _curve_arrays, aggregate,
@@ -142,20 +141,20 @@ def test_curve_arrays_equal_window_oracle(case):
 
 
 def test_select_feature_events():
-    # every event is a feature event, however rare; counts add up over the
-    # traces: B 14, A 4, E 4, C 2, D 1 in total
+    # every event is modeled, however rare: D occurs once in all, in one
+    # trace, and gets empty bands
     traces = [EventTrace(tuple(FIG_TRACE[:12])),
               EventTrace(tuple(FIG_TRACE[12:]))]
     model = train_iac_model(traces)
-    assert model.feature_events == ("A", "B", "C", "D", "E")
-    assert model.frequencies == {"B": 14, "A": 4, "E": 4, "C": 2, "D": 1}
+    assert tuple(model.curves) == ("A", "B", "C", "D", "E")
+    assert model.curves["D"] == {}
 
 
 def test_select_tie_break_lexicographic():
-    # feature events are held in lexicographic order, not by frequency
+    # events are held in lexicographic order, not by frequency
     for texts in (("BA", "BA"), ("CCB", "AAB"), ("CCCB", "BA")):
         model = train_iac_model([EventTrace(tuple(t)) for t in texts])
-        assert model.feature_events == tuple(sorted(set("".join(texts))))
+        assert tuple(model.curves) == tuple(sorted(set("".join(texts))))
 
 
 def test_select_errors():
@@ -420,7 +419,7 @@ def jittered_traces(base, reps, seed):
 def test_train_and_self_conformance():
     traces = [EventTrace(tuple("ABC" * 12))] * 6
     model = train_iac_model(traces, w_delta=18)
-    assert set(model.feature_events) == {"A", "B", "C"}
+    assert set(model.curves) == {"A", "B", "C"}
     verdict = classify_trace(traces[0], model)
     assert not verdict.anomalous
     assert all(not v.anomalous for v in verdict.events.values())
@@ -457,8 +456,10 @@ def test_missing_event_fails_closed():
 
 
 def with_events(model, events):
-    """A copy of ``model`` that tests ``events``, with empty memos."""
-    return dataclasses.replace(model, feature_events=tuple(events))
+    """A copy of ``model`` that tests ``events``, with empty memos; an
+    event the model has no curves for gets empty bands."""
+    return dataclasses.replace(
+        model, curves={e: model.curves.get(e, {}) for e in events})
 
 
 def test_unknown_event_fails_closed():
@@ -484,8 +485,14 @@ def test_sensitivity_scales_required_count():
 
 def test_classify_no_events_error():
     model = train_iac_model([EventTrace(tuple("AB" * 6))] * 3, w_delta=4)
+    window = EventTrace(tuple("AB" * 6))
     with pytest.raises(ConfigError):
-        classify_trace(EventTrace(tuple("AB" * 6)), with_events(model, []))
+        classify_trace(window, with_events(model, []))
+    # a rejected call leaves nothing in the memo for the next one to find
+    for _ in range(2):
+        with pytest.raises(ConfigError, match="alpha"):
+            classify_trace(window, model, alpha=math.nan)
+    assert model._verdicts == {}
 
 
 def test_train_needs_two_traces():
@@ -543,17 +550,14 @@ def reference_bands(curves, confidence):
 def reference_model_json(traces, w_delta):
     """train_iac_model's JSON, built one (event, trace) curve at a time:
     every event gets 95 % bands."""
-    counts = Counter(s for trace in traces for s in trace.events)
-    events = sorted(counts)
+    events = sorted({s for trace in traces for s in trace.events})
     curves = {}
     for event in events:
         per_trace = [reference_curves(t.events, event, w_delta)
                      for t in traces if event in t.events]
         curves[event] = (reference_bands(per_trace, 0.95)
                          if len(per_trace) >= 2 else {})
-    return IacModel(curves, w_delta=w_delta, confidence=0.95,
-                    feature_events=tuple(events),
-                    frequencies=dict(counts)).to_json()
+    return IacModel(curves, w_delta=w_delta).to_json()
 
 
 def campaign_batches(pattern, seed):
@@ -614,11 +618,8 @@ def test_model_json_round_trip(tmp_path):
     loaded = IacModel.load(path)
     assert loaded.curves == model.curves
     assert loaded.w_delta == model.w_delta
-    assert loaded.confidence == model.confidence
     assert loaded.alpha == model.alpha
     assert loaded.sigma_th == model.sigma_th
-    assert set(loaded.feature_events) == set(model.feature_events)
-    assert loaded.frequencies == model.frequencies
     # an infinite sigma_th (never flag on band deviation) is a legal file
     train_iac_model(traces, sigma_th=math.inf).save(path)
     assert IacModel.load(path).sigma_th == math.inf
@@ -681,27 +682,6 @@ def test_memo_is_bounded():
     assert len(model._verdicts) == VERDICT_MEMO_LIMIT
 
 
-def test_repeated_event_is_rejected():
-    model = train_iac_model([EventTrace(tuple("ABC" * 12))] * 6, w_delta=18)
-    window = EventTrace(tuple("BC" * 18))
-    s20 = SensitivityDegree(20)
-    assert classify_trace(window, with_events(model, ["A"]),
-                          sensitivity=s20).anomalous
-    # counted twice, A would need two flags and the window would pass;
-    # a rejected call leaves nothing in the memo for the next one to find
-    twice = with_events(model, ["A", "A"])
-    for _ in range(2):
-        with pytest.raises(ConfigError, match="'A'"):
-            classify_trace(window, twice, sensitivity=s20)
-    assert twice._verdicts == {}
-    with pytest.raises(ConfigError, match="'B'"):
-        classify_trace(window, with_events(model, ["B", "C", "B"]))
-    doc = model.to_json()
-    doc["feature_events"].append("A")
-    with pytest.raises(SchemaError, match="feature_events"):
-        IacModel.from_json(doc)
-
-
 CURVE_MODEL_DOC = train_iac_model(jittered_traces("ABC" * 8, 6, seed=3),
                                   w_delta=8).to_json()
 SWAP_XY = str.maketrans("XY", "YX")
@@ -732,7 +712,7 @@ def expected_curve_keys(window, model):
 
 def test_curve_memo_tests_each_distinct_curve_once(monkeypatch):
     model = IacModel.from_json(CURVE_MODEL_DOC)
-    assert set(model.feature_events) == {"A", "B", "C"}
+    assert set(model.curves) == {"A", "B", "C"}
     # distinct windows that differ only in untested symbols, so the window
     # memo misses them all; then one where A and B have the same curves,
     # and one where each event's min and max curves are equal
@@ -771,8 +751,7 @@ def test_curve_memo_is_bounded(monkeypatch):
     band = [[m, m - 0.5, m + 0.5, m, m - 0.5, m + 0.5]
             for m in (1.0 + i % 4 for i in range(len(names)))]
     doc = {"events": {e: {"1": b} for e, b in zip(names, band)},
-           "feature_events": names, "w_delta": 1, "confidence": 0.95,
-           "alpha": 0.05, "sigma_th": 0.05}
+           "w_delta": 1, "alpha": 0.05, "sigma_th": 0.05}
     model = IacModel.from_json(doc)
     blocks = [names[i:i + 100] for i in range(0, len(names), 100)]
     for block in blocks:
@@ -795,14 +774,15 @@ def test_curve_memo_is_bounded(monkeypatch):
     assert len(model._curve_tests) == _CURVE_MEMO_LIMIT
 
 
-# feature events of the models a memo test draws from: the trained ones,
-# subsets of them, and sets that name an event the model has no curves for
+# events of the models a memo test draws from: the trained ones, subsets
+# of them, and sets that name an event with empty bands
 FEATURE_EVENTS = [("A", "B", "C"), ("A",), ("B", "C"), ("A", "B", "Z"),
                   ("X",)]
 
 
 def model_doc(events):
-    return dict(CURVE_MODEL_DOC, feature_events=list(events))
+    bands = CURVE_MODEL_DOC["events"]
+    return dict(CURVE_MODEL_DOC, events={e: bands.get(e, {}) for e in events})
 
 
 @pytest.fixture(scope="module")

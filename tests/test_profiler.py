@@ -24,7 +24,7 @@ def reference_profile():
         mu = invert_threshold(psi, THRESHOLDS[name])
         delta, p_th = compute_threshold(psi, mu)
         params[name] = ParameterSpec(name, psi, mu, delta, p_th)
-    return ThresholdProfile(params, 0.1, 1440)
+    return ThresholdProfile(params)
 
 
 def test_trim_mean_hand_cases():
@@ -120,7 +120,6 @@ def test_build_profile_window_is_most_recent():
     values = [100.0] * 500 + [200.0] * 1440
     profile = build_profile(_trace(values), {"FGF": 500.0})
     assert profile.spec("FGF").mu == 200.0
-    assert (profile.trim_fraction, profile.window_len) == (0.1, 1440)
     # 145 low rows inside the window are one more than trimming drops
     values = [100.0] * 500 + [0.0] * 145 + [200.0] * 1295
     profile = build_profile(_trace(values), {"FGF": 500.0})
