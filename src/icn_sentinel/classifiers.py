@@ -378,22 +378,26 @@ class KnnModel:
 
     @classmethod
     def _from_body(cls, doc, std, d):
-        if doc["k"] != 1:
-            raise ConfigError("only k=1 is supported, got k=%r" % (doc["k"],))
+        """``k`` must be the JSON integer 1 and ``labels`` JSON integers
+        +1 or -1, one per point."""
+        if type(doc["k"]) is not int or doc["k"] != 1:
+            raise ConfigError("only k=1 is supported, as a JSON integer, got "
+                              "k=%r" % (doc["k"],))
         points = json_float(doc["points"], "points", _floats)
-        labels = np.asarray(doc["labels"], dtype=int)
         if points.ndim != 2 or points.shape[1] != d or not len(points) \
                 or not np.isfinite(points).all():
             raise SchemaError("points: expected a non-empty, finite (m, %d) "
                               "matrix" % d)
-        if labels.shape != (len(points),) or \
-                not np.all((labels == NORMAL) | (labels == ANOMALOUS)):
-            raise SchemaError("labels: expected %d values of +1 or -1"
+        labels = doc["labels"]
+        if not isinstance(labels, list) or len(labels) != len(points) \
+                or any(type(v) is not int or v not in (NORMAL, ANOMALOUS)
+                       for v in labels):
+            raise SchemaError("labels: expected %d integers +1 or -1"
                               % len(points))
         if doc["metric"] != "euclidean":
             raise SchemaError("metric: expected euclidean, got %r"
                               % (doc["metric"],))
-        return cls(points, labels, std)
+        return cls(points, np.array(labels, dtype=int), std)
 
 
 def knn_train(data: LabeledSet) -> KnnModel:

@@ -49,9 +49,15 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("population", "generations", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError("%s must be an integer, got %r"
+                                  % (name, value))
         _check_seed(self.seed)
-        if self.population < 2:
-            raise ConfigError("population must be >= 2")
+        # tournaments draw below the population size from 32-bit outputs
+        if not 2 <= self.population < 2 ** 32:
+            raise ConfigError("population must be in [2, 2**32)")
         if self.generations < 1:
             raise ConfigError("generations must be >= 1")
         for name in ("crossover_rate", "mutation_rate"):
@@ -96,6 +102,14 @@ class _Split:
     them, their squared differences stacked along the query axis."""
 
     folds: tuple
+
+    @cached_property
+    def stacks_knn(self):
+        """Whether k-NN scores multi-column subsets from sq_diff: the
+        folds' (test, train, feature) blocks hold at most
+        KNN_TENSOR_FLOATS floats."""
+        return sum(len(f.test_y) * f.train_x.size for f in self.folds) \
+            <= KNN_TENSOR_FLOATS
 
     @cached_property
     def sq_diff(self):
@@ -181,9 +195,7 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn",
         if j == before:
             raise ConfigError("feature index %r is repeated" % (j,))
     split = _cv_folds(data, seed)
-    if evaluator == "knn" and len(indices) > 1 and sum(
-            len(f.test_y) * f.train_x.size for f in split.folds) \
-            <= KNN_TENSOR_FLOATS:
+    if evaluator == "knn" and len(indices) > 1 and split.stacks_knn:
         planes, query_fold, train_y, test_y = split.sq_diff
         predicted = train_y[query_fold, _nearest(planes, indices)]
         return np.count_nonzero(predicted == test_y) / len(data.y)
@@ -235,8 +247,111 @@ def greedy_select(data: LabeledSet, evaluator="knn", max_features=None,
     return FeatureSubset(tuple(sorted(chosen)), best_score)
 
 
-def _mask_key(mask):
-    return np.packbits(mask).tobytes()
+# raw PCG64 words a _Pcg64Draws reads at a time
+DRAW_CHUNK = 4096
+
+
+class _Pcg64Draws:
+    """The draws genetic_select makes of np.random.default_rng(seed),
+    decoded from the raw words of its PCG64 bit generator.
+
+    random() is a word's top 53 bits times 2**-53, so random(n) < t is a
+    word's top 53 bits below t * 2**53, and ``below`` reads n of those
+    tests as the bits of an int.  ``integers(k, size)`` is integers(0, k,
+    size=size): each value takes a 32-bit output, the low half of a fresh
+    word, then that word's high half, which PCG64 keeps for the next
+    32-bit output whatever doubles are drawn in between.  An output x
+    gives (x * k) >> 32 unless the product's low 32 bits fall below
+    2**32 % k, when the next output is drawn instead (Lemire, "Fast
+    Random Integer Generation in an Interval", ACM TOMACS 2019); k == 1
+    draws nothing.  Words are read DRAW_CHUNK at a time.  On first use,
+    each chunk's tests below t are packed into one int per t, and its
+    Lemire values are listed per k, so a draw reads bits and list slots.
+    """
+
+    def __init__(self, seed):
+        self._bitgen = np.random.PCG64(seed)
+        self._words = np.empty(0, dtype=np.uint64)
+        self._at = 0  # the next fresh word
+        self._kept = -1  # the 32-bit slot of the kept high half, or -1
+        self._refill(0)
+
+    def _refill(self, need):
+        """Read at least need more words after the unread ones, keeping
+        the word whose high half is kept; slot 2i is word i's low half
+        and slot 2i + 1 its high half."""
+        kept = self._words[self._kept // 2:self._kept // 2 + 1] \
+            if self._kept >= 0 else self._words[:0]
+        self._words = np.concatenate([
+            kept, self._words[self._at:],
+            self._bitgen.random_raw(max(DRAW_CHUNK, need))])
+        self._at = len(kept)
+        self._kept = 1 if len(kept) else -1
+        self._top = self._words >> np.uint64(11)
+        self._below = {}
+        self._lemire = {}
+
+    def random(self) -> float:
+        if self._at == len(self._words):
+            self._refill(1)
+        self._at += 1
+        return int(self._top[self._at - 1]) * 2.0 ** -53
+
+    def below(self, t, n) -> int:
+        """random(n) < t as an int whose bit j is draw j's test."""
+        if self._at + n > len(self._words):
+            self._refill(n)
+        packed = self._below.get(t)
+        if packed is None:
+            bits = np.packbits(self._top < t * 2.0 ** 53, bitorder="little")
+            packed = self._below[t] = int.from_bytes(bits.tobytes(), "little")
+        mask = (packed >> self._at) & ((1 << n) - 1)
+        self._at += n
+        return mask
+
+    def _bounded(self, k):
+        """Lemire's value below k per slot of the chunk, -1 where the slot
+        is rejected, for k in [2, 2**32)."""
+        values = self._lemire.get(k)
+        if values is None:
+            halves = self._words.astype("<u8").view("<u4")
+            product = halves.astype(np.uint64) * np.uint64(k)
+            scaled = (product >> np.uint64(32)).astype(np.int64)
+            scaled[(product & np.uint64(0xFFFFFFFF))
+                   < np.uint64(2 ** 32 % k)] = -1
+            values = self._lemire[k] = scaled.tolist()
+        return values
+
+    def integers(self, k, size) -> list:
+        """integers(0, k, size=size) as a list, for k in [1, 2**32)."""
+        if k == 1:
+            return [0] * size
+        values = self._bounded(k)
+        kept = self._kept
+        start = 2 * self._at
+        stop = start + size - (kept >= 0)
+        picks = values[start:stop]
+        if stop <= len(values) and -1 not in picks \
+                and (kept < 0 or values[kept] >= 0):
+            # nothing rejected: the kept half, then slots start..stop-1
+            self._at = (stop + 1) // 2
+            self._kept = stop if stop % 2 else -1
+            return picks if kept < 0 else [values[kept]] + picks
+        out = []
+        while len(out) < size:
+            slot = self._kept
+            if slot >= 0:
+                self._kept = -1
+            else:
+                if self._at == len(self._words):
+                    self._refill(1)
+                    values = self._bounded(k)
+                slot = 2 * self._at
+                self._at += 1
+                self._kept = slot + 1
+            if values[slot] >= 0:
+                out.append(values[slot])
+        return out
 
 
 def genetic_select(data: LabeledSet, evaluator="knn", config=None,
@@ -248,71 +363,71 @@ def genetic_select(data: LabeledSet, evaluator="knn", config=None,
     mutation.  The best individual ever seen is preserved and returned.
     With return_history the per-generation best-ever fitness list (a
     non-decreasing sequence) comes back as a second value.
+
+    A mask is an int whose bit j selects feature j.  The draws are those
+    of np.random.default_rng(config.seed), decoded from its PCG64 words
+    by _Pcg64Draws, so a seed selects what it selected with the
+    Generator's own calls.
     """
     if not data.both_classes():
         raise DegenerateDataError("selection needs both classes")
     config = config or GaConfig()
     n = data.n_features
-    rng = np.random.default_rng(config.seed)
+    size = config.population
+    rng = _Pcg64Draws(config.seed)
 
     cache = {}
 
     def fitness(mask):
-        key = _mask_key(mask)
-        if key not in cache:
-            indices = np.flatnonzero(mask)
-            acc = cross_val_accuracy(data, indices.tolist(), evaluator,
+        if mask not in cache:
+            indices = [j for j in range(n) if mask >> j & 1]
+            acc = cross_val_accuracy(data, indices, evaluator,
                                      seed=config.seed)
-            cache[key] = (acc - PARSIMONY_PENALTY * len(indices), acc)
-        return cache[key]
+            cache[mask] = (acc - PARSIMONY_PENALTY * len(indices), acc)
+        return cache[mask]
 
-    def random_mask():
-        while True:
-            mask = rng.random(n) < 0.5
-            if mask.any():
-                return mask
+    population = []
+    while len(population) < size:
+        mask = rng.below(0.5, n)
+        if mask:
+            population.append(mask)
 
-    population = [random_mask() for _ in range(config.population)]
-
-    def tournament(scores, picks):
-        best = min(picks, key=lambda i: (-scores[i], i))
-        return population[best]
-
-    best_mask = None
+    best_mask = 0
     best_fit = -np.inf
     history = []
     for generation in range(config.generations + 1):
         scores = [fitness(m)[0] for m in population]
-        top = int(np.argmax(scores))
-        if scores[top] > best_fit:
-            best_fit = scores[top]
-            best_mask = population[top].copy()
+        # a tournament's winner has the lowest (-score, position)
+        order = sorted(range(size), key=scores.__getitem__, reverse=True)
+        if scores[order[0]] > best_fit:
+            best_fit = scores[order[0]]
+            best_mask = population[order[0]]
         if generation == config.generations:
             break  # the final population counts toward best-ever only
         history.append(best_fit)
+        rank = [0] * size
+        for r, i in enumerate(order):
+            rank[i] = r
+        ranked = [population[i] for i in order]
 
-        nxt = [best_mask.copy()]  # elitism
-        while len(nxt) < config.population:
-            # one draw for both tournaments gives the two size-3 draws'
-            # values and leaves the generator as they do: each bounded
-            # value takes its own 32-bit output, whatever the size
-            picks = rng.integers(0, len(population), size=6).tolist()
-            pa = tournament(scores, picks[:3])
-            pb = tournament(scores, picks[3:])
+        population = [best_mask]  # elitism
+        while len(population) < size:
+            picks = rng.integers(size, 6)
+            pa = ranked[min(rank[picks[0]], rank[picks[1]], rank[picks[2]])]
+            pb = ranked[min(rank[picks[3]], rank[picks[4]], rank[picks[5]])]
             if rng.random() < config.crossover_rate:
-                coin = rng.random(n) < 0.5
-                child = np.where(coin, pa, pb)
+                coin = rng.below(0.5, n)
+                child = (pa & coin) | (pb & ~coin)
             else:
-                child = pa.copy()
-            flip = rng.random(n) < config.mutation_rate
-            child = child ^ flip
-            if not child.any():
-                child[rng.integers(0, n)] = True
-            nxt.append(child)
-        population = nxt
+                child = pa
+            child ^= rng.below(config.mutation_rate, n)
+            if not child:
+                child = 1 << rng.integers(n, 1)[0]
+            population.append(child)
 
     accuracy = fitness(best_mask)[1]
-    subset = FeatureSubset(tuple(np.flatnonzero(best_mask).tolist()), accuracy)
+    indices = tuple(j for j in range(n) if best_mask >> j & 1)
+    subset = FeatureSubset(indices, accuracy)
     if return_history:
         return subset, history
     return subset

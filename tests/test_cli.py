@@ -699,6 +699,45 @@ def test_c45_model_values_must_have_their_json_types(case, campaign_dir,
     assert "model_c45.json" in err and key in err, err
 
 
+def _first_label(value):
+    def spoil(doc):
+        doc["labels"][0] = value(doc["labels"][0])
+    return spoil
+
+
+# values the loader once read as a k of 1 or as labels: "1" and true became
+# label 1, 1.5 was truncated to 1
+LENIENT_KNN = {
+    "label-string": (SchemaError, "labels:", _first_label(str)),
+    "label-bool": (SchemaError, "labels:", _first_label(lambda v: True)),
+    "label-fraction": (SchemaError, "labels:",
+                       _first_label(lambda v: v * 1.5)),
+    "label-integral-float": (SchemaError, "labels:", _first_label(float)),
+    "k-true": (ConfigError, "k=True", lambda doc: doc.update(k=True)),
+    "k-float": (ConfigError, "k=1.0", lambda doc: doc.update(k=1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LENIENT_KNN))
+def test_knn_model_values_must_have_their_json_types(case, campaign_dir,
+                                                      models_dir, tmp_path,
+                                                      capsys):
+    error, key, spoil = LENIENT_KNN[case]
+    models = tmp_path / "models"
+    shutil.copytree(models_dir, models)
+    path = models / "model_knn.json"
+    doc = json.loads(path.read_text())
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=re.escape(key)):
+        load_model(path)
+    assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
+                 "--events", str(campaign_dir / "MD_test.events"),
+                 "--models", str(models)]) == 3
+    err = capsys.readouterr().err
+    assert "model_knn.json" in err and key in err, err
+
+
 def _set_band(edit):
     def spoil(doc):
         doc["events"]["FGF"]["1"] = edit(doc["events"]["FGF"]["1"])

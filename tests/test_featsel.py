@@ -434,6 +434,24 @@ def test_ga_config_validation():
         stratified_folds(np.array([1, -1] * 5), seed=-3)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("population", 3.0), ("population", True), ("population", "8"),
+    ("generations", 2.0), ("generations", False), ("seed", True),
+    ("seed", 1.0), ("seed", np.int64(1))])
+def test_ga_config_fields_must_be_integers(field, value):
+    with pytest.raises(ConfigError,
+                       match=re.escape("%s must be an integer, got %r"
+                                       % (field, value))):
+        GaConfig(**{field: value})
+
+
+def test_ga_config_population_below_two_to_the_32():
+    assert GaConfig(population=2 ** 32 - 1).population == 2 ** 32 - 1
+    with pytest.raises(ConfigError, match=re.escape("population must be in "
+                                                    "[2, 2**32)")):
+        GaConfig(population=2 ** 32)
+
+
 def test_subset_indices_are_sorted_tuples():
     data = xor_data(seed=7)
     for subset in (greedy_select(data),
@@ -598,3 +616,162 @@ def test_paired_tournament_draw_equals_two_draws(n):
             if step % 4 == 0:
                 assert paired.integers(0, width) == split.integers(0, width)
         assert paired.bit_generator.state == split.bit_generator.state
+
+
+def pack_bits(bits):
+    """An int whose bit j is bits[j]."""
+    return sum(1 << j for j, b in enumerate(bits.tolist()) if b)
+
+
+BOUNDS = (1, 2, 30, 2 ** 31 + 1, 2 ** 32 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), chunk=st.sampled_from([1, 2, 3, 7, 4096]),
+       ops=st.lists(st.one_of(
+           st.tuples(st.just("random")),
+           st.tuples(st.just("below"), st.sampled_from([0, 0.02, 0.5, 1]),
+                     st.integers(0, 20)),
+           st.tuples(st.just("integers6"), st.sampled_from(BOUNDS)),
+           st.tuples(st.just("integers"), st.sampled_from(BOUNDS))),
+           max_size=60))
+def test_pcg64_draws_equal_default_rng_property(seed, chunk, ops):
+    """The decoder's draws equal default_rng(seed)'s over any interleaving
+    of random(), random(n) < t, and integers(0, k) with size 6 or none,
+    whatever the chunk of words read at a time: k = 2**31 + 1 rejects
+    about half the outputs, and a scalar integers call leaves a high half
+    kept across later doubles and chunks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(featsel, "DRAW_CHUNK", chunk)
+        draws = featsel._Pcg64Draws(seed)
+        rng = np.random.default_rng(seed)
+        for op, *args in ops + [("integers6", 30), ("random",)]:
+            if op == "random":
+                assert draws.random() == rng.random()
+            elif op == "below":
+                t, n = args
+                assert draws.below(t, n) == pack_bits(rng.random(n) < t)
+            elif op == "integers6":
+                k, = args
+                assert draws.integers(k, 6) \
+                    == rng.integers(0, k, size=6).tolist()
+            else:
+                k, = args
+                assert draws.integers(k, 1) == [int(rng.integers(0, k))]
+
+
+def reference_mask_key(mask):
+    return np.packbits(mask).tobytes()
+
+
+def reference_genetic_select(data, evaluator="knn", config=None,
+                             return_history=False):
+    """genetic_select over boolean mask arrays and the Generator's own
+    calls, as it was before masks became ints."""
+    if not data.both_classes():
+        raise DegenerateDataError("selection needs both classes")
+    config = config or GaConfig()
+    n = data.n_features
+    rng = np.random.default_rng(config.seed)
+
+    cache = {}
+
+    def fitness(mask):
+        key = reference_mask_key(mask)
+        if key not in cache:
+            indices = np.flatnonzero(mask)
+            acc = cross_val_accuracy(data, indices.tolist(), evaluator,
+                                     seed=config.seed)
+            cache[key] = (acc - featsel.PARSIMONY_PENALTY * len(indices),
+                          acc)
+        return cache[key]
+
+    def random_mask():
+        while True:
+            mask = rng.random(n) < 0.5
+            if mask.any():
+                return mask
+
+    population = [random_mask() for _ in range(config.population)]
+
+    def tournament(scores, picks):
+        best = min(picks, key=lambda i: (-scores[i], i))
+        return population[best]
+
+    best_mask = None
+    best_fit = -np.inf
+    history = []
+    for generation in range(config.generations + 1):
+        scores = [fitness(m)[0] for m in population]
+        top = int(np.argmax(scores))
+        if scores[top] > best_fit:
+            best_fit = scores[top]
+            best_mask = population[top].copy()
+        if generation == config.generations:
+            break  # the final population counts toward best-ever only
+        history.append(best_fit)
+
+        nxt = [best_mask.copy()]  # elitism
+        while len(nxt) < config.population:
+            # one draw for both tournaments gives the two size-3 draws'
+            # values and leaves the generator as they do: each bounded
+            # value takes its own 32-bit output, whatever the size
+            picks = rng.integers(0, len(population), size=6).tolist()
+            pa = tournament(scores, picks[:3])
+            pb = tournament(scores, picks[3:])
+            if rng.random() < config.crossover_rate:
+                coin = rng.random(n) < 0.5
+                child = np.where(coin, pa, pb)
+            else:
+                child = pa.copy()
+            flip = rng.random(n) < config.mutation_rate
+            child = child ^ flip
+            if not child.any():
+                child[rng.integers(0, n)] = True
+            nxt.append(child)
+        population = nxt
+
+    accuracy = fitness(best_mask)[1]
+    subset = FeatureSubset(tuple(np.flatnonzero(best_mask).tolist()), accuracy)
+    if return_history:
+        return subset, history
+    return subset
+
+
+RATES = st.one_of(st.sampled_from([0.0, 1.0]),
+                  st.floats(0, 1, allow_subnormal=False))
+
+
+@st.composite
+def ga_cases(draw):
+    """A small labelled set of 1-10 columns, some of them shifted by the
+    label, and a GA configuration with rates that include 0 and 1."""
+    d = draw(st.integers(1, 10))
+    n_pos, n_neg = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    y = np.array(draw(st.permutations([1] * n_pos + [-1] * n_neg)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    shift = draw(st.lists(st.sampled_from([0.0, 0.5, 3.0]), min_size=d,
+                          max_size=d))
+    x = rng.normal(size=(len(y), d)) + np.outer(y, shift)
+    config = GaConfig(population=draw(st.integers(2, 12)),
+                      generations=draw(st.integers(1, 5)),
+                      crossover_rate=draw(RATES), mutation_rate=draw(RATES),
+                      seed=draw(st.integers(0, 2 ** 32)))
+    evaluator = draw(st.sampled_from(["knn", "knn", "c45"]))
+    return LabeledSet.from_raw(x, y), evaluator, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(ga_cases())
+def test_genetic_select_equals_reference_property(case):
+    """Integer masks and decoded draws select what boolean masks and the
+    Generator's own calls select: the same indices, score bits and
+    history bits (one column exercises the integers(0, 1) repair)."""
+    data, evaluator, config = case
+    subset, history = genetic_select(data, evaluator, config,
+                                     return_history=True)
+    ref, ref_history = reference_genetic_select(data, evaluator, config,
+                                                return_history=True)
+    assert subset.indices == ref.indices
+    assert subset.score.hex() == ref.score.hex()
+    assert [h.hex() for h in history] == [h.hex() for h in ref_history]
