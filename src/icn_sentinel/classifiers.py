@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import beta as beta_dist
 
 from .core import (ConfigError, DegenerateDataError, NORMAL, ANOMALOUS,
                    SchemaError, SentinelError, is_finite_number, json_float,
@@ -575,13 +574,15 @@ def binom_upper(errors, n, cf):
 
     The pessimistic estimate behind rule pruning: the largest error
     probability under which observing <= errors mistakes in n cases still
-    has probability cf.
+    has probability cf.  scipy.stats is imported on first use, so only
+    C4.5 training pays its import.
     """
     if n <= 0:
         return 1.0
     if errors >= n:
         return 1.0
-    return float(beta_dist.ppf(1.0 - cf, errors + 1, n - errors))
+    from scipy.stats import beta
+    return float(beta.ppf(1.0 - cf, errors + 1, n - errors))
 
 
 def _coverage(conditions, xz):

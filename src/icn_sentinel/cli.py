@@ -14,6 +14,7 @@ given --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -225,6 +226,8 @@ def cmd_evaluate(args):
     return 0
 
 
+# built on the first main() call, not at import, and reused by later calls
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="icn-sentinel",

@@ -49,11 +49,8 @@ class GaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("population", "generations", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError("%s must be an integer, got %r"
-                                  % (name, value))
+        for name in ("population", "generations"):
+            _check_integer(name, getattr(self, name))
         _check_seed(self.seed)
         # tournaments draw below the population size from 32-bit outputs
         if not 2 <= self.population < 2 ** 32:
@@ -62,11 +59,18 @@ class GaConfig:
             raise ConfigError("generations must be >= 1")
         for name in ("crossover_rate", "mutation_rate"):
             v = getattr(self, name)
-            if not 0 <= v <= 1:
-                raise ConfigError("%s must be in [0, 1], got %r" % (name, v))
+            if isinstance(v, bool) or not 0 <= v <= 1:
+                raise ConfigError("%s must be a number in [0, 1], got %r"
+                                  % (name, v))
+
+
+def _check_integer(name, value):
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
 
 
 def _check_seed(seed):
+    _check_integer("seed", seed)
     if seed < 0:
         raise ConfigError("seed must be >= 0, got %r" % (seed,))
 
@@ -151,6 +155,7 @@ class _Split:
 def _cv_folds(data: LabeledSet, seed) -> _Split:
     """The split of data into its non-empty folds, made once per seed; the
     memo on data keeps the latest seed only."""
+    _check_seed(seed)  # before the memo, where True would find seed 1
     memo = data._folds
     if seed not in memo:
         y = data.y

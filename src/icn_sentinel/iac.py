@@ -21,7 +21,6 @@ from itertools import groupby
 from types import MappingProxyType
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from .core import (ConfigError, EventNotFoundError, EventTrace,
                    InsufficientDataError, SchemaError, SensitivityDegree,
@@ -129,8 +128,11 @@ def _check_gates(alpha, sigma_th, error):
 
 @functools.lru_cache(maxsize=256)
 def _t_quantile(n):
-    """Two-sided Student-t quantile at DEFAULT_CONFIDENCE over n samples."""
-    return float(student_t.ppf(0.5 + DEFAULT_CONFIDENCE / 2.0, n - 1))
+    """Two-sided Student-t quantile at DEFAULT_CONFIDENCE over n samples:
+    scipy.stats.t.ppf's value bit for bit (it computes stdtrit(df, q) * 1.0
+    + 0.0), without importing scipy.stats."""
+    from scipy.special import stdtrit
+    return float(stdtrit(n - 1, 0.5 + DEFAULT_CONFIDENCE / 2.0))
 
 
 def _bands(windows, sample, quantile) -> dict:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.optimize import brentq
-from scipy.stats import binom
+from scipy.stats import beta, binom
 
 from icn_sentinel import classifiers
 from icn_sentinel.classifiers import (CLASSIFIER_KINDS, C45Model, KnnModel, LabeledSet, Rule,
@@ -454,6 +454,18 @@ def test_binom_upper_matches_bisection():
     assert binom_upper(0, 8, 0.25) == pytest.approx(1 - 0.25 ** (1 / 8))
     assert binom_upper(3, 3, 0.25) == 1.0
     assert binom_upper(0, 0, 0.25) == 1.0
+
+
+def test_binom_upper_is_scipy_stats_beta_ppf_bit_for_bit():
+    # the pruning bound must stay beta.ppf's value on every scipy the
+    # package supports, whatever function computes it
+    cf = classifiers.C45_CF
+    for n in list(range(1, 60)) + list(range(60, 3001, 37)):
+        for errors in sorted({*range(min(n, 8)), *range(0, n, max(1, n // 9)),
+                              n - 1}):
+            want = float(beta.ppf(1.0 - cf, errors + 1, n - errors))
+            got = binom_upper.__wrapped__(errors, n, cf)
+            assert got.hex() == want.hex(), (errors, n)
 
 
 def rule_pessimistic(rule, conditions, xz, y, cf):

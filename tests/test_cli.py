@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+import icn_sentinel
 from icn_sentinel.classifiers import load_model
-from icn_sentinel.cli import main
+from icn_sentinel.cli import build_parser, main
 from icn_sentinel.core import (ConfigError, DataRow, SchemaError,
                                SensitivityDegree,
                                parse_data_trace, parse_event_trace)
@@ -976,3 +980,85 @@ def test_directories_in_the_older_format_give_the_same_output(
         reports.append(read_all(out))
     assert reports[0] == reports[1]
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_command(small_campaign_dir, tmp_path, capsys):
+    # main() builds the parser on its first call and reuses it; each command
+    # prints and exits as it does with a parser built for it alone
+    data = str(small_campaign_dir / "MD_test.csv")
+    commands = [
+        (["gen", "--config", str(small_campaign_dir.parent / "gen.json"),
+          "--seed", "5", "--out", str(tmp_path / "campaign")], 0),
+        (["detect", "--data", data], 2),
+        (["--help"], 0),
+        (["select", "--data", data, "--method", "greedy"], 0)]
+
+    def run(fresh):
+        outputs = []
+        for argv, code in commands:
+            if fresh:
+                build_parser.cache_clear()
+            assert main(argv) == code, argv
+            outputs.append(capsys.readouterr())
+        return outputs
+
+    build_parser.cache_clear()
+    shared = run(fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert shared == run(fresh=True)
+    assert "usage: icn-sentinel detect" in shared[1].err
+    assert shared[3].out.startswith("{")
+
+
+def _scipy_after(code):
+    """The scipy modules loaded once a fresh interpreter has run code."""
+    src = os.path.dirname(os.path.dirname(icn_sentinel.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps("
+         "[m for m in sys.modules if m.split('.')[0] == 'scipy']))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def _cli_runs(*commands):
+    return "from icn_sentinel.cli import main\n" + "".join(
+        "assert main(%r) == 0\n" % ([str(a) for a in argv],)
+        for argv in commands)
+
+
+def test_cold_import_loads_no_scipy():
+    # nor builds the parser: that waits for the first main() call
+    assert _scipy_after("import icn_sentinel.cli as cli\n"
+                        "assert cli.build_parser.cache_info().currsize == 0"
+                        ) == set()
+
+
+def test_gen_detect_and_knn_select_load_no_scipy(small_campaign_dir,
+                                                 tmp_path, capsys):
+    campaign = small_campaign_dir
+    data = ["--data", str(campaign / "MD_test.csv"),
+            "--events", str(campaign / "MD_test.events")]
+    assert main(["train"] + data + ["--algo", "knn",
+                                    "--out", str(tmp_path / "models")]) == 0
+    capsys.readouterr()
+    assert _scipy_after(_cli_runs(
+        ["gen", "--config", campaign.parent / "gen.json",
+         "--out", tmp_path / "campaign"],
+        ["detect"] + data + ["--models", tmp_path / "models",
+                             "--out", tmp_path / "verdicts.csv"],
+        ["select", "--data", campaign / "MD_test.csv", "--method", "genetic",
+         "--algo", "knn", "--out", tmp_path / "selection.json"])) == set()
+
+
+def test_svm_train_loads_scipy_special_but_not_scipy_stats(small_campaign_dir,
+                                                           tmp_path):
+    campaign = small_campaign_dir
+    loaded = _scipy_after(_cli_runs(
+        ["train", "--data", campaign / "MD_test.csv",
+         "--events", campaign / "MD_test.events", "--algo", "svm",
+         "--out", tmp_path / "models"]))
+    assert "scipy.special" in loaded
+    assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "stats"]}

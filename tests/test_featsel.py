@@ -445,6 +445,27 @@ def test_ga_config_fields_must_be_integers(field, value):
         GaConfig(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, np.int64(1), "1"])
+def test_seeds_must_be_python_integers(seed):
+    # seed 1's folds are memoized first, and True == 1 must not find them
+    data, y = xor_data(seed=7), np.array([1, -1] * 5)
+    assert cross_val_accuracy(data, [0], seed=1) > 0
+    match = re.escape("seed must be an integer, got %r" % (seed,))
+    for call in (lambda: stratified_folds(y, seed=seed),
+                 lambda: cross_val_accuracy(data, [0], seed=seed),
+                 lambda: greedy_select(data, seed=seed)):
+        with pytest.raises(ConfigError, match=match):
+            call()
+
+
+@pytest.mark.parametrize("name", ["crossover_rate", "mutation_rate"])
+@pytest.mark.parametrize("value", [True, False])
+def test_ga_rates_refuse_booleans(name, value):
+    with pytest.raises(ConfigError, match=re.escape(
+            "%s must be a number in [0, 1], got %r" % (name, value))):
+        GaConfig(**{name: value})
+
+
 def test_ga_config_population_below_two_to_the_32():
     assert GaConfig(population=2 ** 32 - 1).population == 2 ** 32 - 1
     with pytest.raises(ConfigError, match=re.escape("population must be in "

@@ -530,6 +530,14 @@ def reference_curves(symbols, event, w_delta):
     return mins, maxs
 
 
+def test_t_quantile_is_scipy_stats_t_ppf_bit_for_bit():
+    # _t_quantile calls scipy.special.stdtrit so that training does not
+    # import scipy.stats; t.ppf adds only "* 1.0 + 0.0" to that value
+    for n in range(2, 5000):
+        want = float(t_dist.ppf(0.5 + iac.DEFAULT_CONFIDENCE / 2, n - 1))
+        assert iac._t_quantile(n).hex() == want.hex(), n
+
+
 def reference_bands(curves, confidence):
     """Bands from 1-D numpy mean and std, one sample per (window, pick)."""
     shared = set.intersection(*(set(c[0]) for c in curves))
