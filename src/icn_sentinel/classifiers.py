@@ -451,14 +451,18 @@ class C45Model:
 
     @classmethod
     def _from_body(cls, doc, std, d):
-        """Feature indices and classes must be JSON integers, thresholds
-        finite numbers and errors numbers in [0, 1]; a value that is not
-        raises SchemaError naming ``rules[i]`` or ``default_class``."""
+        """``rules`` must be a list, feature indices and classes JSON
+        integers, thresholds finite numbers and errors numbers in [0, 1]; a
+        value that is not raises SchemaError naming ``rules``, ``rules[i]``
+        or ``default_class``."""
         default_class = doc["default_class"]
         if type(default_class) is not int \
                 or default_class not in (NORMAL, ANOMALOUS):
             raise SchemaError("default_class: expected the integer +1 or -1, "
                               "got %r" % (default_class,))
+        if not isinstance(doc["rules"], list):
+            raise SchemaError("rules: expected a list, got %r"
+                              % (doc["rules"],))
         rules = []
         for i, r in enumerate(doc["rules"]):
             try:

@@ -21,13 +21,15 @@ import os
 import sys
 from dataclasses import replace
 
-from .core import (ConfigError, SchemaError, SensitivityDegree,
-                   SentinelError, infer_schema, json_float, parse_data_trace,
-                   read_json, write_json)
+from .core import (DEFAULT_SENSITIVITY, SENSITIVITIES, ConfigError,
+                   SchemaError, SensitivityDegree, SentinelError,
+                   infer_schema, json_float, parse_data_trace, read_json,
+                   write_json)
 from .classifiers import CLASSIFIER_KINDS, LabeledSet
 from .featsel import GaConfig, genetic_select, greedy_select
-from .harness import (Detector, MatrixConfig, dual_detect, read_paired,
-                      run_matrix)
+from .harness import (DATASET_KINDS, Detector, MatrixConfig, dual_detect,
+                      read_paired, run_matrix)
+from .iac import DEFAULT_ALPHA, DEFAULT_SIGMA_TH, DEFAULT_W_DELTA
 from .synth import (GeneratorConfig, config_hash, default_config,
                     gen_campaign, load_campaign, save_campaign)
 
@@ -248,9 +250,9 @@ def build_parser():
     p.add_argument("--config", help="generator config JSON (psi limits)")
     p.add_argument("--out", required=True, help="model output directory")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--sigma-th", type=float, default=0.05)
-    p.add_argument("--w-delta", type=int, default=25)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
+    p.add_argument("--sigma-th", type=float, default=DEFAULT_SIGMA_TH)
+    p.add_argument("--w-delta", type=int, default=DEFAULT_W_DELTA)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("detect", help="dual detection over a trace")
@@ -258,8 +260,8 @@ def build_parser():
     p.add_argument("--events", required=True)
     p.add_argument("--models", required=True, help="directory from train")
     p.add_argument("--algo", choices=CLASSIFIER_KINDS, default=None)
-    p.add_argument("--sensitivity", type=int, choices=(20, 60, 100),
-                   default=100)
+    p.add_argument("--sensitivity", type=int, choices=SENSITIVITIES,
+                   default=DEFAULT_SENSITIVITY)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--sigma-th", type=float, default=None)
     p.add_argument("--out", default=None, help="verdict CSV path")
@@ -279,8 +281,8 @@ def build_parser():
     p.add_argument("--campaign", required=True, help="directory from gen")
     p.add_argument("--out", default=None, help="report output directory")
     p.add_argument("--groups", default=None, help="comma list, e.g. MD,AD")
-    p.add_argument("--dataset", choices=("full", "reduced"), default=None)
-    p.add_argument("--sensitivity", type=int, choices=(20, 60, 100),
+    p.add_argument("--dataset", choices=DATASET_KINDS, default=None)
+    p.add_argument("--sensitivity", type=int, choices=SENSITIVITIES,
                    default=None)
     p.add_argument("--algo", choices=CLASSIFIER_KINDS, default=None)
     p.add_argument("--config", help="JSON with acceptance thresholds")

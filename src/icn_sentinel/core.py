@@ -23,6 +23,15 @@ GROUPS = ("MD", "AD", "ED", "ND")
 
 # Demand-group time-of-day buckets, keyed by starting hour of a 6 h interval.
 GROUP_HOURS = {"MD": 6, "AD": 12, "ED": 18, "ND": 0}
+GROUP_SPAN_S = 6 * 3600
+_GROUP_OF_SPAN = {h * 3600 // GROUP_SPAN_S: g for g, h in GROUP_HOURS.items()}
+
+# Sensitivity grades in percent, and the grade detect uses unless given one
+SENSITIVITIES = (20, 60, 100)
+DEFAULT_SENSITIVITY = 100
+
+# Data CSV columns that are not parameters
+TRACE_COLUMNS = ("ts", "group", "label")
 
 NORMAL = 1
 ANOMALOUS = -1
@@ -102,15 +111,9 @@ def json_float(value, key, convert=float):
 
 
 def group_for_timestamp(ts) -> str:
-    """Demand group for a time of day: 06-12 MD, 12-18 AD, 18-24 ED, 00-06 ND."""
-    hour = (int(ts) % 86400) // 3600
-    if 6 <= hour < 12:
-        return "MD"
-    if 12 <= hour < 18:
-        return "AD"
-    if 18 <= hour < 24:
-        return "ED"
-    return "ND"
+    """Demand group whose GROUP_HOURS interval holds a time of day:
+    06-12 MD, 12-18 AD, 18-24 ED, 00-06 ND."""
+    return _GROUP_OF_SPAN[int(ts) % 86400 // GROUP_SPAN_S]
 
 
 def derive_seed(master, *labels) -> int:
@@ -300,7 +303,7 @@ class SensitivityDegree:
     s_pct: int
 
     def __post_init__(self):
-        if self.s_pct not in (20, 60, 100):
+        if self.s_pct not in SENSITIVITIES:
             raise ConfigError("sensitivity must be 20, 60 or 100, got %r"
                               % (self.s_pct,))
 
@@ -479,7 +482,7 @@ def infer_schema(path) -> tuple:
     A repeated column name raises SchemaError."""
     with _open_trace(path) as fh:
         names = _read_header(csv.reader(fh), path)
-    return tuple(h for h in names if h not in ("ts", "group", "label"))
+    return tuple(h for h in names if h not in TRACE_COLUMNS)
 
 
 def write_data_trace(path, trace: DataTrace):

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ANOMALOUS, ConfigError, DataTrace, EventTrace, GROUPS,
-                   MetricError, NORMAL, SchemaError, SensitivityDegree,
-                   _check_distinct, derive_seed, is_name_list,
-                   parse_data_trace, parse_event_trace, read_json, write_json)
+                   MetricError, NORMAL, SENSITIVITIES, SchemaError,
+                   SensitivityDegree, _check_distinct, derive_seed,
+                   is_name_list, parse_data_trace, parse_event_trace,
+                   read_json, write_json)
 from .classifiers import (CLASSIFIER_KINDS, LabeledSet, load_model,
                           model_kind, predict_labels, save_model,
                           train_classifier)
@@ -30,7 +31,6 @@ from .profiler import ThresholdProfile, build_profile, count_compromised
 from .synth import Campaign, inject_attacks
 
 DATASET_KINDS = ("full", "reduced")
-SENSITIVITIES = (20, 60, 100)
 
 
 def label_ground_truth(row, profile, features, sensitivity: SensitivityDegree):

@@ -22,10 +22,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (ConfigError, EventNotFoundError, EventTrace,
-                   InsufficientDataError, SchemaError, SensitivityDegree,
-                   SentinelError, is_finite_number, json_float,
-                   read_json, write_json)
+from .core import (DEFAULT_SENSITIVITY, ConfigError, EventNotFoundError,
+                   EventTrace, InsufficientDataError, SchemaError,
+                   SensitivityDegree, SentinelError, is_finite_number,
+                   json_float, read_json, write_json)
 
 DEFAULT_W_DELTA = 25
 DEFAULT_CONFIDENCE = 0.95
@@ -315,7 +315,7 @@ def _bands_from_json(event, bands) -> dict:
     """One event's window -> band map: windows w >= 1, each band the six
     finite numbers (min mean, lo, hi, max mean, lo, hi)."""
     if not isinstance(bands, dict) or not all(
-            str(w).isdecimal() and int(w) >= 1
+            str(w).isdecimal() and str(w) == str(int(w)) and int(w) >= 1
             and isinstance(band, (list, tuple)) and len(band) == 6
             and all(is_finite_number(v) for v in band)
             for w, band in bands.items()):
@@ -463,7 +463,7 @@ def classify_trace(test: EventTrace, model: IacModel, alpha=None, sigma_th=None,
     """
     alpha = model.alpha if alpha is None else alpha
     sigma_th = model.sigma_th if sigma_th is None else sigma_th
-    sensitivity = sensitivity or SensitivityDegree(100)
+    sensitivity = sensitivity or SensitivityDegree(DEFAULT_SENSITIVITY)
     key = (test.events, alpha, sigma_th, sensitivity.s_pct)
     memo = model._verdicts
     cached = memo.get(key)

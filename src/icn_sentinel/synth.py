@@ -12,14 +12,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .core import (ANOMALOUS, ConfigError, DataTrace, EventTrace, GROUP_HOURS,
-                   GROUPS, NORMAL, SchemaError, _check_distinct, derive_seed,
-                   is_finite_number, parse_data_trace, parse_event_trace,
-                   read_json, write_data_trace, write_event_trace, write_json)
+                   GROUP_SPAN_S, GROUPS, NORMAL, TRACE_COLUMNS, SchemaError,
+                   _check_distinct, derive_seed, is_finite_number,
+                   parse_data_trace, parse_event_trace, read_json,
+                   write_data_trace, write_event_trace, write_json)
 from .profiler import ParameterSpec, ThresholdProfile, compute_threshold
 
 ATTACK_PATTERNS = ("one", "three", "five", "mixed")
@@ -100,7 +101,7 @@ class GeneratorConfig:
         if not self.signal:
             raise ConfigError("at least one signal parameter required")
         for name in self.signal:
-            if name in ("ts", "group", "label"):
+            if name in TRACE_COLUMNS:
                 raise SchemaError("signal name %r is reserved for a trace "
                                   "column" % (name,))
         for field in ("extra_params", "rows_per_group", "seed", "cadence_s",
@@ -174,33 +175,26 @@ class GeneratorConfig:
     def to_json(self) -> dict:
         # the signal order defines the schema, so it rides in a list that
         # key-sorting serializers cannot reorder
-        return {
-            "signal": [[n, {"psi": p.psi, "mu": p.mu, "rel_std": p.rel_std}]
-                       for n, p in self.signal.items()],
-            "extra_params": self.extra_params,
-            "rows_per_group": self.rows_per_group,
-            "attack_rate": self.attack_rate,
-            "attack_pattern": self.attack_pattern,
-            "power_offsets": dict(self.power_offsets),
-            "seed": self.seed,
-            "cadence_s": self.cadence_s,
-            "burst_len": self.burst_len,
-        }
+        return dict(
+            {f.name: getattr(self, f.name) for f in fields(self)},
+            signal=[[n, {"psi": p.psi, "mu": p.mu, "rel_std": p.rel_std}]
+                    for n, p in self.signal.items()],
+            power_offsets=dict(self.power_offsets))
 
     @classmethod
     def from_json(cls, doc) -> "GeneratorConfig":
+        if not isinstance(doc, dict):
+            raise SchemaError("config: expected an object, got %r" % (doc,))
         signal = None
         if "signal" in doc:
             raw = doc["signal"]
             pairs = list(raw.items() if isinstance(raw, dict) else raw)
             _check_distinct([n for n, _ in pairs], "signal name")
             signal = {n: ParamModel(b["psi"], b["mu"],
-                                    b.get("rel_std", 0.05))
+                                    b.get("rel_std", ParamModel.rel_std))
                       for n, b in pairs}
-        kwargs = {k: doc[k] for k in
-                  ("extra_params", "rows_per_group", "attack_rate",
-                   "attack_pattern", "power_offsets", "seed", "cadence_s",
-                   "burst_len") if k in doc}
+        kwargs = {f.name: doc[f.name] for f in fields(cls)
+                  if f.name != "signal" and f.name in doc}
         return cls(signal=signal, **kwargs)
 
 
@@ -266,7 +260,7 @@ def gen_normal(config: GeneratorConfig, group, n, seed=None, start_row=0):
         matrix[:, j] = _truncated_normal(rng, mu, sd,
                                          profile.threshold(name), n)
 
-    per_interval = max(1, (6 * 3600) // config.cadence_s)
+    per_interval = max(1, GROUP_SPAN_S // config.cadence_s)
     start = GROUP_HOURS[group] * 3600
     timestamps = []
     for abs_row in range(start_row, start_row + n):
@@ -392,49 +386,38 @@ def gen_campaign(config: GeneratorConfig = None) -> Campaign:
     return Campaign(config, groups)
 
 
+def _partition_paths(directory, group):
+    """(train csv, test csv, train events, test events) of one group: a
+    campaign holds ``<group>_<part>.csv`` and ``.events`` per partition."""
+    return tuple(os.path.join(directory, "%s_%s.%s" % (group, part, ext))
+                 for ext in ("csv", "events") for part in ("train", "test"))
+
+
 def save_campaign(campaign: Campaign, outdir):
-    """Write one CSV + events file pair per group partition and a manifest
-    recording the seed and config hash.  Output is byte-deterministic."""
+    """Write each group's partitions at their _partition_paths and a
+    manifest of the config and its hash.  Output is byte-deterministic."""
     os.makedirs(outdir, exist_ok=True)
-    files = {}
     for group, data in campaign.groups.items():
-        entries = {}
-        for part, trace, events in (("train", data.train, data.train_events),
-                                    ("test", data.test, data.test_events)):
-            csv_name = "%s_%s.csv" % (group, part)
-            ev_name = "%s_%s.events" % (group, part)
-            write_data_trace(os.path.join(outdir, csv_name), trace)
-            write_event_trace(os.path.join(outdir, ev_name), events)
-            entries[part] = {"data": csv_name, "events": ev_name}
-        files[group] = entries
-    manifest = {
-        "seed": campaign.config.seed,
-        "config_hash": config_hash(campaign.config),
-        "config": campaign.config.to_json(),
-        "files": files,
-    }
-    write_json(os.path.join(outdir, "manifest.json"), manifest)
-
-
-def _parse_manifest(doc):
-    """(config, {group: (train csv, test csv, train events, test events)})
-    from a campaign manifest."""
-    files = {group: tuple(entries[part][kind] for kind in ("data", "events")
-                          for part in ("train", "test"))
-             for group, entries in doc["files"].items()}
-    return GeneratorConfig.from_json(doc["config"]), files
+        train, test, train_ev, test_ev = _partition_paths(outdir, group)
+        write_data_trace(train, data.train)
+        write_event_trace(train_ev, data.train_events)
+        write_data_trace(test, data.test)
+        write_event_trace(test_ev, data.test_events)
+    write_json(os.path.join(outdir, "manifest.json"),
+               {"config_hash": config_hash(campaign.config),
+                "config": campaign.config.to_json()})
 
 
 def load_campaign(directory) -> Campaign:
-    config, files = read_json(os.path.join(directory, "manifest.json"),
-                              _parse_manifest)
+    """Every group at its _partition_paths, under the manifest's config."""
+    config = read_json(os.path.join(directory, "manifest.json"),
+                       lambda doc: GeneratorConfig.from_json(doc["config"]))
     schema = config.schema()
     groups = {}
-    for group, names in files.items():
-        profile = group_profile(config, group)
-        train, test, train_ev, test_ev = (os.path.join(directory, name)
-                                          for name in names)
+    for group in GROUPS:
+        train, test, train_ev, test_ev = _partition_paths(directory, group)
         groups[group] = GroupData(
             parse_data_trace(train, schema), parse_data_trace(test, schema),
-            parse_event_trace(train_ev), parse_event_trace(test_ev), profile)
+            parse_event_trace(train_ev), parse_event_trace(test_ev),
+            group_profile(config, group))
     return Campaign(config, groups)

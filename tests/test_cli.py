@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import icn_sentinel
@@ -17,7 +18,8 @@ from icn_sentinel.core import (ConfigError, DataRow, SchemaError,
                                parse_data_trace, parse_event_trace)
 from icn_sentinel.harness import Detector, dual_detect, event_chunks
 from icn_sentinel.iac import IacModel
-from icn_sentinel.synth import GeneratorConfig
+from icn_sentinel.synth import (GeneratorConfig, default_config,
+                                gen_campaign, load_campaign)
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +51,7 @@ def test_gen_writes_expected_files(campaign_dir, capsys):
             assert "%s_%s.csv" % (group, part) in names
             assert "%s_%s.events" % (group, part) in names
     manifest = json.loads((campaign_dir / "manifest.json").read_text())
-    assert manifest["seed"] == 0
+    assert manifest["config"]["seed"] == 0
     assert len(manifest["config_hash"]) == 64
 
 
@@ -339,6 +341,36 @@ def test_detect_matches_cold_per_row_dual_detect(campaign_dir, models_dir,
             v.iac_pass,
             "normal" if v.normal else "anomalous"))
     assert out.read_text() == "\n".join(lines) + "\n"
+
+
+def test_detect_verdicts_are_row_local(svm_models_dir):
+    # a row's verdict depends on that row and its window only: a prefix, a
+    # permutation, a reversal and a duplication of a held-out trace, each
+    # scored by a freshly loaded detector, give every row its verdict in
+    # the whole trace
+    held_out = gen_campaign(default_config(
+        seed=9401, attack_pattern="mixed", rows_per_group=360)).groups["MD"]
+    trace = held_out.test
+    windows = event_chunks(held_out.test_events, len(trace.schema))
+    n = len(trace)
+    rng = np.random.default_rng(0)
+    orders = {"prefix": list(range(n // 3)),
+              "permutation": rng.permutation(n).tolist(),
+              "reversal": list(range(n))[::-1],
+              "duplication": rng.permutation(
+                  list(range(n)) + list(range(0, n, 4))).tolist()}
+
+    def verdicts(order, s_pct):
+        return [(v.threshold_pass, v.iac_pass, v.normal) for v in dual_detect(
+            Detector.load(svm_models_dir), trace.take(order),
+            [windows[i] for i in order], SensitivityDegree(s_pct))]
+
+    for s_pct in (20, 60, 100):
+        whole = verdicts(range(n), s_pct)
+        assert {normal for _, _, normal in whole} == {True, False}
+        for name, order in orders.items():
+            assert verdicts(order, s_pct) == [whole[i] for i in order], \
+                (name, s_pct)
 
 
 def test_detect_builds_no_data_row(campaign_dir, models_dir, tmp_path,
@@ -677,6 +709,9 @@ LENIENT_C45 = {
                          lambda doc: doc["rules"][0].update(error="nan")),
     "error-negative": ("rules[0]",
                        lambda doc: doc["rules"][0].update(error=-5)),
+    # an object of rules once loaded as a model with no rules
+    "rules-object": ("rules: expected a list",
+                     lambda doc: doc.update(rules={})),
     "condition-two-items": ("rules[0]", lambda doc: doc["rules"][0][
         "conditions"][0].pop()),
 }
@@ -761,6 +796,12 @@ MISFIT_IAC = {
     # float() would read "0.05" as 0.05 and true as 1.0
     "alpha-string": ("alpha", lambda doc: doc.update(alpha="0.05")),
     "sigma-th-true": ("sigma_th", lambda doc: doc.update(sigma_th=True)),
+    # windows not written as JSON writes them: "01" once replaced window 1's
+    # band, and "\u0661" (ARABIC-INDIC DIGIT ONE) read as window 1
+    "window-leading-zero": ("events", lambda doc: doc["events"]["FGF"].update(
+        {"01": [2.0] * 6})),
+    "window-non-ascii": ("events", lambda doc: doc["events"]["FGF"].update(
+        {"\u0661": doc["events"]["FGF"].pop("1")})),
 }
 
 
@@ -944,6 +985,13 @@ def _add_parent_keys(models, campaign):
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+# the file map older manifests held; it named the fixed layout
+OLDER_FILES = {group: {part: {"data": "%s_%s.csv" % (group, part),
+                              "events": "%s_%s.events" % (group, part)}
+                       for part in ("train", "test")}
+               for group in ("MD", "AD", "ED", "ND")}
+
+
 def test_directories_in_the_older_format_give_the_same_output(
         campaign_dir, small_campaign_dir, models_dir, svm_models_dir,
         c45_models_dir, tmp_path, capsys):
@@ -969,7 +1017,8 @@ def test_directories_in_the_older_format_give_the_same_output(
     shutil.copytree(small_campaign_dir, older)
     doc = json.loads((older / "manifest.json").read_text())
     config = GeneratorConfig.from_json(doc["config"])
-    doc.update(schema=list(config.schema()), signal=list(config.signal_names()))
+    doc.update(schema=list(config.schema()), signal=list(config.signal_names()),
+               seed=config.seed, files=OLDER_FILES)
     (older / "manifest.json").write_text(json.dumps(doc, indent=2,
                                                     sort_keys=True) + "\n")
     reports = []
@@ -980,6 +1029,54 @@ def test_directories_in_the_older_format_give_the_same_output(
         reports.append(read_all(out))
     assert reports[0] == reports[1]
     capsys.readouterr()
+
+
+# file maps that damaged manifests held; at one time a list ended in an
+# AttributeError, a number in a TypeError and an absolute name was read
+DAMAGED_FILES = {
+    "list": [],
+    "string": "MD_test.csv",
+    "number": dict(OLDER_FILES, MD={"train": {"data": 5, "events": None},
+                                    "test": {"data": 5, "events": None}}),
+    "absolute": dict(OLDER_FILES, MD={part: {"data": "/nonexistent.csv",
+                                             "events": "/nonexistent.events"}
+                                      for part in ("train", "test")}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DAMAGED_FILES))
+def test_a_campaign_loads_from_its_fixed_layout(case, small_campaign_dir,
+                                                tmp_path, capsys):
+    manifest = json.loads((small_campaign_dir / "manifest.json").read_text())
+    damaged = tmp_path / "campaign"
+    shutil.copytree(small_campaign_dir, damaged)
+    (damaged / "manifest.json").write_text(json.dumps(
+        dict(manifest, files=DAMAGED_FILES[case])))
+    assert load_campaign(damaged) == load_campaign(small_campaign_dir)
+    args = ["--groups", "MD", "--algo", "knn", "--seed", "3"]
+    reports = []
+    for campaign in (small_campaign_dir, damaged):
+        assert main(["evaluate", "--campaign", str(campaign)] + args) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    # gen writes the config and its hash, and no file map
+    assert sorted(manifest) == ["config", "config_hash"]
+
+
+@pytest.mark.parametrize("config", [[], ""], ids=["list", "string"])
+def test_a_manifest_config_must_be_an_object(config, small_campaign_dir,
+                                             tmp_path, capsys):
+    # a config that is not an object once evaluated the default config
+    damaged = tmp_path / "campaign"
+    shutil.copytree(small_campaign_dir, damaged)
+    manifest = json.loads((damaged / "manifest.json").read_text())
+    manifest["config"] = config
+    (damaged / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(SchemaError, match="config: expected an object"):
+        load_campaign(damaged)
+    assert main(["evaluate", "--campaign", str(damaged)]) == 3
+    err = capsys.readouterr().err
+    assert "manifest.json: config: expected an object" in err, err
 
 
 def test_one_parser_serves_every_command(small_campaign_dir, tmp_path, capsys):

@@ -216,6 +216,17 @@ def test_mann_whitney_identical_samples():
     assert p == 1.0
 
 
+def test_mann_whitney_asymptotic_p_at_the_mean_and_all_tied():
+    # past EXACT_LIMIT: U at its mean n*m/2 takes no continuity correction,
+    # and samples tied throughout have zero variance; both give p = 1
+    halves = [0.0, 1.0] * 11
+    assert len(halves) ** 2 > iac.EXACT_LIMIT
+    assert mann_whitney_u(halves, halves) == (242.0, 1.0)
+    tied = [1.0] * 21
+    assert len(tied) ** 2 > iac.EXACT_LIMIT
+    assert mann_whitney_u(tied, tied) == (220.5, 1.0)
+
+
 def test_mann_whitney_u_sum_invariant():
     rng = np.random.default_rng(3)
     for _ in range(100):

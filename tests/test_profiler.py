@@ -88,6 +88,14 @@ def test_invert_threshold_roundtrip():
         assert 0.0 <= mu <= psi
 
 
+def test_invert_threshold_boundaries():
+    # psi must be positive; p_th = 0 and p_th = psi end the range [0, psi]
+    with pytest.raises(ConfigError):
+        invert_threshold(0.0, 0.0)
+    assert invert_threshold(10.0, 0.0) == 0.0
+    assert invert_threshold(10.0, 10.0) == 10.0
+
+
 def _trace(values_by_row, name="FGF"):
     rows = [DataRow(60 * i + 21600, "MD", {name: float(v)}, None)
             for i, v in enumerate(values_by_row)]
