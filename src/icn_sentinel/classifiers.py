@@ -80,8 +80,8 @@ class LabeledSet:
     def from_raw(cls, x, y) -> "LabeledSet":
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=int)
-        if x.ndim != 2:
-            raise SchemaError("feature matrix must be 2-D")
+        if x.ndim != 2 or x.shape[1] == 0:
+            raise SchemaError("feature matrix must be 2-D with >= 1 column")
         if x.shape[0] != y.shape[0]:
             raise SchemaError("feature/label length mismatch: %d vs %d"
                               % (x.shape[0], y.shape[0]))

@@ -12,7 +12,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,18 +144,6 @@ class DataRow:
             if not math.isfinite(float(value)):
                 raise ConfigError("non-finite value for parameter %r" % name)
 
-    @classmethod
-    def _view(cls, timestamp, group, values, label):
-        """A row over cells that a parsed trace has already checked."""
-        row, put = object.__new__(cls), object.__setattr__
-        # field by field, as __init__ does: vars(row).update would give each
-        # row a dict of its own, about twice the size
-        put(row, "timestamp", timestamp)
-        put(row, "group", group)
-        put(row, "values", values)
-        put(row, "label", label)
-        return row
-
 
 class DataTrace:
     """An ordered run of rows sharing one parameter schema, held as columns.
@@ -217,10 +204,9 @@ class DataTrace:
 
     @cached_property
     def rows(self) -> tuple:
-        schema, view = self.schema, DataRow._view
-        return tuple(view(ts, group, dict(zip(schema, values)), label)
-                     for ts, group, values, label in
-                     zip(self.timestamps, self.groups, self._matrix.tolist(),
+        return tuple(DataRow(ts, group, dict(zip(self.schema, values)), label)
+                     for ts, group, values, label in zip(
+                         self.timestamps, self.groups, self._matrix.tolist(),
                          self._labels))
 
     def take(self, indices) -> "DataTrace":
@@ -327,10 +313,7 @@ class ParameterSpec:
     def __post_init__(self):
         for field in ("psi", "mu", "delta", "p_th"):
             value = getattr(self, field)
-            if not isinstance(value, numbers.Real):
-                raise TypeError("%s of %r must be a number, got %r"
-                                % (field, self.name, value))
-            if not math.isfinite(value):
+            if not is_finite_number(value):
                 raise ConfigError("non-finite %s for %r" % (field, self.name))
         if not self.psi > 0:
             raise ConfigError("psi must be > 0 for %r" % self.name)

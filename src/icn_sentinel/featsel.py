@@ -139,9 +139,6 @@ class _Split:
         train_y = np.zeros((len(folds), width), dtype=test_y.dtype)
         start = 0
         for i, f in enumerate(folds):
-            if len(np.unique(f.train_y)) < 2:
-                raise DegenerateDataError(
-                    "training data must contain both classes")
             std = Standardization.fit(f.train_x)
             m = len(f.train_y)
             planes[:, start:start + sizes[i], :m] = _sq_planes(
@@ -160,9 +157,9 @@ def _cv_folds(data: LabeledSet, seed) -> _Split:
     if seed not in memo:
         y = data.y
         counts = np.unique(y, return_counts=True)[1]
-        if counts.min() < 2:
+        if len(counts) < 2 or counts.min() < 2:
             raise DegenerateDataError(
-                "cross-validation needs >= 2 members per class")
+                "cross-validation needs both classes, each with >= 2 members")
         assignment = stratified_folds(y, seed=seed)
         folds = []
         for fold in range(FOLDS):
@@ -224,8 +221,6 @@ def greedy_select(data: LabeledSet, evaluator="knn", max_features=None,
     """Forward selection: repeatedly add the feature that raises CV
     accuracy the most (lowest index on ties); stop when nothing improves
     or max_features is reached."""
-    if not data.both_classes():
-        raise DegenerateDataError("selection needs both classes")
     n = data.n_features
     if max_features is None:
         max_features = n
@@ -374,8 +369,6 @@ def genetic_select(data: LabeledSet, evaluator="knn", config=None,
     by _Pcg64Draws, so a seed selects what it selected with the
     Generator's own calls.
     """
-    if not data.both_classes():
-        raise DegenerateDataError("selection needs both classes")
     config = config or GaConfig()
     n = data.n_features
     size = config.population

@@ -334,9 +334,9 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
 
     Ground truth on both partitions comes from the generator's own
     profile over the signal parameters, so denominators match the
-    injected attack counts exactly.  Filters narrow the matrix, and a
-    group named twice raises SchemaError; the full default grid is
-    3 * 2 * 3 * 4 = 72 cells in canonical order.
+    injected attack counts exactly.  Filters narrow the matrix; a repeated
+    filter value or an unknown dataset raises SchemaError.  The full
+    default grid is 3 * 2 * 3 * 4 = 72 cells in canonical order.
     Training has no randomness, so cells that share a classifier, view,
     group and training labels (every sensitivity, under the "five" attack
     pattern) train once and share the test predictions.
@@ -347,10 +347,15 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
     datasets = tuple(datasets) if datasets else DATASET_KINDS
     sensitivities = tuple(sensitivities) if sensitivities else SENSITIVITIES
     classifiers = tuple(classifiers) if classifiers else CLASSIFIER_KINDS
-    _check_distinct(groups, "group")
+    for names, what in zip((groups, datasets, sensitivities, classifiers),
+                           ("group", "dataset", "sensitivity", "classifier")):
+        _check_distinct(names, what)
     for g in groups:
         if g not in campaign.groups:
             raise ConfigError("campaign has no group %r" % (g,))
+    for d in datasets:
+        if d not in DATASET_KINDS:
+            raise SchemaError("unknown dataset %r" % (d,))
 
     signal = list(campaign.signal)
     results = []

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (ConfigError, DataTrace, InsufficientDataError,
-                   ParameterSpec, SchemaError, is_finite_number, read_json,
-                   write_json)
+                   ParameterSpec, SchemaError, read_json, write_json)
 
 DEFAULT_TRIM_FRACTION = 0.1
 DEFAULT_WINDOW_LEN = 1440
@@ -90,9 +89,9 @@ class ThresholdProfile:
 
     @classmethod
     def from_json(cls, doc) -> "ThresholdProfile":
-        """Rebuild a profile; a value that does not fit raises SchemaError
-        naming its key.  A ``_settings`` key, which older files carry, is
-        skipped unread."""
+        """Rebuild a profile; a missing key raises SchemaError naming it, and
+        ParameterSpec refuses a value that does not fit.  A ``_settings``
+        key, which older files carry, is skipped unread."""
         params = {}
         for name, body in doc.items():
             if name == "_settings":
@@ -103,12 +102,6 @@ class ThresholdProfile:
             for key in ("psi", "mu", "delta", "p_th"):
                 if key not in body:
                     raise SchemaError("%s: missing key %r" % (name, key))
-                if not is_finite_number(body[key]):
-                    raise SchemaError("%s: %s must be a finite number, got %r"
-                                      % (name, key, body[key]))
-            if not body["psi"] > 0:
-                raise SchemaError("%s: psi must be > 0, got %r"
-                                  % (name, body["psi"]))
             params[name] = ParameterSpec(name, body["psi"], body["mu"],
                                          body["delta"], body["p_th"])
         return cls(params)

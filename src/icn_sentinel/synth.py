@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -65,11 +65,11 @@ class ParamModel:
     rel_std: float = 0.05
 
     def __post_init__(self):
-        for field in ("psi", "mu", "rel_std"):
-            value = getattr(self, field)
+        for key in ("psi", "mu", "rel_std"):
+            value = getattr(self, key)
             if not is_finite_number(value):
                 raise ConfigError("%s must be a finite number, got %r"
-                                  % (field, value))
+                                  % (key, value))
         if not self.psi > 0:
             raise ConfigError("psi must be > 0")
         if not 0 < self.mu < self.psi:
@@ -80,36 +80,30 @@ class ParamModel:
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    signal: dict = None
+    signal: dict = field(default_factory=lambda: {
+        n: ParamModel(psi, mu) for n, psi, mu in SIGNAL_DEFAULTS})
     extra_params: int = 13
     rows_per_group: int = 180
     attack_rate: float = 0.25
     attack_pattern: str = "five"
-    power_offsets: dict = None
+    power_offsets: dict = field(default_factory=DEFAULT_POWER_OFFSETS.copy)
     seed: int = 0
     cadence_s: int = 60
     burst_len: int = 2
 
     def __post_init__(self):
-        if self.signal is None:
-            object.__setattr__(self, "signal",
-                               {n: ParamModel(psi, mu)
-                                for n, psi, mu in SIGNAL_DEFAULTS})
-        if self.power_offsets is None:
-            object.__setattr__(self, "power_offsets",
-                               dict(DEFAULT_POWER_OFFSETS))
         if not self.signal:
             raise ConfigError("at least one signal parameter required")
         for name in self.signal:
             if name in TRACE_COLUMNS:
                 raise SchemaError("signal name %r is reserved for a trace "
                                   "column" % (name,))
-        for field in ("extra_params", "rows_per_group", "seed", "cadence_s",
-                      "burst_len"):
-            value = getattr(self, field)
+        for key in ("extra_params", "rows_per_group", "seed", "cadence_s",
+                    "burst_len"):
+            value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError("%s must be an integer, got %r"
-                                  % (field, value))
+                                  % (key, value))
         if not 0 <= self.extra_params <= MAX_EXTRA_PARAMS:
             raise ConfigError("extra_params must be in [0, %d]"
                               % MAX_EXTRA_PARAMS)
@@ -122,7 +116,8 @@ class GeneratorConfig:
         if self.attack_pattern not in ATTACK_PATTERNS:
             raise ConfigError("attack_pattern must be one of %s"
                               % (ATTACK_PATTERNS,))
-        if set(self.power_offsets) != set(GROUPS):
+        if not isinstance(self.power_offsets, dict) \
+                or set(self.power_offsets) != set(GROUPS):
             raise ConfigError("power_offsets must cover exactly %s" % (GROUPS,))
         if not all(is_finite_number(v) and v > 0
                    for v in self.power_offsets.values()):
@@ -185,17 +180,16 @@ class GeneratorConfig:
     def from_json(cls, doc) -> "GeneratorConfig":
         if not isinstance(doc, dict):
             raise SchemaError("config: expected an object, got %r" % (doc,))
-        signal = None
-        if "signal" in doc:
-            raw = doc["signal"]
+        kwargs = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
+        if "signal" in kwargs:
+            raw = kwargs["signal"]
             pairs = list(raw.items() if isinstance(raw, dict) else raw)
             _check_distinct([n for n, _ in pairs], "signal name")
-            signal = {n: ParamModel(b["psi"], b["mu"],
-                                    b.get("rel_std", ParamModel.rel_std))
-                      for n, b in pairs}
-        kwargs = {f.name: doc[f.name] for f in fields(cls)
-                  if f.name != "signal" and f.name in doc}
-        return cls(signal=signal, **kwargs)
+            kwargs["signal"] = {n: ParamModel(b["psi"], b["mu"],
+                                              b.get("rel_std",
+                                                    ParamModel.rel_std))
+                                for n, b in pairs}
+        return cls(**kwargs)
 
 
 def default_config(seed=0, **overrides) -> GeneratorConfig:
@@ -220,10 +214,7 @@ def group_profile(config: GeneratorConfig, group) -> ThresholdProfile:
 
 
 def _truncated_normal(rng, mean, sd, upper, n):
-    """Normal draws rejection-truncated to (0, upper]."""
-    if not 0 < mean <= upper:
-        raise ConfigError("mean %g outside the acceptance band (0, %g]"
-                          % (mean, upper))
+    """Normal draws rejection-truncated to (0, upper], which holds mean."""
     x = rng.normal(mean, sd, n)
     for _ in range(200):
         bad = ~((x > 0) & (x <= upper))  # a NaN draw is bad too
@@ -242,8 +233,6 @@ def gen_normal(config: GeneratorConfig, group, n, seed=None, start_row=0):
     cadence step per row inside the group's 6 h interval, rolling to the
     next day when the interval fills.  Labels are +1.
     """
-    if group not in GROUPS:
-        raise ConfigError("unknown group %r" % (group,))
     if n < 0:
         raise ConfigError("row count must be >= 0")
     if seed is None:
@@ -331,13 +320,10 @@ def inject_attacks(trace: DataTrace, events, profile: ThresholdProfile,
             base = i * len(schema)
             free = [base + j for j, name in enumerate(schema)
                     if name not in signal_set]
-            pos = 0
-            for name in attacked:
-                for _ in range(burst_len):
-                    if pos >= len(free):
-                        break
-                    symbols[free[pos]] = name
-                    pos += 1
+            # lazy: burst_len has no upper bound
+            burst = (name for name in attacked for _ in range(burst_len))
+            for slot, name in zip(free, burst):
+                symbols[slot] = name
 
     out = DataTrace._from_columns(schema, trace.timestamps, trace.groups,
                                   tuple(labels), matrix)

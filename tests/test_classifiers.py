@@ -68,6 +68,12 @@ def test_labeled_set_validation():
         LabeledSet.from_raw([[1.0], [2.0]], [1, 2])
 
 
+def test_labeled_set_needs_a_feature_column():
+    # genetic selection over such a set drew for a non-empty mask forever
+    with pytest.raises(SchemaError, match=">= 1 column"):
+        LabeledSet.from_raw(np.empty((6, 0)), [1, 1, 1, -1, -1, -1])
+
+
 def test_svm_symmetric_pair():
     # on z-scored points -1/+1 the primal optimum is w = 1, b = 0 with
     # objective 1/2

@@ -249,6 +249,23 @@ def test_gen_refuses_a_non_integer_config_field(tmp_path, capsys, field,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"signal": None}, "not iterable"),
+    ({"power_offsets": None}, "power_offsets"),
+    ({"power_offsets": ["MD", "AD", "ED", "ND"]}, "power_offsets")],
+    ids=["null-signal", "null-power-offsets", "power-offsets-list"])
+def test_gen_refuses_a_null_or_listed_default(config, named, tmp_path,
+                                              capsys):
+    # null used to stand for the default power offsets, and a list of the
+    # group names ended in an AttributeError
+    path = tmp_path / "gen_config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "campaign"
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 3
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("rows", [10 ** 11, 10 ** 400],
                          ids=["rows-1e11", "rows-401-digits"])
 def test_gen_refuses_a_size_above_the_cap(rows, tmp_path, capsys):
@@ -379,7 +396,6 @@ def test_detect_builds_no_data_row(campaign_dir, models_dir, tmp_path,
     def refuse(*args, **kwargs):
         raise AssertionError("detect built a DataRow")
     monkeypatch.setattr(DataRow, "__init__", refuse)
-    monkeypatch.setattr(DataRow, "_view", refuse)
     out = tmp_path / "verdicts.csv"
     assert main(["detect", "--data", str(campaign_dir / "MD_test.csv"),
                  "--events", str(campaign_dir / "MD_test.events"),

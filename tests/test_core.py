@@ -84,6 +84,18 @@ def test_parameter_spec_validation():
         ParameterSpec("FGF", 500.0, 334.17, 0.33166, 300.0)  # p_th below mu
 
 
+@pytest.mark.parametrize("field", ["psi", "mu", "delta", "p_th"])
+@pytest.mark.parametrize("value", [True, 10 ** 400, "500"],
+                         ids=["bool", "beyond-float", "string"])
+def test_parameter_spec_refuses_what_is_not_a_finite_number(field, value):
+    # a bool passed as a limit, and an int beyond float range ended in a
+    # bare OverflowError, where the profile reader refused both
+    values = dict(psi=500.0, mu=334.17, delta=0.33166, p_th=445.0)
+    values[field] = value
+    with pytest.raises(ConfigError, match="non-finite %s for 'FGF'" % field):
+        ParameterSpec("FGF", **values)
+
+
 def test_parse_single_row(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("ts,group,FGF,MSV,GBV,EGT,Power\n"

@@ -379,6 +379,19 @@ def test_greedy_needs_both_classes():
         greedy_select(lone)
 
 
+@pytest.mark.parametrize("evaluator", CLASSIFIER_KINDS)
+def test_cross_validation_refuses_one_class_for_every_search(evaluator):
+    # the class check lives in the CV split that both searches go through
+    lone = LabeledSet.from_raw(np.arange(24.0).reshape(8, 3), [1] * 8)
+    for search in (lambda: cross_val_accuracy(lone, [0, 2], evaluator),
+                   lambda: greedy_select(lone, evaluator),
+                   lambda: genetic_select(lone, evaluator,
+                                          GaConfig(population=4,
+                                                   generations=1))):
+        with pytest.raises(DegenerateDataError, match="both classes"):
+            search()
+
+
 def test_both_methods_recover_planted_pair():
     data = xor_data()
     assert greedy_select(data).indices == (0, 1)

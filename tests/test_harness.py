@@ -1,5 +1,6 @@
 import dataclasses
 import pathlib
+import re
 import tempfile
 
 import numpy as np
@@ -17,7 +18,7 @@ from icn_sentinel.harness import (DATASET_KINDS, SENSITIVITIES, Detector,
                                   EvaluationReport, MatrixConfig, dual_detect,
                                   event_chunks, label_ground_truth, metrics,
                                   run_matrix)
-from icn_sentinel.iac import train_iac_model
+from icn_sentinel.iac import classify_trace, train_iac_model
 from icn_sentinel.profiler import (ThresholdProfile, compute_threshold,
                                    count_compromised)
 from icn_sentinel.synth import (config_hash, default_config, gen_campaign,
@@ -283,6 +284,50 @@ def test_run_matrix_filters(campaign):
         run_matrix(campaign, groups=["XX"])
 
 
+@pytest.mark.parametrize("filters, message", [
+    ({"groups": ["MD", "MD"]}, "repeated group 'MD'"),
+    ({"datasets": ["full", "full"]}, "repeated dataset 'full'"),
+    ({"sensitivities": [100, 100]}, "repeated sensitivity 100"),
+    ({"classifiers": ["knn", "knn"]}, "repeated classifier 'knn'"),
+    ({"datasets": ["bogus"]}, "unknown dataset 'bogus'")])
+def test_run_matrix_refuses_a_repeated_or_unknown_filter(campaign, filters,
+                                                         message):
+    # a repeated dataset, sensitivity or classifier used to evaluate its
+    # cells twice, and an unknown dataset ended in a bare KeyError
+    narrow = {"groups": ["MD"], "classifiers": ["knn"],
+              "sensitivities": [100]}
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        run_matrix(campaign, **dict(narrow, **filters))
+
+
+def cell_key(result):
+    return (result.classifier, result.dataset, result.s_pct, result.group)
+
+
+@pytest.mark.parametrize("pattern, seed", [("five", 3), ("mixed", 7)])
+def test_a_filtered_matrix_keeps_each_cell_of_the_full_run(pattern, seed):
+    # metamorphic: narrowing evaluate by any filter, in any order, neither
+    # adds a cell nor changes one
+    campaign = gen_campaign(default_config(seed=seed, attack_pattern=pattern,
+                                           rows_per_group=120))
+    full = {cell_key(r): r for r in run_matrix(campaign).results}
+    assert len(full) == 72
+    filters = ([{"groups": [g]} for g in GROUPS]
+               + [{"datasets": [d]} for d in DATASET_KINDS]
+               + [{"sensitivities": [s]} for s in SENSITIVITIES]
+               + [{"classifiers": [c]} for c in CLASSIFIER_KINDS]
+               + [{"groups": ["ND", "AD"], "datasets": ["reduced"],
+                   "sensitivities": [100, 20], "classifiers": ["c45", "svm"]}])
+    dims = ("classifiers", "datasets", "sensitivities", "groups")
+    for f in filters:
+        cells = run_matrix(campaign, **f).results
+        assert sorted(map(cell_key, cells)) == sorted(
+            key for key in full
+            if all(v in f.get(d, (v,)) for d, v in zip(dims, key))), f
+        for r in cells:
+            assert r == full[cell_key(r)], f
+
+
 def test_run_matrix_deterministic(campaign):
     a = run_matrix(campaign, classifiers=["svm"], groups=["MD"])
     b = run_matrix(campaign, classifiers=["svm"], groups=["MD"])
@@ -436,3 +481,67 @@ def test_run_matrix_trains_each_distinct_set_once(campaign, monkeypatch):
                     for r in cold[s].rows(classifier=clf, dataset=dataset)]
         assert full.results == tuple(expected)
     assert distinct_training_sets(campaign) == 24
+
+
+def test_training_row_order_changes_no_profile_curves_or_verdicts(tmp_path):
+    # metamorphic: a permutation of the training rows (and their windows)
+    # writes the same profile.json and iac_model.json, and kNN and C4.5
+    # give every held-out row the same verdict.  360 rows stay below the
+    # 1440 most recent rows that build_profile reads.  The SVM is left out:
+    # its training visits the rows in order, and a permutation flips a few
+    # held-out verdicts.
+    config = default_config(seed=9400, rows_per_group=360)
+    md = gen_campaign(config).groups["MD"]
+    held_out = gen_campaign(default_config(
+        seed=9401, attack_pattern="mixed", rows_per_group=1440)).groups["MD"]
+    width = len(md.test.schema)
+    windows = event_chunks(md.test_events, width)
+    held_windows = event_chunks(held_out.test_events, width)
+    limits = {name: pm.psi for name, pm in config.parameters().items()}
+    n = len(md.test)
+    rng = np.random.default_rng(0)
+    orders = [list(range(n))] + [rng.permutation(n).tolist()
+                                 for _ in range(2)]
+    for algo in ("knn", "c45"):
+        outcomes = []
+        for i, order in enumerate(orders):
+            detector = Detector.fit(md.test.take(order),
+                                    [windows[j] for j in order], algo, limits)
+            out = tmp_path / ("%s-%d" % (algo, i))
+            detector.save(out, 0, config_hash(config))
+            verdicts = dual_detect(detector, held_out.test, held_windows,
+                                   SensitivityDegree(100))
+            outcomes.append((
+                (out / "profile.json").read_bytes(),
+                (out / "iac_model.json").read_bytes(),
+                [(v.threshold_pass, v.iac_pass, v.normal) for v in verdicts]))
+        assert {normal for _, _, normal in outcomes[0][2]} == {True, False}
+        assert outcomes[1:] == outcomes[:1] * (len(orders) - 1), algo
+
+
+def test_sensitivity_grades_nest():
+    # metamorphic: at a fixed curve model, a window flagged at S20 is
+    # flagged at S60 and one flagged at S60 is flagged at S100, over the
+    # same per-event verdicts; replayed and symbol-shuffled windows
+    campaign = gen_campaign(default_config(seed=9402, attack_pattern="mixed",
+                                           rows_per_group=600))
+    md = campaign.groups["MD"]
+    width = len(md.test.schema)
+    model = train_iac_model(event_chunks(md.train_events, width))
+    replayed = event_chunks(md.test_events, width)
+    rng = np.random.default_rng(0)
+    shuffled = [EventTrace(rng.permutation(w.events).tolist())
+                for w in replayed]
+    flagged = {s: 0 for s in SENSITIVITIES}
+    for window in replayed + shuffled:
+        verdicts = [classify_trace(window, model,
+                                   sensitivity=SensitivityDegree(s))
+                    for s in SENSITIVITIES]
+        assert len({tuple(v.events.items()) for v in verdicts}) == 1
+        anomalous = [v.anomalous for v in verdicts]
+        assert anomalous == sorted(anomalous), window
+        for s, a in zip(SENSITIVITIES, anomalous):
+            flagged[s] += a
+    # S20 needs every event anomalous, which none of these windows is
+    assert flagged[20] <= flagged[60] < flagged[100] < len(replayed), flagged
+    assert flagged[60] > 0, flagged
