@@ -512,7 +512,8 @@ def _entropy2(pos, total) -> np.ndarray:
 
 
 def _best_split(x, y):
-    """Highest-gain-ratio binary split on a midpoint threshold.
+    """Highest-gain-ratio binary split on a midpoint threshold (the lower
+    value where the midpoint rounds up to the upper one).
 
     Candidate cuts sit between adjacent distinct values whose blocks are
     not both pure of the same class; ties prefer the lowest feature index,
@@ -554,7 +555,11 @@ def _best_split(x, y):
         return None
     best = ratio.argmax()
     jb, rb = int(j[best]), r[best]
-    return jb, (xs[rb, jb] + xs[rb + 1, jb]) / 2.0
+    lo, hi = xs[rb, jb], xs[rb + 1, jb]
+    mid = (lo + hi) / 2.0
+    # between adjacent floats the midpoint can round up to hi; a cut there
+    # is not the one scored, and splits nothing when hi's block is the last
+    return jb, (mid if mid < hi else lo)
 
 
 def _rules(x, y, prefix=()):
@@ -570,6 +575,19 @@ def _rules(x, y, prefix=()):
         yield from _rules(x[rows], y[rows], prefix + ((j, op, float(thr)),))
 
 
+@functools.cache
+def _beta_ppf():
+    """The beta quantile, chosen once per process: the ufunc behind
+    scipy.stats.beta.ppf, which returns its value * scale 1.0 + loc 0.0, or
+    on a scipy.special without it beta.ppf itself (45 MB more to import)."""
+    try:
+        from scipy.special._ufuncs import _beta_ppf
+        return _beta_ppf
+    except ImportError:
+        from scipy.stats import beta
+        return beta.ppf
+
+
 # Pruning asks for few distinct (errors, n): 1488 in the 145,611 calls of one
 # genetic c45 selection on 120 rows.  4096 entries hold such a search's set.
 @functools.lru_cache(maxsize=4096)
@@ -578,15 +596,12 @@ def binom_upper(errors, n, cf):
 
     The pessimistic estimate behind rule pruning: the largest error
     probability under which observing <= errors mistakes in n cases still
-    has probability cf.  scipy.stats is imported on first use, so only
-    C4.5 training pays its import.
+    has probability cf: scipy.stats.beta.ppf(1 - cf, errors + 1, n - errors)
+    bit for bit, computed as beta.ppf computes it (see ``_beta_ppf``).
     """
-    if n <= 0:
+    if n <= 0 or errors >= n:
         return 1.0
-    if errors >= n:
-        return 1.0
-    from scipy.stats import beta
-    return float(beta.ppf(1.0 - cf, errors + 1, n - errors))
+    return float(_beta_ppf()(1.0 - cf, errors + 1, n - errors) * 1.0 + 0.0)
 
 
 def _coverage(conditions, xz):

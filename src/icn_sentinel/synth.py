@@ -183,7 +183,16 @@ class GeneratorConfig:
         kwargs = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
         if "signal" in kwargs:
             raw = kwargs["signal"]
+            if not isinstance(raw, (dict, list)):
+                raise SchemaError("signal: expected a list or an object, "
+                                  "got %r" % (raw,))
             pairs = list(raw.items() if isinstance(raw, dict) else raw)
+            for i, pair in enumerate(pairs):
+                if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                        and isinstance(pair[0], str)
+                        and isinstance(pair[1], dict)):
+                    raise SchemaError("signal[%d]: expected [name, {psi, mu, "
+                                      "rel_std}], got %r" % (i, pair))
             _check_distinct([n for n, _ in pairs], "signal name")
             kwargs["signal"] = {n: ParamModel(b["psi"], b["mu"],
                                               b.get("rel_std",

@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import pathlib
+import sys
 import tempfile
+import types
 
 import numpy as np
 import pytest
@@ -465,13 +467,37 @@ def test_binom_upper_matches_bisection():
 def test_binom_upper_is_scipy_stats_beta_ppf_bit_for_bit():
     # the pruning bound must stay beta.ppf's value on every scipy the
     # package supports, whatever function computes it
+    # every errors < n for n <= 200, then a sparse grid up to n = 3000
     cf = classifiers.C45_CF
+    for n in range(1, 201):
+        errors = np.arange(n)
+        want = beta.ppf(1.0 - cf, errors + 1, n - errors)
+        for e, w in zip(errors.tolist(), want.tolist()):
+            got = binom_upper.__wrapped__(e, n, cf)
+            assert got.hex() == w.hex(), (e, n)
     for n in list(range(1, 60)) + list(range(60, 3001, 37)):
         for errors in sorted({*range(min(n, 8)), *range(0, n, max(1, n // 9)),
                               n - 1}):
             want = float(beta.ppf(1.0 - cf, errors + 1, n - errors))
             got = binom_upper.__wrapped__(errors, n, cf)
             assert got.hex() == want.hex(), (errors, n)
+
+
+def test_binom_upper_falls_back_to_beta_ppf(monkeypatch):
+    # a scipy.special without the _beta_ppf ufunc, as an older scipy may be
+    monkeypatch.setitem(sys.modules, "scipy.special._ufuncs",
+                        types.ModuleType("scipy.special._ufuncs"))
+    classifiers._beta_ppf.cache_clear()
+    try:
+        assert classifiers._beta_ppf() == beta.ppf
+        cf = classifiers.C45_CF
+        for n in (1, 2, 7, 60, 400, 3000):
+            for errors in sorted({0, n // 2, n - 1}):
+                want = float(beta.ppf(1.0 - cf, errors + 1, n - errors))
+                got = binom_upper.__wrapped__(errors, n, cf)
+                assert got.hex() == want.hex(), (errors, n)
+    finally:
+        classifiers._beta_ppf.cache_clear()
 
 
 def rule_pessimistic(rule, conditions, xz, y, cf):
@@ -579,6 +605,8 @@ def reference_best_split(x, y):
             split_info = -(pl * math.log2(pl) + pr * math.log2(pr))
             ratio = gain / split_info
             thr = (values[k] + values[k + 1]) / 2.0
+            if thr == values[k + 1]:  # rounded up: cut at the lower value
+                thr = values[k]
             key = (-ratio, j, thr)
             if best is None or key < best[0]:
                 best = (key, j, thr)
@@ -701,6 +729,10 @@ def model_bytes(model):
 # that class; the one cut at the class change leaves a single row
 @example((np.arange(5.0)[:, None], np.array([1, -1, -1, -1, -1]), [0.0]))
 @example((np.arange(5.0)[:, None], np.array([-1, 1, 1, 1, 1]), [0.0]))
+# standardized, 1e-12 and -0.0 become adjacent floats whose midpoint rounds
+# up to the upper one; a cut there once recursed without end
+@example((np.array([[1e-12], [1e-12], [33990.0]] + [[-0.0]] * 7),
+          np.array([1] * 9 + [-1]), [-0.0, 1e-12, 33990.0]))
 def test_c45_matches_scalar_reference_property(case):
     x, y, _ = case
     got, want = classifiers._best_split(x, y), reference_best_split(x, y)

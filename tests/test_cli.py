@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.special
 
 import icn_sentinel
 from icn_sentinel.classifiers import load_model
@@ -250,7 +251,7 @@ def test_gen_refuses_a_non_integer_config_field(tmp_path, capsys, field,
 
 
 @pytest.mark.parametrize("config, named", [
-    ({"signal": None}, "not iterable"),
+    ({"signal": None}, "signal: expected a list or an object"),
     ({"power_offsets": None}, "power_offsets"),
     ({"power_offsets": ["MD", "AD", "ED", "ND"]}, "power_offsets")],
     ids=["null-signal", "null-power-offsets", "power-offsets-list"])
@@ -263,6 +264,29 @@ def test_gen_refuses_a_null_or_listed_default(config, named, tmp_path,
     out = tmp_path / "campaign"
     assert main(["gen", "--config", str(path), "--out", str(out)]) == 3
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("signal, named", [
+    ([["FGF", 5]], "signal[0]: expected [name, {psi, mu, rel_std}]"),
+    ([5], "signal[0]: expected [name, {psi, mu, rel_std}]"),
+    ("FGF", "signal: expected a list or an object"),
+    ([["FGF", {"psi": 500.0, "mu": 334.17}], ["GBV"]],
+     "signal[1]: expected [name, {psi, mu, rel_std}]"),
+    ({"FGF": 5}, "signal[0]: expected [name, {psi, mu, rel_std}]")],
+    ids=["number-body", "number-entry", "string", "short-pair",
+         "object-number-body"])
+def test_gen_names_a_wrong_typed_signal_entry(signal, named, tmp_path,
+                                              capsys):
+    # each used to print only the TypeError or ValueError text; a null
+    # signal is a case of test_gen_refuses_a_null_or_listed_default
+    path = tmp_path / "gen_config.json"
+    path.write_text(json.dumps({"signal": signal}))
+    out = tmp_path / "campaign"
+    assert main(["gen", "--config", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "error: %s: %s" % (path, named) in err, err
+    assert "bad value" not in err
     assert not out.exists()
 
 
@@ -1175,3 +1199,23 @@ def test_svm_train_loads_scipy_special_but_not_scipy_stats(small_campaign_dir,
          "--out", tmp_path / "models"]))
     assert "scipy.special" in loaded
     assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "stats"]}
+
+
+@pytest.mark.skipif(not hasattr(scipy.special._ufuncs, "_beta_ppf"),
+                    reason="this scipy's scipy.special has no _beta_ppf, so "
+                           "the pruning bound falls back to scipy.stats")
+def test_c45_commands_load_scipy_special_but_not_scipy_stats(
+        small_campaign_dir, tmp_path):
+    campaign = small_campaign_dir
+    data = campaign / "MD_test.csv"
+    for argv in (["train", "--data", data, "--events", campaign
+                  / "MD_test.events", "--algo", "c45",
+                  "--out", tmp_path / "models"],
+                 ["select", "--data", data, "--method", "genetic",
+                  "--algo", "c45", "--out", tmp_path / "selection.json"],
+                 ["evaluate", "--campaign", campaign,
+                  "--out", tmp_path / "report"]):
+        loaded = _scipy_after(_cli_runs(argv))
+        assert "scipy.special" in loaded, argv[0]
+        assert not {m for m in loaded
+                    if m.split(".")[:2] == ["scipy", "stats"]}, argv[0]

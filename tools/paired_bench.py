@@ -21,7 +21,9 @@ The output holds every run (exit code, wall time, the report and result
 lines) and, per workload and end-to-end metric of BENCHMARK.json, both
 sides' values, their medians, the change's worsening in percent, the
 distance between the parent's quartiles, how many pairs the change won
-and whether the change stays within the metric's bound.
+and whether the change stays within the metric's bound.  Per workload it
+also reports each side's first timed pass (``first_pass_s``), their
+medians and the pairs the change won; no bound applies to it.
 """
 
 from __future__ import annotations
@@ -138,6 +140,18 @@ def summarize(runs, metrics):
         entry["failed_ops"] = {
             side: [r["result"]["failed"] for r in mine if r["side"] == side]
             for side in ("parent", "change")}
+        # report only: the first timed pass, which pays any import or
+        # cache warm-up that the median pass of pass_ref leaves out
+        first = {side: [r["report"]["pass_times_s"][0]
+                        for r in mine if r["side"] == side]
+                 for side in ("parent", "change")}
+        entry["first_pass_s"] = {
+            **first,
+            "parent_median": statistics.median(first["parent"]),
+            "change_median": statistics.median(first["change"]),
+            "change_better_pairs": sum(
+                c < p for p, c in zip(first["parent"], first["change"])),
+            "pairs": len(first["parent"])}
         summary[workload] = entry
     return summary
 
