@@ -34,9 +34,16 @@ class Standardization:
 
     @classmethod
     def fit(cls, x) -> "Standardization":
+        """The columns' means and spreads; one that overflows raises
+        SentinelError naming the first such column."""
         x = np.asarray(x, dtype=float)
-        mean = x.mean(axis=0)
-        std = x.std(axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = x.mean(axis=0)
+            std = x.std(axis=0)
+        bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+        if len(bad):
+            raise SentinelError("feature column %d: the mean or spread "
+                                "overflows float range" % bad[0])
         std = np.where(std > 0, std, 1.0)
         return cls(mean, std)
 
@@ -325,8 +332,9 @@ def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
 # nearest neighbor (Euclidean, k fixed at 1)
 
 
-# kNN scores queries in blocks whose squared-difference planes hold at
-# most this many floats
+# kNN scores queries in blocks whose squared-difference planes, one per
+# feature, would hold at most this many floats; the planes are built in
+# turn into one reused (block, stored) buffer
 KNN_BLOCK_FLOATS = 65536
 
 
@@ -338,18 +346,33 @@ def _sq_planes(stored, queries) -> np.ndarray:
     return diff * diff
 
 
+class _PlaneView:
+    """``_sq_planes(stored, queries)[c]`` built on lookup into ``out``, one
+    (queries, stored) buffer that the next lookup overwrites."""
+
+    def __init__(self, stored, queries, out):
+        self.stored, self.queries, self.out = stored, queries, out
+
+    def __getitem__(self, c):
+        diff = np.subtract(self.stored[:, c], self.queries[:, c, None],
+                           out=self.out)
+        return np.multiply(diff, diff, out=diff)
+
+
 def _nearest(planes, columns) -> np.ndarray:
     """Index of the nearest stored vector per query, from the sum of the
     squared-difference planes ``planes[c]`` added in ``columns`` order;
-    distance ties pick the lowest stored index.
+    distance ties pick the lowest stored index.  The sum starts from a
+    copy of the first plane, as 0.0 + x is x for a square.
 
     The square root is kept: it can round two different sums to one
     distance, and so decide a tie.
     """
-    total = np.zeros(planes.shape[1:])
+    columns = iter(columns)
+    total = planes[next(columns)].copy()
     for c in columns:
         total += planes[c]
-    return np.sqrt(total).argmin(axis=1)
+    return np.sqrt(total, out=total).argmin(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -365,10 +388,13 @@ class KnnModel:
         ties pick the lowest stored index."""
         points = self.points
         block = max(1, KNN_BLOCK_FLOATS // max(points.size, 1))
+        buffer = np.empty((min(block, len(z)), len(points)))
         nearest = np.empty(len(z), dtype=np.intp)
         for start in range(0, len(z), block):
+            queries = z[start:start + block]
             nearest[start:start + block] = _nearest(
-                _sq_planes(points, z[start:start + block]), range(z.shape[1]))
+                _PlaneView(points, queries, buffer[:len(queries)]),
+                range(z.shape[1]))
         return self.labels[nearest]
 
     def _body(self) -> dict:

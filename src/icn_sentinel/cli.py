@@ -90,16 +90,14 @@ def cmd_detect(args):
     verdicts = dual_detect(detector, trace, windows,
                            SensitivityDegree(args.sensitivity),
                            alpha=args.alpha, sigma_th=args.sigma_th)
-    lines = [("row", "ts", "group", "threshold_pass", "iac_pass", "verdict")]
-    anomalous = 0
-    for i, (ts, group, verdict) in enumerate(zip(trace.timestamps,
-                                                 trace.groups, verdicts)):
-        if not verdict.normal:
-            anomalous += 1
-        lines.append((str(i), str(ts), group,
-                      str(verdict.threshold_pass), str(verdict.iac_pass),
-                      "normal" if verdict.normal else "anomalous"))
-    text = "\n".join(",".join(line) for line in lines) + "\n"
+    normal = [v.normal for v in verdicts]
+    columns = (range(len(trace)), trace.timestamps, trace.groups,
+               [v.threshold_pass for v in verdicts],
+               [v.iac_pass for v in verdicts],
+               ["normal" if ok else "anomalous" for ok in normal])
+    text = "row,ts,group,threshold_pass,iac_pass,verdict\n" + "".join(
+        map("%s,%s,%s,%s,%s,%s\n".__mod__, zip(*columns)))
+    anomalous = normal.count(False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

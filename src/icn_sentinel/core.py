@@ -388,6 +388,11 @@ def parse_data_trace(path, schema) -> DataTrace:
     ``schema`` and for missing or repeated columns, and TraceParseError
     (with the 1-based data row index) for the first malformed row in file
     order.
+
+    A file whose rows are all regular is converted a column at a time
+    (``_parse_columns``); any other file goes through the row loop
+    (``_parse_rows``), which alone decides which rows are skipped, how an
+    empty group is filled in and which error comes first.
     """
     schema = tuple(schema)
     if not schema:
@@ -398,63 +403,113 @@ def parse_data_trace(path, schema) -> DataTrace:
         for needed in ("ts", "group") + schema:
             if needed not in header:
                 raise SchemaError("missing column %r in %s" % (needed, path))
-        width = len(header)
-        ts_at, group_at = header.index("ts"), header.index("group")
-        label_at = header.index("label") if "label" in header else None
-        columns = [header.index(name) for name in schema]
-        if len(columns) > 1:
-            pick = operator.itemgetter(*columns)
-        else:
-            def pick(rec, at=columns[0]):
-                return (rec[at],)
+        layout = (schema, len(header), header.index("ts"),
+                  header.index("group"),
+                  header.index("label") if "label" in header else None,
+                  [header.index(name) for name in schema])
+        records = []
+        try:
+            records.extend(reader)  # keeps the records read before an error
+        except (csv.Error, UnicodeDecodeError):
+            _parse_rows(records, *layout)  # a bad row before it comes first
+            raise
+    trace = _parse_columns(records, *layout)
+    return _parse_rows(records, *layout) if trace is None else trace
 
-        timestamps, groups, labels, values = [], [], [], []
-        for rowno, rec in enumerate(reader, start=1):
-            if len(rec) != width:
-                if _is_blank(rec):
-                    continue
-                raise TraceParseError(
-                    "parse error at row %d: expected %d cells, got %d"
-                    % (rowno, width, len(rec)), row=rowno)
-            cell = rec[ts_at]
-            try:
-                ts = int(float(cell))
-            except (ValueError, OverflowError):
-                if _is_blank(rec):  # a blank row fails at its ts cell
-                    continue
-                raise TraceParseError(
-                    "parse error at row %d: bad timestamp %r for 'ts'"
-                    % (rowno, cell), row=rowno)
-            group = rec[group_at].strip() or group_for_timestamp(ts)
-            if group not in GROUPS:
-                raise TraceParseError(
-                    "parse error at row %d: unknown group tag %r"
-                    % (rowno, group), row=rowno)
-            cells = pick(rec)
-            try:
-                row = list(map(float, cells))
-            except ValueError:
-                row = [math.nan]
-            # a finite sum means finite cells; a NaN, an infinity or an
-            # overflowing sum sends the row through the per-cell check
-            if not math.isfinite(sum(row)):
-                _check_cells(rowno, cells, schema)
-            label = None
-            if label_at is not None:
-                cell = rec[label_at].strip()
-                if cell:
-                    try:
-                        label = int(cell)
-                    except ValueError:
-                        label = None
-                    if label not in (NORMAL, ANOMALOUS):
-                        raise TraceParseError(
-                            "parse error at row %d: bad label %r for "
-                            "'label' (+1 or -1)" % (rowno, cell), row=rowno)
-            timestamps.append(ts)
-            groups.append(group)
-            labels.append(label)
-            values.append(row)
+
+# label cells the column pass reads; any other cell goes through the row loop
+_LABEL_CELLS = {"1": NORMAL, "-1": ANOMALOUS, "": None}
+
+
+def _parse_columns(records, schema, width, ts_at, group_at, label_at,
+                   columns):
+    """The trace of ``records`` converted a column at a time, or None
+    unless every record is regular: ``width`` cells, a number in ``ts``, a
+    group tag, a label cell of 1, -1 or blank and a finite number in every
+    parameter cell."""
+    if not records or set(map(len, records)) != {width}:
+        return None
+    cells = tuple(zip(*records))
+    groups = tuple(map(str.strip, cells[group_at]))
+    if not set(groups) <= set(GROUPS):
+        return None
+    labels = (None,) * len(records)
+    if label_at is not None:
+        labels = tuple(map(str.strip, cells[label_at]))
+        if not set(labels) <= _LABEL_CELLS.keys():
+            return None
+        labels = tuple(map(_LABEL_CELLS.__getitem__, labels))
+    by_column = np.empty((len(columns), len(records)))
+    try:
+        timestamps = tuple(map(int, map(float, cells[ts_at])))
+        for column, at in zip(by_column, columns):
+            column[:] = np.fromiter(map(float, cells[at]), float,
+                                    len(records))
+    except (ValueError, OverflowError):
+        return None
+    if not np.isfinite(by_column).all():
+        return None
+    return DataTrace._from_columns(schema, timestamps, groups, labels,
+                                   np.ascontiguousarray(by_column.T))
+
+
+def _parse_rows(records, schema, width, ts_at, group_at, label_at, columns):
+    """The trace of ``records`` read one row at a time: blank rows are
+    skipped, an empty group cell takes the timestamp's bucket, and the
+    first malformed row raises TraceParseError with its 1-based index."""
+    if len(columns) > 1:
+        pick = operator.itemgetter(*columns)
+    else:
+        def pick(rec, at=columns[0]):
+            return (rec[at],)
+
+    timestamps, groups, labels, values = [], [], [], []
+    for rowno, rec in enumerate(records, start=1):
+        if len(rec) != width:
+            if _is_blank(rec):
+                continue
+            raise TraceParseError(
+                "parse error at row %d: expected %d cells, got %d"
+                % (rowno, width, len(rec)), row=rowno)
+        cell = rec[ts_at]
+        try:
+            ts = int(float(cell))
+        except (ValueError, OverflowError):
+            if _is_blank(rec):  # a blank row fails at its ts cell
+                continue
+            raise TraceParseError(
+                "parse error at row %d: bad timestamp %r for 'ts'"
+                % (rowno, cell), row=rowno)
+        group = rec[group_at].strip() or group_for_timestamp(ts)
+        if group not in GROUPS:
+            raise TraceParseError(
+                "parse error at row %d: unknown group tag %r"
+                % (rowno, group), row=rowno)
+        cells = pick(rec)
+        try:
+            row = list(map(float, cells))
+        except ValueError:
+            row = [math.nan]
+        # a finite sum means finite cells; a NaN, an infinity or an
+        # overflowing sum sends the row through the per-cell check
+        if not math.isfinite(sum(row)):
+            _check_cells(rowno, cells, schema)
+        label = None
+        if label_at is not None:
+            cell = rec[label_at].strip()
+            if cell:
+                try:
+                    label = int(cell)
+                except ValueError:
+                    label = None
+                if label not in (NORMAL, ANOMALOUS):
+                    raise TraceParseError(
+                        "parse error at row %d: bad label %r for "
+                        "'label' (+1 or -1)" % (rowno, cell), row=rowno)
+        timestamps.append(ts)
+        groups.append(group)
+        labels.append(label)
+        values.append(row)
     matrix = np.array(values, dtype=float).reshape(len(values), len(schema))
     return DataTrace._from_columns(schema, tuple(timestamps), tuple(groups),
                                    tuple(labels), matrix)
@@ -470,20 +525,18 @@ def infer_schema(path) -> tuple:
 
 def write_data_trace(path, trace: DataTrace):
     """Write a trace as CSV; floats use repr so a reread is bit-exact."""
+    labeled = trace.is_labeled()
+    header = ["ts", "group"] + list(trace.schema)
+    columns = [map(str, trace.timestamps), trace.groups,
+               *(map(repr, column) for column in trace._matrix.T.tolist())]
+    if labeled:
+        header.append("label")
+        columns.append(map(str, trace._labels))
+    lines = list(map(",".join, zip(*columns)))
+    lines.append("")  # the last row's line end
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        labeled = trace.is_labeled()
-        header = ["ts", "group"] + list(trace.schema)
-        if labeled:
-            header.append("label")
-        writer.writerow(header)
-        for ts, group, values, label in zip(trace.timestamps, trace.groups,
-                                            trace._matrix.tolist(),
-                                            trace._labels):
-            rec = [str(ts), group] + [repr(value) for value in values]
-            if labeled:
-                rec.append(str(label))
-            writer.writerow(rec)
+        csv.writer(fh).writerow(header)
+        fh.write("\r\n".join(lines))
 
 
 def parse_event_trace(path) -> EventTrace:
@@ -495,8 +548,7 @@ def parse_event_trace(path) -> EventTrace:
 
 def write_event_trace(path, trace: EventTrace):
     with open(path, "w") as fh:
-        for event in trace.events:
-            fh.write(event + "\n")
+        fh.write("\n".join(trace.events + ("",)))
 
 
 

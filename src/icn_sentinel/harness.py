@@ -110,8 +110,8 @@ def event_chunks(events: EventTrace, symbols_per_row) -> list:
     if len(events) % symbols_per_row:
         raise ConfigError("event trace length %d not divisible by %d"
                           % (len(events), symbols_per_row))
-    return [events.slice(i, i + symbols_per_row)
-            for i in range(0, len(events), symbols_per_row)]
+    return list(map(EventTrace._of,
+                    zip(*[iter(events.events)] * symbols_per_row)))
 
 
 def _check_paired(trace: DataTrace, windows):

@@ -194,11 +194,22 @@ class GeneratorConfig:
                     raise SchemaError("signal[%d]: expected [name, {psi, mu, "
                                       "rel_std}], got %r" % (i, pair))
             _check_distinct([n for n, _ in pairs], "signal name")
-            kwargs["signal"] = {n: ParamModel(b["psi"], b["mu"],
-                                              b.get("rel_std",
-                                                    ParamModel.rel_std))
-                                for n, b in pairs}
+            kwargs["signal"] = {n: _param_model(i, n, b)
+                                for i, (n, b) in enumerate(pairs)}
         return cls(**kwargs)
+
+
+def _param_model(i, name, body) -> ParamModel:
+    """The ParamModel of signal entry ``i``; a missing key or a bad value
+    raises the error prefixed with ``signal[<i>] ('<name>'):``."""
+    where = "signal[%d] (%r): " % (i, name)
+    try:
+        return ParamModel(body["psi"], body["mu"],
+                          body.get("rel_std", ParamModel.rel_std))
+    except KeyError as exc:
+        raise SchemaError("%smissing key %s" % (where, exc)) from None
+    except ConfigError as exc:
+        raise ConfigError(where + str(exc)) from None
 
 
 def default_config(seed=0, **overrides) -> GeneratorConfig:

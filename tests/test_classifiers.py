@@ -5,6 +5,7 @@ import pathlib
 import sys
 import tempfile
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,23 @@ def test_standardization_dim_check():
     std = Standardization.fit(np.ones((3, 2)))
     with pytest.raises(SchemaError):
         std.apply(np.ones(3))
+
+
+def test_standardization_refuses_a_spread_beyond_float_range():
+    # a column of +-1e308 used to fit std = inf with a numpy overflow
+    # warning, so it standardized to all zeros and no classifier saw it
+    x = np.array([[1.0, 1e308], [2.0, -1e308], [3.0, 1e308], [4.0, -1e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SentinelError, match="feature column 1: the mean or "
+                           "spread overflows float range"):
+            Standardization.fit(x)
+        with pytest.raises(SentinelError, match="feature column 0"):
+            LabeledSet.from_raw(x[:, ::-1], [1, -1, 1, -1])
+        # a sum beyond float range makes the mean infinite
+        with pytest.raises(SentinelError, match="feature column 0"):
+            Standardization.fit([[1e308], [1e308]])
+    assert Standardization.fit([[1e150], [-1e150]]).std[0] == 1e150
 
 
 def test_labeled_set_validation():

@@ -5,6 +5,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -15,7 +16,7 @@ import icn_sentinel
 from icn_sentinel.classifiers import load_model
 from icn_sentinel.cli import build_parser, main
 from icn_sentinel.core import (ConfigError, DataRow, SchemaError,
-                               SensitivityDegree,
+                               SensitivityDegree, infer_schema,
                                parse_data_trace, parse_event_trace)
 from icn_sentinel.harness import Detector, dual_detect, event_chunks
 from icn_sentinel.iac import IacModel
@@ -273,12 +274,20 @@ def test_gen_refuses_a_null_or_listed_default(config, named, tmp_path,
     ("FGF", "signal: expected a list or an object"),
     ([["FGF", {"psi": 500.0, "mu": 334.17}], ["GBV"]],
      "signal[1]: expected [name, {psi, mu, rel_std}]"),
-    ({"FGF": 5}, "signal[0]: expected [name, {psi, mu, rel_std}]")],
+    ({"FGF": 5}, "signal[0]: expected [name, {psi, mu, rel_std}]"),
+    ([["FGF", {"mu": 1}]], "signal[0] ('FGF'): missing key 'psi'"),
+    ([["FGF", {"psi": 500.0, "mu": 334.17}], ["GBV", {"psi": "x", "mu": 1}]],
+     "signal[1] ('GBV'): psi must be a finite number, got 'x'"),
+    ({"FGF": {"mu": 1}}, "signal[0] ('FGF'): missing key 'psi'"),
+    ({"FGF": {"psi": 500.0, "mu": 334.17}, "GBV": {"psi": "x", "mu": 1}},
+     "signal[1] ('GBV'): psi must be a finite number, got 'x'")],
     ids=["number-body", "number-entry", "string", "short-pair",
-         "object-number-body"])
+         "object-number-body", "list-missing-psi", "list-string-psi",
+         "object-missing-psi", "object-string-psi"])
 def test_gen_names_a_wrong_typed_signal_entry(signal, named, tmp_path,
                                               capsys):
-    # each used to print only the TypeError or ValueError text; a null
+    # each used to print only the TypeError or ValueError text, and a
+    # missing key or bad value in a body did not name the entry; a null
     # signal is a case of test_gen_refuses_a_null_or_listed_default
     path = tmp_path / "gen_config.json"
     path.write_text(json.dumps({"signal": signal}))
@@ -288,6 +297,28 @@ def test_gen_names_a_wrong_typed_signal_entry(signal, named, tmp_path,
     assert "error: %s: %s" % (path, named) in err, err
     assert "bad value" not in err
     assert not out.exists()
+
+
+def test_select_refuses_a_feature_beyond_float_range(small_campaign_dir,
+                                                     tmp_path, capsys):
+    # a LOT column of +-1e308 used to exit 0 after a numpy overflow
+    # warning, scoring LOT as a constant column; train refuses it too
+    lines = (small_campaign_dir / "MD_test.csv").read_text().splitlines()
+    at = lines[0].split(",").index("LOT")
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[at] = "1e308" if i % 2 else "-1e308"
+        lines[i] = ",".join(cells)
+    data = tmp_path / "overflow.csv"
+    data.write_text("\n".join(lines) + "\n")
+    schema = infer_schema(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["select", "--data", str(data), "--method", "greedy",
+                     "--algo", "knn"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: feature column %d: the mean or spread " \
+        "overflows float range\n" % schema.index("LOT"), err
 
 
 @pytest.mark.parametrize("rows", [10 ** 11, 10 ** 400],
