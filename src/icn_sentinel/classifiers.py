@@ -158,7 +158,8 @@ class SvmModel:
 def svm_objective(w, data, bias, c_param):
     """Primal objective ||w||^2 / 2 + C * sum hinge on standardized data."""
     margins = 1.0 - data.y * (data.xz @ w + bias)
-    return 0.5 * float(w @ w) + c_param * float(np.clip(margins, 0.0, None).sum())
+    np.maximum(margins, 0.0, out=margins)
+    return 0.5 * float(w @ w) + c_param * float(margins.sum())
 
 
 # A certified run shorter than _SVM_SHORT_RUN samples does not repay its

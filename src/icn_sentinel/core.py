@@ -273,9 +273,6 @@ class EventTrace:
     def alphabet(self) -> set:
         return set(self.events)
 
-    def slice(self, start, stop) -> "EventTrace":
-        return EventTrace._of(self.events[start:stop])
-
 
 @dataclass(frozen=True)
 class SensitivityDegree:
@@ -389,10 +386,13 @@ def parse_data_trace(path, schema) -> DataTrace:
     (with the 1-based data row index) for the first malformed row in file
     order.
 
-    A file whose rows are all regular is converted a column at a time
-    (``_parse_columns``); any other file goes through the row loop
-    (``_parse_rows``), which alone decides which rows are skipped, how an
-    empty group is filled in and which error comes first.
+    The data lines are read from the file once, split where
+    ``csv.reader`` splits them.  When every row is regular they are read
+    by numpy's C text reader (``_parse_lines``); otherwise ``csv.reader``
+    tokenizes them for the row loop (``_parse_rows``), which alone decides
+    which rows are skipped, how an empty group is filled in and which
+    error comes first.  An undecodable line reaches ``csv.reader`` after
+    the lines before it, so a bad row before it is still reported first.
     """
     schema = tuple(schema)
     if not schema:
@@ -407,50 +407,78 @@ def parse_data_trace(path, schema) -> DataTrace:
                   header.index("group"),
                   header.index("label") if "label" in header else None,
                   [header.index(name) for name in schema])
+        lines = []
+        try:
+            lines.extend(fh)  # keeps the lines read before an error
+        except UnicodeDecodeError as exc:
+            lines = _then_raise(lines, exc)
+        else:
+            trace = _parse_lines(lines, *layout)
+            if trace is not None:
+                return trace
         records = []
         try:
-            records.extend(reader)  # keeps the records read before an error
+            records.extend(csv.reader(lines))  # keeps those before an error
         except (csv.Error, UnicodeDecodeError):
             _parse_rows(records, *layout)  # a bad row before it comes first
             raise
-    trace = _parse_columns(records, *layout)
-    return _parse_rows(records, *layout) if trace is None else trace
+    return _parse_rows(records, *layout)
 
 
-# label cells the column pass reads; any other cell goes through the row loop
+def _then_raise(items, exc):
+    """Yield ``items``, then raise ``exc``."""
+    yield from items
+    raise exc
+
+
+# label cells the text reader takes; any other cell goes through the row loop
 _LABEL_CELLS = {"1": NORMAL, "-1": ANOMALOUS, "": None}
 
 
-def _parse_columns(records, schema, width, ts_at, group_at, label_at,
-                   columns):
-    """The trace of ``records`` converted a column at a time, or None
-    unless every record is regular: ``width`` cells, a number in ``ts``, a
-    group tag, a label cell of 1, -1 or blank and a finite number in every
-    parameter cell."""
-    if not records or set(map(len, records)) != {width}:
+def _parse_lines(lines, schema, width, ts_at, group_at, label_at, columns):
+    """The trace of the data ``lines`` read by ``np.loadtxt``, or None
+    unless every row is regular: ``width`` cells, a finite number in
+    ``ts`` and in every parameter cell, a group tag and a label cell of 1,
+    -1 or blank.  Lines with a quote, a NUL (``csv.reader`` refuses one
+    before Python 3.11), a blank line or a line longer than
+    ``csv.field_size_limit()`` are not read either.
+
+    The reader parses a float cell with ``PyOS_string_to_double``, as
+    ``float()`` does, so a cell both accept has the same bits; a cell
+    ``float()`` alone reads (``1_0``, non-ASCII digits) is refused and
+    goes to the row loop.  Every other column is read as Python strings.
+    """
+    text = "".join(lines)
+    if (not text.lstrip("\r\n") or '"' in text or "\x00" in text
+            or max(map(len, lines)) > csv.field_size_limit()):
         return None
-    cells = tuple(zip(*records))
-    groups = tuple(map(str.strip, cells[group_at]))
+    floats = {ts_at, *columns}
+    dtype = np.dtype([("f%d" % at, float if at in floats else object)
+                      for at in range(width)])
+    try:
+        # a row of another width and a cell that is not a number raise
+        # ValueError; blank lines are skipped
+        table = np.loadtxt(lines, dtype=dtype, delimiter=",",
+                           comments=None, quotechar=None, ndmin=1)
+    except ValueError:
+        return None
+    if len(table) != len(lines):
+        return None
+    groups = tuple(map(str.strip, table["f%d" % group_at].tolist()))
     if not set(groups) <= set(GROUPS):
         return None
-    labels = (None,) * len(records)
+    labels = (None,) * len(lines)
     if label_at is not None:
-        labels = tuple(map(str.strip, cells[label_at]))
+        labels = tuple(map(str.strip, table["f%d" % label_at].tolist()))
         if not set(labels) <= _LABEL_CELLS.keys():
             return None
         labels = tuple(map(_LABEL_CELLS.__getitem__, labels))
-    by_column = np.empty((len(columns), len(records)))
-    try:
-        timestamps = tuple(map(int, map(float, cells[ts_at])))
-        for column, at in zip(by_column, columns):
-            column[:] = np.fromiter(map(float, cells[at]), float,
-                                    len(records))
-    except (ValueError, OverflowError):
+    ts = table["f%d" % ts_at]
+    matrix = np.column_stack([table["f%d" % at] for at in columns])
+    if not (np.isfinite(ts).all() and np.isfinite(matrix).all()):
         return None
-    if not np.isfinite(by_column).all():
-        return None
-    return DataTrace._from_columns(schema, timestamps, groups, labels,
-                                   np.ascontiguousarray(by_column.T))
+    return DataTrace._from_columns(schema, tuple(map(int, ts.tolist())),
+                                   groups, labels, matrix)
 
 
 def _parse_rows(records, schema, width, ts_at, group_at, label_at, columns):

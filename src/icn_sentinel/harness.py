@@ -233,19 +233,24 @@ def dual_detect(detector: Detector, trace: DataTrace, windows,
     ``features`` values, scored for all rows in one batch from the
     trace's matrix; the event branch conformance-tests each window
     against the detector's curve model.  A row is normal only when both
-    branches pass.
+    branches pass.  Rows with the same threshold outcome and the same
+    event verdict (classify_trace hands out one per repeated window) share
+    one read-only DualVerdict.
     """
     _check_paired(trace, windows)
     _check_order(trace.schema, detector.features)
     x = trace.to_matrix(detector.features)
     threshold = predict_labels(detector.model, x) == NORMAL
-    verdicts = []
+    verdicts, made = [], {}
     for window, threshold_pass in zip(windows, threshold.tolist()):
         detail = classify_trace(window, detector.iac_model, alpha=alpha,
                                 sigma_th=sigma_th, sensitivity=sensitivity)
-        iac_pass = not detail.anomalous
-        verdicts.append(DualVerdict(threshold_pass, iac_pass,
-                                    threshold_pass and iac_pass, detail))
+        key = (threshold_pass, id(detail))  # ``made`` keeps detail alive
+        if key not in made:
+            iac_pass = not detail.anomalous
+            made[key] = DualVerdict(threshold_pass, iac_pass,
+                                    threshold_pass and iac_pass, detail)
+        verdicts.append(made[key])
     return verdicts
 
 

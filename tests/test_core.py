@@ -448,7 +448,6 @@ def test_event_trace_ops():
     trace = EventTrace(tuple("ABAB"))
     assert len(trace) == 4
     assert trace.alphabet() == {"A", "B"}
-    assert trace.slice(1, 3).events == ("B", "A")
 
 
 def test_star_import_binds_every_exported_name():

@@ -180,7 +180,7 @@ def test_dual_detect_branches():
     assert not hit.normal
 
     # a window missing a feature event trips only the event branch
-    gap = chunks[normal_i].slice(1, len(schema))
+    gap = EventTrace(chunks[normal_i].events[1:])
     verdict, = dual_detect(detector, mixed.take([normal_i]), [gap], sens)
     assert verdict.threshold_pass
     assert not verdict.iac_pass
@@ -202,6 +202,31 @@ def test_dual_detect_batch_matches_one_row_calls():
     with pytest.raises(ConfigError, match="1 event windows of %d symbols "
                        "for 2 data rows" % len(schema)):
         dual_detect(detector, mixed.take([0, 1]), chunks[:1], sens)
+
+
+def test_dual_detect_shares_a_verdict_only_between_equal_outcomes():
+    schema, mixed, chunks, detector, sens = dual_setup()
+    n = len(mixed)
+    gap = EventTrace(chunks[0].events[1:])
+    # each row three times: with its own window, the first row's window
+    # and a window that fails the event branch
+    trace = mixed.take(list(range(n)) * 3)
+    windows = chunks + [chunks[0]] * n + [gap] * n
+    batch = dual_detect(detector, trace, windows, sens)
+    outcomes = {}  # verdict object -> the outcomes of the rows holding it
+    for i, verdict in enumerate(batch):
+        one, = dual_detect(detector, trace.take([i]), [windows[i]], sens)
+        assert (one.threshold_pass, one.iac_pass, one.normal) == \
+            (verdict.threshold_pass, verdict.iac_pass, verdict.normal)
+        assert one.iac_detail is verdict.iac_detail
+        outcomes.setdefault(id(verdict), set()).add(
+            (one.threshold_pass, id(one.iac_detail)))
+    # one object per distinct outcome, and one outcome per object
+    assert all(len(held) == 1 for held in outcomes.values())
+    distinct = set().union(*outcomes.values())
+    assert len(distinct) == len(outcomes) < len(batch)
+    # rows of both threshold outcomes meet one window's verdict
+    assert len({detail for _, detail in distinct}) < len(distinct)
 
 
 def test_dual_detect_scores_a_trace_from_its_matrix():

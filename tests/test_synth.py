@@ -192,7 +192,7 @@ def test_inject_attacks_rate_zero_and_errors():
     with pytest.raises(ConfigError):
         inject_attacks(already, None, profile, "one", 0.25, seed=0,
                        signal=signal)
-    short = events.slice(0, len(events) - 1)
+    short = EventTrace(events.events[:-1])
     with pytest.raises(ConfigError):
         inject_attacks(clean, short, profile, "one", 0.25, seed=0,
                        signal=signal)

@@ -1,17 +1,18 @@
-"""The column-at-a-time trace reader and writers against the row loops
-they replaced.
+"""The trace reader built on numpy's C text reader, and the
+column-at-a-time writers, against the row loops they replaced.
 
 ``row_loop_parse_data_trace``, ``row_loop_write_data_trace`` and
-``row_loop_write_event_trace`` are the previous ``core`` functions, kept
-verbatim as references: the column pass must return their columns bit for
-bit, or raise their first error with the same row, and the writers must
-write their bytes.
+``row_loop_write_event_trace`` are earlier ``core`` functions, kept
+verbatim as references: ``parse_data_trace`` must return their columns
+bit for bit, or raise their first error with the same row, and the
+writers must write their bytes.
 """
 
 import csv
 import math
 import operator
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 from icn_sentinel.core import (ANOMALOUS, GROUPS, NORMAL, DataTrace,
                                EventTrace, SchemaError, SentinelError,
                                TraceParseError, _check_cells, _is_blank,
-                               _open_trace, _read_header, group_for_timestamp,
+                               _open_trace, _parse_lines, _read_header,
+                               group_for_timestamp,
                                parse_data_trace, write_data_trace,
                                write_event_trace)
 from icn_sentinel.harness import event_chunks
@@ -128,29 +130,51 @@ DAMAGE = {
     "short": None,
     "ts": ["x", "", "nan", "inf", "1e400", "0x10"],
     "value": ["abc", "", "1.2.3", "nan", " NaN ", "inf", "-inf", "1e400",
-              "-1e400"],
+              "-1e400", "#1"],
     "group": ["XX", "md", "M D"],
     "label": ["2", "0", "x", "1.0", "+2", "-"],
+}
+
+# numbers float() reads, some of which numpy's text reader refuses
+ODD_NUMBERS = ["1_0", "1_000.5", "\u0661", "\u0663.\u0665", " 2.5 ",
+               "\u20031.5\u2003", "+3.", "-0"]
+# cells of the columns outside the schema
+EXTRA_CELLS = ["", "note", "#tag", " a b ", "1.5", "\u0661", "x_1", "nan"]
+LONG = csv.field_size_limit() + 1
+# text numpy's reader must leave to the row loop, or (a lone \r) split
+# as csv.reader does; one kind drawn per file
+HAZARDS = {
+    "nul": lambda cell: cell + "\x00",
+    "cr": lambda cell: cell + "\r",
+    "quote": lambda cell: '"' + cell,
+    "long number": lambda cell: "0." + "0" * LONG + "1",
+    "long cell": lambda cell: "9" * LONG,
+    "comma": lambda cell: cell + ",",
 }
 
 
 @st.composite
 def trace_files(draw):
-    """(CSV text, schema): 1-20 parameters and 0-300 rows in a shuffled
-    column order, with or without a label column.  Each irregularity the
-    row loop allows is drawn on or off for the whole file: blank lines,
-    empty group cells, ``+1``/`` -1 ``/blank labels and quoted cells; at
-    most one damaged row or cell is drawn anywhere."""
+    """(CSV text, schema): 1-20 parameters, 0-2 columns outside the
+    schema and 0-300 rows in a shuffled column order, with or without a
+    label column.  Each irregularity the row loop allows is drawn on or
+    off for the whole file: blank and whitespace-only lines, empty group
+    cells, ``+1``/`` -1 ``/blank labels, quoted cells and numbers only
+    ``float()`` reads (``1_0``, non-ASCII digits).  At most one damaged
+    row or cell is drawn anywhere, and at most one cell of any column
+    gets a hazard for the text reader: a NUL, a lone ``\\r``, a ``"``, a
+    cell longer than ``csv.field_size_limit()`` or a trailing comma."""
     k = draw(st.integers(1, 20))
     n = draw(st.integers(0, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     names = ["p%d" % i for i in range(k)]
     schema = tuple(draw(st.permutations(names)))
+    extras = ["x%d" % i for i in range(draw(st.integers(0, 2)))]
     labeled = draw(st.booleans())
-    header = ["ts", "group", *names] + (["label"] if labeled else [])
+    header = ["ts", "group", *names, *extras] + (["label"] if labeled else [])
     header = draw(st.permutations(header))
-    blank_lines, empty_groups, odd_labels, quoted = (
-        draw(st.booleans()) for _ in range(4))
+    blank_lines, empty_groups, odd_labels, quoted, odd_numbers = (
+        draw(st.booleans()) for _ in range(5))
 
     scale = 10.0 ** rng.integers(-6, 7, size=k)
     values = rng.normal(size=(n, k)) * scale
@@ -159,9 +183,14 @@ def trace_files(draw):
              "label": [("1", "-1")[b] for b in rng.integers(0, 2, size=n)]}
     for j, name in enumerate(names):
         cells[name] = [repr(v) for v in values[:, j].tolist()]
+    for name in extras:
+        cells[name] = rng.choice(EXTRA_CELLS, size=n).tolist()
     # short decimal forms float() reads too
     for j in rng.integers(0, k, size=min(n, 5)):
         cells[names[j]][rng.integers(n)] = "%.6g" % values[0, j]
+    if odd_numbers:
+        for name in rng.choice(["ts", *names], size=min(n, 3)):
+            cells[name][rng.integers(n)] = rng.choice(ODD_NUMBERS)
     if empty_groups:
         for i in rng.integers(0, n, size=n // 4 + 1) if n else ():
             cells["group"][i] = rng.choice(["", " "])
@@ -184,12 +213,18 @@ def trace_files(draw):
         else:
             name = draw(st.sampled_from(names)) if fault == "value" else fault
             rec[header.index(name)] = draw(st.sampled_from(DAMAGE[fault]))
+    hazard = draw(st.sampled_from([None, *HAZARDS]))
+    if hazard and n:
+        rec = records[draw(st.integers(0, n - 1))]
+        j = draw(st.integers(0, len(rec) - 1))
+        rec[j] = HAZARDS[hazard](rec[j])
 
     lines = [",".join(header)] + [",".join(rec) for rec in records]
     if blank_lines:
         for _ in range(draw(st.integers(1, 3))):
             lines.insert(draw(st.integers(1, len(lines))),
-                         draw(st.sampled_from(["", " ", ",", " , , "])))
+                         draw(st.sampled_from(["", " ", "\t", ",",
+                                               " , , "])))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + newline * draw(st.integers(0, 1)), schema
 
@@ -214,7 +249,7 @@ def file_bytes(write, trace):
 
 @settings(max_examples=200, deadline=None)
 @given(trace_files())
-def test_column_pass_matches_the_row_loop(case):
+def test_text_reader_matches_the_row_loop(case):
     text, schema = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "trace.csv"
@@ -251,6 +286,62 @@ def test_writers_match_the_row_loops(k, n, labeled, seed):
     assert [w.events for w in windows] == \
         [events.events[i:i + k] for i in range(0, n * k, k)]
     assert all(type(w) is EventTrace for w in windows)
+
+
+CLEAN = ("ts,group,a,x,b,label\r\n60,MD,1.5,note,-2.25,1\r\n"
+         "21700,AD,0.1,,3e-05,-1\r\n43300,ED,7,#tag,8.5,\r\n")
+# CLEAN's layout: schema, width, ts, group and label positions, columns
+LAYOUT = (("a", "b"), 6, 0, 1, 5, [2, 4])
+
+
+def data_lines(path):
+    """The lines after a one-line header, split as csv.reader sees them."""
+    with open(path, newline="") as fh:
+        return list(fh)[1:]
+
+
+@pytest.mark.parametrize("old, new", [
+    ("\r\n", "\r\n"), ("\r\n", "\n"), ("\r\n", "\r"), ("\r\n21700", "\r21700"),
+])
+def test_the_text_reader_splits_lines_as_csv_does(tmp_path, old, new):
+    path = tmp_path / "trace.csv"
+    path.write_text(CLEAN.replace(old, new), newline="")
+    got = outcome(parse_data_trace, path, ("a", "b"))
+    assert got == outcome(row_loop_parse_data_trace, path, ("a", "b"))
+    assert got[0] == "trace" and got[4] == (3, 2)
+    assert _parse_lines(data_lines(path), *LAYOUT) == \
+        parse_data_trace(path, ("a", "b"))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("MD", "MD\x00"), ("note", "no\x00te"), ("\r\n21700", "\r\n\r\n21700"),
+    ("\r\n21700", "\r\n \r\n21700"), ("\r\n21700", "\r\n\r21700"),
+    ("0.1,", "0.1\r,"), ("note", '"note'), ("note", 'no"te'),
+    ("note", "x" * LONG), ("1.5", "1.5" + "0" * LONG), ("1.5", "1_5"),
+    ("60,", "\u0666\u0660,"), ("1.5", "#1.5"), (",1\r\n", ",1,\r\n"),
+    ("1.5", "nan"), ("60,", "inf,"), ("AD", ""), (",-1\r\n", ",2\r\n"),
+])
+def test_the_row_loop_reads_each_hazard(tmp_path, old, new):
+    """numpy's text reader leaves each variant of CLEAN to the row loop,
+    which reads it as the reference does."""
+    path = tmp_path / "trace.csv"
+    path.write_text(CLEAN.replace(old, new, 1), newline="")
+    assert _parse_lines(data_lines(path), *LAYOUT) is None
+    assert outcome(parse_data_trace, path, ("a", "b")) == \
+        outcome(row_loop_parse_data_trace, path, ("a", "b"))
+
+
+@pytest.mark.parametrize("body", ["", "\r\n", "\n\r\n\r"])
+def test_a_file_without_rows_warns_nothing(tmp_path, body):
+    """numpy warns on text with no data; such a file never reaches it."""
+    path = tmp_path / "trace.csv"
+    path.write_text(CLEAN.split("\r\n", 1)[0] + "\r\n" + body, newline="")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _parse_lines(data_lines(path), *LAYOUT) is None
+        got = outcome(parse_data_trace, path, ("a", "b"))
+    assert got == outcome(row_loop_parse_data_trace, path, ("a", "b"))
+    assert got[4] == (0, 2)
 
 
 def test_writers_quote_the_header_as_csv(tmp_path):
