@@ -1,14 +1,14 @@
 """Supervised detectors behind one train/predict contract.
 
 Three classifiers label standardized feature vectors +1 (normal) or -1
-(anomalous): a linear soft-margin SVM fit by deterministic subgradient
-descent, a Euclidean nearest-neighbor memorizer fixed at k=1, and a
+(anomalous): a linear soft-margin SVM trained to the optimum of its dual
+by SMO, a Euclidean nearest-neighbor memorizer fixed at k=1, and a
 decision tree grown on gain ratio whose branches are flattened into
 ordered, pruned if-then rules.  ``predict_labels`` scores a whole
 feature matrix in one call per model.  Training uses no randomness:
-identical data and hyperparameters give bit-identical models.  The SVM
-takes its C and epoch count as arguments; C4.5 always grows with
-C45_MIN_LEAF and prunes at C45_CF.
+identical data and parameters give bit-identical models.  The SVM
+takes its C as an argument; C4.5 always grows with C45_MIN_LEAF and
+prunes at C45_CF.
 """
 
 from __future__ import annotations
@@ -162,171 +162,105 @@ def svm_objective(w, data, bias, c_param):
     return 0.5 * float(w @ w) + c_param * float(margins.sum())
 
 
-# A certified run shorter than _SVM_SHORT_RUN samples does not repay its
-# matrix-vector products.  After one, training takes plain per-sample steps,
-# 1, 2, 4, ... up to _SVM_MAX_PLAIN of them while runs stay short, before it
-# certifies again, so data dense in updates costs about what the plain loop
-# costs.
-_SVM_SHORT_RUN = 16
-_SVM_MAX_PLAIN = 256
-
-_U = np.finfo(float).eps / 2  # unit roundoff, 2**-53
-_TINY = 2.0 ** -1000  # 2**74 times the smallest subnormal
+# SMO stops once the most violating pair's KKT gap m(a) - M(a) is below
+# this, LIBSVM's default
+_SVM_TOL = 1e-3
+# the least curvature a pair is given (LIBSVM's TAU); coinciding rows have 0
+_TAU = 1e-12
 
 
-def _decayed(w, decay, k) -> np.ndarray:
-    """``w`` after ``k`` in-place ``w *= decay`` steps, bit for bit.
+def svm_train(data: LabeledSet, c_param=1.0) -> SvmModel:
+    """The soft-margin SVM at the optimum of its dual, by SMO.
 
-    ``multiply.accumulate`` down the rows ``[w, decay, ..., decay]`` is
-    the recurrence ``r[i] = r[i - 1] * decay``: one rounded multiply per
-    step, as each in-place step rounds.
-    """
-    rows = np.full((k + 1, len(w)), decay)
-    rows[0] = w
-    return np.multiply.accumulate(rows)[k]
+    The dual is min a'Qa / 2 - sum a subject to y'a = 0 and 0 <= a <= C,
+    with Q = (y y') * (z z').  Each step takes the most violating pair by
+    second-order working-set selection (Fan, Chen & Lin, JMLR 6, 2005):
+    i maximizes -y G over I_up, G = Qa - 1 the gradient, and j is the
+    member of I_low that most lowers the dual with i.  Both move along
+    y'a = 0 and are clipped to [0, C] as LIBSVM updates them.  Ties pick
+    the lowest row, and each step forms only the kernel rows z @ z[i] and
+    z @ z[j], never an n x n matrix.
 
-
-class _HingeSkip:
-    """Which upcoming hinge tests of ``svm_train`` are certain not to fire.
-
-    Let samples i, i+1, ... be reached with no update in between, so
-    sample j sees w_k, the weights w after k = j - i + 1 in-place
-    ``w *= decay`` steps, and its test ``y * (z @ w_k + b) < 1.0`` fires
-    iff y * fl(D + b) < 1 with D = fl(z . w_k), summed in any order.
-    With u = 2**-53, lambda = 2**-1074 (the smallest subnormal),
-    gamma_m = m u / (1 - m u), d features, delta = decay and
-    A = sum |z| |w|:
-
-    1. Decays: each multiply rounds by at most u relative or lambda / 2
-       absolute (underflow), so w_k = w delta**k (1 + theta) + eps per
-       element with |theta| <= gamma_k and |eps| <= k lambda.
-    2. Dot products: for any summation order, fused or not,
-       |fl(x . v) - x . v| <= gamma_d sum |x| |v| + d lambda (Higham,
-       Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
-       section 3.1).  So D is within gamma_d delta**k A (1 + gamma_k)
-       of z . w_k, and by 1. z . w_k is within gamma_k delta**k A of
-       delta**k z . w, both up to lambda terms.
-    3. The estimate is E = fl(fl(y z . w) P_k), one matrix-vector product
-       for the whole run, with P_k = delta**k (1 + theta') taken by
-       ``cumprod`` (|theta'| <= gamma_(k-1), plus k lambda): within
-       delta**k A (gamma_d + gamma_k + u) of y delta**k z . w.
-    4. So |y D - E| <= delta**k A (2 gamma_d + 2 gamma_k + u), to first
-       order, plus at most 8 (k + d)(1 + sum |z| + A) lambda.  The slack
-       s = 4 (d + k + 2) u P_k fl(|z| . |w|) + _TINY ((k + d)
-       fl(|z| . |w|) + (n + d)(1 + max sum |z|)) covers that twice over,
-       with the rounding of fl(|z| . |w|) (gamma_d, 2. again), of P_k,
-       of s itself and of Lo = fl(E - s) (u (|E| + s)) inside the factor
-       2, and the lambda terms 2**74 times over.  Hence Lo <= y D.
-    5. y * fl(D + b) = fl(y D + y b) because y is +1 or -1 and rounding
-       to nearest is symmetric, and x -> fl(x + y b) is nondecreasing.
-       So fl(Lo + y b) >= 1 means the test cannot fire.
-
-    Decay clamped at 0 fits 1.-4. with delta**k = 0.  Weights and
-    margins stay far below overflow.  ``sure`` checks 5. for a run; the
-    first sample it cannot certify ends the run and steps as usual.
-    """
-
-    def __init__(self, z, y):
-        n, d = z.shape
-        self.y = y
-        self.yz = y[:, None] * z
-        self.absz = np.abs(z)
-        k = np.arange(1, n + 1)
-        self.rel = 4.0 * (d + k + 2) * _U
-        self.tiny = _TINY * (k + d)
-        self.floor = _TINY * (n + d) * (1.0 + self.absz.sum(axis=1).max())
-
-    def sure(self, i, w, b, powers) -> np.ndarray:
-        """True for each of samples i, i+1, ... whose hinge test is certain
-        not to fire when it is reached from weights ``w`` and bias ``b``
-        by decays alone.  ``powers`` is the epoch's ``cumprod`` of n
-        decays; a ``cumprod`` prefix is bit for bit that of fewer."""
-        m = len(self.y) - i
-        powers = powers[:m]
-        low = self.yz[i:] @ w
-        low *= powers
-        slack = self.absz[i:] @ np.abs(w)
-        slack *= self.rel[:m] * powers + self.tiny[:m]
-        slack += self.floor
-        low -= slack
-        low += self.y[i:] * b
-        return low >= 1.0
-
-
-def svm_train(data: LabeledSet, c_param=1.0, epochs=200) -> SvmModel:
-    """Deterministic epoch-ordered subgradient descent from w = 0.
-
-    Epoch t sweeps the samples in data order applying per-sample
-    subgradient steps at rate 1 / (c_param * t); the rate decays per
-    epoch, not per sample, so early epochs move freely and later ones
-    settle.  The returned weights are the best iterate by objective over
-    all epoch ends, so the final objective never exceeds the initial
-    c_param * n.
-
-    Most hinge tests do not fire once training settles.  One
-    matrix-vector product bounds a run of upcoming margins, and the
-    samples certified not to fire (``_HingeSkip`` proves the rule) only
-    decay the weights, applied by ``_decayed`` bit for bit.  Every other
-    sample steps as the plain per-sample loop does, so the model is
-    bit-identical to that loop's.
+    Training stops once m - M < _SVM_TOL, m the maximum of -y G over I_up
+    and M its minimum over I_low; that takes finitely many steps.  The
+    model is w = (a y) @ z with the bias the mean of -y G over free
+    vectors (0 < a < C), or without one the midpoint of M and m; its
+    primal objective is then at most n C _SVM_TOL above the optimum.
     """
     if not (c_param > 0 and math.isfinite(c_param)):
         raise ConfigError("c_param must be a finite number > 0, got %r"
                           % (c_param,))
-    if type(epochs) is not int or epochs < 1:
-        raise ConfigError("epochs must be an integer >= 1, got %r"
-                          % (epochs,))
     _require_two_classes(data)
 
     z = data.xz
-    n = len(z)
     y = data.y.astype(float)
-    samples = list(zip(y.tolist(), z))
-    skip = _HingeSkip(z, y)
-
-    w = np.zeros(z.shape[1])
-    b = 0.0
-    best_w, best_b = w.copy(), b
-    best_obj = svm_objective(w, data, b, c_param)
-    plain = backoff = 0
-    for t in range(1, epochs + 1):
-        eta = 1.0 / (c_param * t)
-        # per-epoch constants; step * yi * zi groups as the per-sample
-        # eta * c_param * yi * zi did, so every rounding is the same
-        decay = max(1.0 - eta / n, 0.0)
-        step = eta * c_param
-        powers = None  # the decay powers, once a run is checked
-        i = 0
-        while i < n:
-            if plain:
-                end = min(n, i + plain)
-                plain -= end - i
+    c = float(c_param)
+    a = np.zeros(len(y))
+    yg = y.copy()  # -y * G, which is y at a = 0
+    up, low = y > 0, y < 0  # I_up and I_low at a = 0
+    kdiag = np.einsum("ij,ij->i", z, z)
+    while True:
+        score = np.where(up, yg, -np.inf)
+        i = int(score.argmax())
+        m = score.item(i)
+        gain = np.where(low, m - yg, 0.0)
+        if gain.max() < _SVM_TOL:
+            break
+        ki = z @ z[i]
+        curv = kdiag + (kdiag.item(i) - 2.0 * ki)
+        np.maximum(curv, _TAU, out=curv)
+        np.maximum(gain, 0.0, out=gain)
+        gain *= gain
+        gain /= curv
+        j = int(gain.argmax())
+        kj = z @ z[j]
+        yi, yj = y.item(i), y.item(j)
+        ai0, aj0 = ai, aj = a.item(i), a.item(j)
+        if yi != yj:
+            delta = (yg.item(i) * yi + yg.item(j) * yj) / curv.item(j)
+            diff = ai - aj
+            ai += delta
+            aj += delta
+            if diff > 0:
+                if aj < 0:
+                    aj, ai = 0.0, diff
+                if ai > c:
+                    ai, aj = c, c - diff
             else:
-                if powers is None:
-                    powers = np.cumprod(np.full(n, decay))
-                sure = skip.sure(i, w, b, powers)
-                run = int(sure.argmin())
-                if sure[run]:
-                    run = len(sure)
-                if run:
-                    w[:] = _decayed(w, decay, run)
-                    i += run
-                if run < _SVM_SHORT_RUN:
-                    backoff = min(2 * backoff, _SVM_MAX_PLAIN) if backoff else 1
-                    plain = backoff
-                else:
-                    backoff = 0
-                end = min(n, i + 1)  # the first uncertain sample
-            for yi, zi in samples[i:end]:
-                w *= decay
-                if yi * (zi @ w + b) < 1.0:
-                    w += step * yi * zi
-                    b += step * yi
-            i = end
-        obj = svm_objective(w, data, b, c_param)
-        if obj < best_obj:
-            best_obj, best_w, best_b = obj, w.copy(), b
-    return SvmModel(best_w, best_b, c_param, data.standardization)
+                if ai < 0:
+                    ai, aj = 0.0, -diff
+                if aj > c:
+                    aj, ai = c, c + diff
+        else:
+            delta = (yg.item(j) * yj - yg.item(i) * yi) / curv.item(j)
+            total = ai + aj
+            ai -= delta
+            aj += delta
+            if total > c:
+                if ai > c:
+                    ai, aj = c, total - c
+                if aj > c:
+                    aj, ai = c, total - c
+            else:
+                if aj < 0:
+                    aj, ai = 0.0, total
+                if ai < 0:
+                    ai, aj = 0.0, total
+        # -y G moves by -(y_i K_i da_i + y_j K_j da_j)
+        ki *= (ai - ai0) * yi
+        kj *= (aj - aj0) * yj
+        ki += kj
+        yg -= ki
+        a[i], a[j] = ai, aj
+        for t, at, yt in ((i, ai, yi), (j, aj, yj)):
+            up[t] = at < c if yt > 0 else at > 0
+            low[t] = at > 0 if yt > 0 else at < c
+    free = (a > 0) & (a < c)
+    if free.any():
+        bias = yg[free].mean()
+    else:
+        bias = (m + np.where(low, yg, np.inf).min()) / 2.0
+    return SvmModel((a * y) @ z, float(bias), c_param, data.standardization)
 
 
 # ---------------------------------------------------------------------------
@@ -708,14 +642,14 @@ def c45_train(data: LabeledSet) -> C45Model:
 # dispatch and model files
 
 
-def train_classifier(kind, data, **hyper):
+def train_classifier(kind, data):
     # trainers resolve by module name at call time, so wrappers see them
     if kind == "svm":
-        return svm_train(data, **hyper)
+        return svm_train(data)
     if kind == "knn":
-        return knn_train(data, **hyper)
+        return knn_train(data)
     if kind == "c45":
-        return c45_train(data, **hyper)
+        return c45_train(data)
     raise ConfigError("unknown classifier kind %r" % (kind,))
 
 

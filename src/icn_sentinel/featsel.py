@@ -28,9 +28,6 @@ FOLDS = 5
 # padding, at most 2 columns per fold, is not counted
 KNN_TENSOR_FLOATS = 2 ** 22
 
-# the inner CV loop trains the SVM for fewer epochs than its default
-_EVAL_HYPER = {"svm": {"epochs": 60}}
-
 
 @dataclass(frozen=True)
 class FeatureSubset:
@@ -208,8 +205,7 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn",
         std = Standardization.fit(x)
         model = train_classifier(evaluator,
                                  LabeledSet(x, fold.train_y, std,
-                                            std.apply(x)),
-                                 **_EVAL_HYPER.get(evaluator, {}))
+                                            std.apply(x)))
         predicted = predict_labels(
             model, np.ascontiguousarray(fold.test_x[:, columns]))
         correct += np.count_nonzero(predicted == fold.test_y)

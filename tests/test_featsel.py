@@ -109,8 +109,7 @@ def cold_cross_val(data, indices, evaluator, seed):
         if not mask.any():
             continue
         train = LabeledSet.from_raw(x[~mask], y[~mask])
-        model = train_classifier(evaluator, train,
-                                 **featsel._EVAL_HYPER.get(evaluator, {}))
+        model = train_classifier(evaluator, train)
         correct += int((predict_labels(model, x[mask]) == y[mask]).sum())
     return correct / len(y)
 
@@ -156,9 +155,9 @@ def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
     the path every evaluator but multi-column k-NN takes)."""
     seen = []
 
-    def train_spy(kind, train, **hyper):
+    def train_spy(kind, train):
         seen.append(("train", train))
-        return train_classifier(kind, train, **hyper)
+        return train_classifier(kind, train)
 
     def predict_spy(model, x):
         seen.append(("predict", x))
@@ -559,7 +558,8 @@ def golden_data():
 
 # (evaluator, GA seed) -> selected indices, score.hex() and each history
 # entry's hex, recorded from the per-fold, one-tournament-per-draw
-# implementation with GaConfig(population=8, generations=5)
+# implementation with GaConfig(population=8, generations=5); the svm
+# entries with the SMO trainer
 GA_GOLDEN = {
     ("knn", 0): ((0, 1, 4, 7), "0x1.7d46cefa8d9dfp-1", [
         "0x1.4fa774e909480p-1", "0x1.6158699fdfedep-1",
@@ -571,14 +571,14 @@ GA_GOLDEN = {
         "0x1.4ea1500bda2d6p-1", "0x1.4ea1500bda2d6p-1",
         "0x1.7a346063004e1p-1", "0x1.7a346063004e1p-1",
         "0x1.8412ff9b9abbap-1"]),
-    ("svm", 0): ((0, 1, 7), "0x1.72620ae4c415dp-1", [
-        "0x1.4fa774e909480p-1", "0x1.4fa774e909480p-1",
-        "0x1.6f4f9c4d36c5fp-1", "0x1.6f4f9c4d36c5fp-1",
-        "0x1.6f4f9c4d36c5fp-1"]),
-    ("svm", 1): ((0, 1, 6), "0x1.51b3bea3677d4p-1", [
-        "0x1.4b8ee1744cdd8p-1", "0x1.4d9b2b2eab12cp-1",
-        "0x1.4ea1500bda2d6p-1", "0x1.4ea1500bda2d6p-1",
-        "0x1.4ea1500bda2d6p-1"]),
+    ("svm", 0): ((0, 1, 3, 5, 7), "0x1.882b931057262p-1", [
+        "0x1.44c2b0d33fbfep-1", "0x1.587fef44749afp-1",
+        "0x1.646ad8376d3dcp-1", "0x1.6e49777007ab5p-1",
+        "0x1.6e49777007ab5p-1"]),
+    ("svm", 1): ((0, 1, 3, 5, 6), "0x1.51b3bea3677d4p-1", [
+        "0x1.4b8ee1744cdd8p-1", "0x1.4c9506517bf82p-1",
+        "0x1.4c9506517bf82p-1", "0x1.4c9506517bf82p-1",
+        "0x1.4c9506517bf82p-1"]),
     ("svm", 2): ((0, 3), "0x1.72620ae4c415dp-1", [
         "0x1.587fef44749afp-1", "0x1.59861421a3b59p-1",
         "0x1.646ad8376d3dcp-1", "0x1.7055c12a65e09p-1",

@@ -510,11 +510,9 @@ def test_run_matrix_trains_each_distinct_set_once(campaign, monkeypatch):
 
 def test_training_row_order_changes_no_profile_curves_or_verdicts(tmp_path):
     # metamorphic: a permutation of the training rows (and their windows)
-    # writes the same profile.json and iac_model.json, and kNN and C4.5
-    # give every held-out row the same verdict.  360 rows stay below the
-    # 1440 most recent rows that build_profile reads.  The SVM is left out:
-    # its training visits the rows in order, and a permutation flips a few
-    # held-out verdicts.
+    # writes the same profile.json and iac_model.json, and each classifier
+    # gives every held-out row the same verdict.  360 rows stay below the
+    # 1440 most recent rows that build_profile reads.
     config = default_config(seed=9400, rows_per_group=360)
     md = gen_campaign(config).groups["MD"]
     held_out = gen_campaign(default_config(
@@ -527,7 +525,7 @@ def test_training_row_order_changes_no_profile_curves_or_verdicts(tmp_path):
     rng = np.random.default_rng(0)
     orders = [list(range(n))] + [rng.permutation(n).tolist()
                                  for _ in range(2)]
-    for algo in ("knn", "c45"):
+    for algo in ("svm", "knn", "c45"):
         outcomes = []
         for i, order in enumerate(orders):
             detector = Detector.fit(md.test.take(order),
