@@ -267,9 +267,9 @@ def svm_train(data: LabeledSet, c_param=1.0) -> SvmModel:
 # nearest neighbor (Euclidean, k fixed at 1)
 
 
-# kNN scores queries in blocks whose squared-difference planes, one per
-# feature, would hold at most this many floats; the planes are built in
-# turn into one reused (block, stored) buffer
+# kNN predict scores queries in blocks of KNN_BLOCK_FLOATS // stored rows,
+# so the one reused (block, stored) buffer, into which each feature's
+# squared-difference plane is built in turn, holds at most this many floats
 KNN_BLOCK_FLOATS = 65536
 
 
@@ -282,14 +282,16 @@ def _sq_planes(stored, queries) -> np.ndarray:
 
 
 class _PlaneView:
-    """``_sq_planes(stored, queries)[c]`` built on lookup into ``out``, one
-    (queries, stored) buffer that the next lookup overwrites."""
+    """``_sq_planes(stored_t.T, queries_t.T)[c]`` built on lookup into
+    ``out``, one (queries, stored) buffer that the next lookup overwrites.
+    ``stored_t`` and ``queries_t`` hold one feature per row, so a lookup
+    reads two contiguous rows."""
 
-    def __init__(self, stored, queries, out):
-        self.stored, self.queries, self.out = stored, queries, out
+    def __init__(self, stored_t, queries_t, out):
+        self.stored_t, self.queries_t, self.out = stored_t, queries_t, out
 
     def __getitem__(self, c):
-        diff = np.subtract(self.stored[:, c], self.queries[:, c, None],
+        diff = np.subtract(self.stored_t[c], self.queries_t[c, :, None],
                            out=self.out)
         return np.multiply(diff, diff, out=diff)
 
@@ -321,14 +323,15 @@ class KnnModel:
     def _labels(self, z) -> np.ndarray:
         """Label of the nearest stored vector per standardized row; distance
         ties pick the lowest stored index."""
-        points = self.points
-        block = max(1, KNN_BLOCK_FLOATS // max(points.size, 1))
-        buffer = np.empty((min(block, len(z)), len(points)))
+        points_t = np.ascontiguousarray(self.points.T)
+        z_t = np.ascontiguousarray(z.T)
+        block = max(1, KNN_BLOCK_FLOATS // len(self.points))
+        buffer = np.empty((min(block, len(z)), len(self.points)))
         nearest = np.empty(len(z), dtype=np.intp)
         for start in range(0, len(z), block):
-            queries = z[start:start + block]
+            queries_t = z_t[:, start:start + block]
             nearest[start:start + block] = _nearest(
-                _PlaneView(points, queries, buffer[:len(queries)]),
+                _PlaneView(points_t, queries_t, buffer[:queries_t.shape[1]]),
                 range(z.shape[1]))
         return self.labels[nearest]
 

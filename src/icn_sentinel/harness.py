@@ -344,7 +344,10 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
     default grid is 3 * 2 * 3 * 4 = 72 cells in canonical order.
     Training has no randomness, so cells that share a classifier, view,
     group and training labels (every sensitivity, under the "five" attack
-    pattern) train once and share the test predictions.
+    pattern) train once and share the test predictions.  Each (group,
+    view) builds its training LabeledSet and test matrix once, at the
+    first model that needs them; a later model with other training labels
+    shares that set's matrices and standardization.
     ``config`` carries only the recorded seed and does not change the
     result.
     """
@@ -369,6 +372,8 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
     # labels match an earlier cell's trains the same model: reuse its test
     # predictions
     predictions = {}
+    # (group, view) -> (training LabeledSet, test matrix)
+    views = {}
     for group in groups:
         data = campaign.groups[group]
         train_mixed, _ = inject_attacks(
@@ -393,10 +398,14 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
                     key = (clf, dataset, group, y_train.tobytes())
                     y_pred = predictions.get(key)
                     if y_pred is None:
-                        x_train = train_mixed.to_matrix(features)
-                        train_set = LabeledSet.from_raw(x_train, y_train)
-                        model = train_classifier(clf, train_set)
-                        x_test = data.test.to_matrix(features)
+                        if (group, dataset) not in views:
+                            views[group, dataset] = (
+                                LabeledSet.from_raw(
+                                    train_mixed.to_matrix(features), y_train),
+                                data.test.to_matrix(features))
+                        base, x_test = views[group, dataset]
+                        model = train_classifier(clf, LabeledSet(
+                            base.x, y_train, base.standardization, base.xz))
                         y_pred = predictions[key] = predict_labels(model, x_test)
 
                     y_true = label_ground_truth(data.test, data.profile,

@@ -19,8 +19,8 @@ import numpy as np
 from .core import (ANOMALOUS, ConfigError, DataTrace, EventTrace, GROUP_HOURS,
                    GROUP_SPAN_S, GROUPS, NORMAL, TRACE_COLUMNS, SchemaError,
                    _check_distinct, derive_seed, is_finite_number,
-                   parse_data_trace, parse_event_trace, read_json,
-                   write_data_trace, write_event_trace, write_json)
+                   parse_data_trace, read_json, write_data_trace,
+                   write_event_trace, write_json)
 from .profiler import ParameterSpec, ThresholdProfile, compute_threshold
 
 ATTACK_PATTERNS = ("one", "three", "five", "mixed")
@@ -275,7 +275,7 @@ def gen_normal(config: GeneratorConfig, group, n, seed=None, start_row=0):
     for abs_row in range(start_row, start_row + n):
         day, slot = divmod(abs_row, per_interval)
         timestamps.append(day * 86400 + start + slot * config.cadence_s)
-    events = EventTrace([name for _ in range(n) for name in schema])
+    events = EventTrace._of(tuple(map(str, schema)) * n)
     return DataTrace._from_columns(schema, tuple(timestamps), (group,) * n,
                                    (NORMAL,) * n, matrix), events
 
@@ -341,21 +341,23 @@ def inject_attacks(trace: DataTrace, events, profile: ThresholdProfile,
             free = [base + j for j, name in enumerate(schema)
                     if name not in signal_set]
             # lazy: burst_len has no upper bound
-            burst = (name for name in attacked for _ in range(burst_len))
+            burst = (str(name) for name in attacked for _ in range(burst_len))
             for slot, name in zip(free, burst):
                 symbols[slot] = name
 
     out = DataTrace._from_columns(schema, trace.timestamps, trace.groups,
                                   tuple(labels), matrix)
-    return out, EventTrace(symbols) if symbols is not None else None
+    if symbols is not None:
+        events = EventTrace._of(tuple(symbols))
+    return out, events
 
 
 @dataclass(frozen=True)
 class GroupData:
     train: DataTrace
     test: DataTrace
-    train_events: EventTrace
-    test_events: EventTrace
+    train_events: EventTrace  # None in a loaded campaign
+    test_events: EventTrace  # None in a loaded campaign
     profile: ThresholdProfile  # generator ground truth for the group
 
 
@@ -415,15 +417,17 @@ def save_campaign(campaign: Campaign, outdir):
 
 
 def load_campaign(directory) -> Campaign:
-    """Every group at its _partition_paths, under the manifest's config."""
+    """Every group's data CSVs at their _partition_paths, under the
+    manifest's config.  The event files are not read, so both event
+    fields of each GroupData are None: the scenario matrix scores data
+    rows only, and ``train`` and ``detect`` read their own ``--events``."""
     config = read_json(os.path.join(directory, "manifest.json"),
                        lambda doc: GeneratorConfig.from_json(doc["config"]))
     schema = config.schema()
     groups = {}
     for group in GROUPS:
-        train, test, train_ev, test_ev = _partition_paths(directory, group)
+        train, test = _partition_paths(directory, group)[:2]
         groups[group] = GroupData(
             parse_data_trace(train, schema), parse_data_trace(test, schema),
-            parse_event_trace(train_ev), parse_event_trace(test_ev),
-            group_profile(config, group))
+            None, None, group_profile(config, group))
     return Campaign(config, groups)

@@ -823,13 +823,24 @@ def test_knn_blocks_cross_boundaries(monkeypatch):
     queries = rng.normal(size=(500, 4)) * data.x.std(axis=0)
     model = knn_train(data)
     want = reference_labels(model, queries)
-    block = classifiers.KNN_BLOCK_FLOATS // data.x.size
+    # a block's one (block, stored) plane holds at most KNN_BLOCK_FLOATS
+    block = classifiers.KNN_BLOCK_FLOATS // len(data)
     assert 1 < block < len(queries) and len(queries) % block
-    assert np.array_equal(predict_labels(model, queries), want)
-    # tiny blocks: one row per block, and blocks that end mid-input
-    for limit in (1, 7 * data.x.size, 13 * data.x.size + 1):
+    # stored points and queries in Fortran order or as strided slices
+    wide = np.zeros((len(data), 2 * data.n_features))
+    wide[:, ::2] = model.points
+    laid_out = [KnnModel(points, model.labels, model.standardization)
+                for points in (np.asfortranarray(model.points), wide[:, ::2])]
+    layouts = ((queries, want), (np.asfortranarray(queries), want),
+               (queries[::3], want[::3]),
+               (np.hstack([queries, queries])[:, :4], want))
+    # the default block, one row per block, and blocks that end mid-input
+    for limit in (classifiers.KNN_BLOCK_FLOATS, 1, 7 * len(data),
+                  13 * len(data) + 1):
         monkeypatch.setattr(classifiers, "KNN_BLOCK_FLOATS", limit)
-        assert np.array_equal(predict_labels(model, queries), want)
+        for knn in [model] + laid_out:
+            for x, labels in layouts:
+                assert np.array_equal(predict_labels(knn, x), labels)
 
 
 @pytest.mark.parametrize("width", list(range(1, 41)) + [64, 127, 128, 129,

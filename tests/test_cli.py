@@ -1134,6 +1134,26 @@ def test_a_campaign_loads_from_its_fixed_layout(case, small_campaign_dir,
     assert sorted(manifest) == ["config", "config_hash"]
 
 
+def test_evaluate_reads_no_event_file(small_campaign_dir, tmp_path, capsys):
+    # the matrix scores data rows only, so a campaign without its event
+    # files evaluates to the same report
+    bare = tmp_path / "bare_campaign"
+    shutil.copytree(small_campaign_dir, bare)
+    removed = sorted(bare.glob("*.events"))
+    assert len(removed) == 8
+    for path in removed:
+        path.unlink()
+    reports = []
+    for campaign in (small_campaign_dir, bare):
+        out = tmp_path / ("report_" + campaign.name)
+        assert main(["evaluate", "--campaign", str(campaign), "--seed", "3",
+                     "--out", str(out)]) == 0
+        reports.append(read_all(out))
+    assert sorted(reports[0]) == ["report.csv", "report.txt", "run.json"]
+    assert reports[0] == reports[1]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("config", [[], ""], ids=["list", "string"])
 def test_a_manifest_config_must_be_an_object(config, small_campaign_dir,
                                              tmp_path, capsys):
