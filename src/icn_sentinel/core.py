@@ -581,10 +581,10 @@ def write_event_trace(path, trace: EventTrace):
 
 
 def write_json(path, doc):
-    """Write a JSON artifact: two-space indent, sorted keys, final newline."""
+    """Write a JSON artifact as one line with sorted keys and a final
+    newline, in one write; without indent json takes its C encoder."""
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 def read_json(path, parse):

@@ -22,10 +22,12 @@ PARSIMONY_PENALTY = 0.002
 # cross-validation folds that score a subset
 FOLDS = 5
 
-# kNN cross-validation keeps a split's stacked squared-difference tensor
-# while its folds' own (test, train, feature) blocks together hold at most
-# this many floats (about 0.8 * rows**2 * features for 5 folds); the +inf
-# padding, at most 2 columns per fold, is not counted
+# kNN cross-validation keeps a split's two stacked squared-difference
+# tensors, one for one-column subsets and one for wider ones, while its
+# folds' own (test, train, feature) blocks together hold at most this many
+# floats (about 0.8 * rows**2 * features for 5 folds), so a split holds at
+# most twice this many; the +inf padding, at most 2 columns per fold, is
+# not counted
 KNN_TENSOR_FLOATS = 2 ** 22
 
 
@@ -106,15 +108,15 @@ class _Split:
 
     @cached_property
     def stacks_knn(self):
-        """Whether k-NN scores multi-column subsets from sq_diff: the
+        """Whether k-NN scores subsets from sq_diff and sq_diff_lone: the
         folds' (test, train, feature) blocks hold at most
         KNN_TENSOR_FLOATS floats."""
         return sum(len(f.test_y) * f.train_x.size for f in self.folds) \
             <= KNN_TENSOR_FLOATS
 
-    @cached_property
-    def sq_diff(self):
-        """(planes, query_fold, train_y, test_y), built on first use.
+    def _stack(self, fit):
+        """(planes, query_fold, train_y, test_y), with each fold's
+        standardization fit(train_x).
 
         planes holds one C-ordered (all test rows, widest training fold)
         plane per feature.  Each fold's test rows hold the squared
@@ -123,9 +125,7 @@ class _Split:
         as stratified training folds differ by at most one row per class.
         query_fold is each test row's fold, train_y[f] fold f's training
         labels, padded alike, and test_y the test labels in row order.
-        From two columns up a subset's block of a fold equals the planes
-        of its own fit, and a finite distance always beats a padding
-        column.
+        A finite distance always beats a padding column.
         """
         folds = self.folds
         width = max(len(f.train_y) for f in folds)
@@ -136,7 +136,7 @@ class _Split:
         train_y = np.zeros((len(folds), width), dtype=test_y.dtype)
         start = 0
         for i, f in enumerate(folds):
-            std = Standardization.fit(f.train_x)
+            std = fit(f.train_x)
             m = len(f.train_y)
             planes[:, start:start + sizes[i], :m] = _sq_planes(
                 std.apply(f.train_x), std.apply(f.test_x))
@@ -144,6 +144,19 @@ class _Split:
             start += sizes[i]
         query_fold = np.repeat(np.arange(len(folds)), sizes)
         return planes, query_fold, train_y, test_y
+
+    @cached_property
+    def sq_diff(self):
+        """The stack fit on C-ordered rows: from two columns up numpy sums
+        a subset's columns row by row, as in the subset's own fit."""
+        return self._stack(Standardization.fit)
+
+    @cached_property
+    def sq_diff_lone(self):
+        """The stack fit on Fortran-ordered rows: numpy reduces each column
+        contiguously, as in a one-column subset's own fit."""
+        return self._stack(
+            lambda x: Standardization.fit(np.asfortranarray(x)))
 
 
 def _cv_folds(data: LabeledSet, seed) -> _Split:
@@ -177,10 +190,10 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn",
     Standardization is refit on each training fold; folds whose training
     side lost a class are impossible by the round-robin construction for
     classes with >= 2 members.  The folds are split once per (data, seed).
-    A k-NN subset of two or more columns is scored over all folds at once,
-    by one _nearest call on the split's stacked squared differences, while
-    the folds' blocks fit KNN_TENSOR_FLOATS; any other subset refits its
-    own columns per fold.
+    A k-NN subset is scored over all folds at once, by one _nearest call
+    on the split's stacked squared differences (sq_diff_lone for one
+    column, sq_diff from two up), while the folds' blocks fit
+    KNN_TENSOR_FLOATS; any other subset refits its own columns per fold.
     """
     indices = sorted(indices)
     if not indices:
@@ -194,8 +207,9 @@ def cross_val_accuracy(data: LabeledSet, indices, evaluator="knn",
         if j == before:
             raise ConfigError("feature index %r is repeated" % (j,))
     split = _cv_folds(data, seed)
-    if evaluator == "knn" and len(indices) > 1 and split.stacks_knn:
-        planes, query_fold, train_y, test_y = split.sq_diff
+    if evaluator == "knn" and split.stacks_knn:
+        planes, query_fold, train_y, test_y = \
+            split.sq_diff if len(indices) > 1 else split.sq_diff_lone
         predicted = train_y[query_fold, _nearest(planes, indices)]
         return np.count_nonzero(predicted == test_y) / len(data.y)
     columns = np.asarray(indices)

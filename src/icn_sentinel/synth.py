@@ -95,6 +95,8 @@ class GeneratorConfig:
         if not self.signal:
             raise ConfigError("at least one signal parameter required")
         for name in self.signal:
+            if not isinstance(name, str):
+                raise SchemaError("signal name %r is not a string" % (name,))
             if name in TRACE_COLUMNS:
                 raise SchemaError("signal name %r is reserved for a trace "
                                   "column" % (name,))

@@ -75,6 +75,31 @@ def test_standardization_refuses_a_spread_beyond_float_range():
     assert Standardization.fit([[1e150], [-1e150]]).std[0] == 1e150
 
 
+@st.composite
+def mixed_scale_matrices(draw):
+    """A C-ordered matrix of columns at mixed scales and offsets, with a
+    row count on either side of numpy's pairwise-sum thresholds: 8 (the
+    unrolled accumulators) and multiples of 128 (the recursion block)."""
+    n = draw(st.one_of(st.integers(1, 20), st.integers(120, 136),
+                       st.integers(250, 264), st.integers(1, 400)))
+    d = draw(st.integers(1, 19))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** rng.uniform(-6, 6, size=d)
+    shift = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 6, size=d)
+    return rng.normal(size=(n, d)) * scale + shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_scale_matrices())
+def test_fortran_fit_equals_each_lone_column_fit_property(x):
+    # kNN cross-validation scores one-column subsets from planes fit at
+    # full width on Fortran-ordered rows, so they must be the lone fits
+    wide = Standardization.fit(np.asfortranarray(x))
+    lone = [Standardization.fit(x[:, [c]]) for c in range(x.shape[1])]
+    assert wide.mean.tobytes() == np.concatenate([s.mean for s in lone]).tobytes()
+    assert wide.std.tobytes() == np.concatenate([s.std for s in lone]).tobytes()
+
+
 def test_labeled_set_validation():
     with pytest.raises(SchemaError):
         LabeledSet.from_raw([1.0, 2.0], [1, -1])

@@ -152,7 +152,7 @@ def test_cross_val_fold_memo_equals_cold_path():
 def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
     """Each fold trains on exactly the set from_raw builds from the
     subset's columns and scores exactly the subset's test rows (c45 runs
-    the path every evaluator but multi-column k-NN takes)."""
+    the path every evaluator but k-NN under the cap takes)."""
     seen = []
 
     def train_spy(kind, train):
@@ -230,10 +230,10 @@ def spy_nearest(seen):
 
 
 def check_knn_planes_equal_from_raw(monkeypatch, data, sizes, seeds):
-    """For random subsets of each size, one _nearest call scores all folds
-    from planes whose blocks are bit for bit those of the subset's own fit
-    per fold, and the accuracy is the cold path's; a one-column subset
-    fits its own column and never reaches the planes."""
+    """For random subsets of each size, one-column subsets too, one
+    _nearest call scores all folds from planes whose blocks are bit for
+    bit those of the subset's own fit per fold, and the accuracy is the
+    cold path's."""
     seen = []
     monkeypatch.setattr(featsel, "_nearest", spy_nearest(seen))
     rng = np.random.default_rng(3)
@@ -244,9 +244,7 @@ def check_knn_planes_equal_from_raw(monkeypatch, data, sizes, seeds):
             seen.clear()
             assert cross_val_accuracy(data, idx, "knn", seed=seed) \
                 == cold_cross_val(data, idx, "knn", seed)
-            assert len(seen) == (0 if size == 1 else 1)
-            if seen:
-                assert_own_fit_planes(seen, data, idx, seed)
+            assert_own_fit_planes(seen, data, idx, seed)
 
 
 def test_cross_val_knn_tensor_equals_from_raw(monkeypatch):
@@ -308,8 +306,7 @@ def test_knn_cross_val_equals_cold_path_property(case):
                 calls.clear()
                 assert cross_val_accuracy(data, subset, "knn", seed=seed) \
                     == cold_cross_val(data, subset, "knn", seed)
-                tensor_path = len(subset) > 1 and size <= limit
-                assert bool(calls) == tensor_path
+                assert bool(calls) == (size <= limit)
                 if calls:
                     assert_own_fit_planes(calls, data, subset, seed)
             assert list(data._folds) == [seed]
@@ -616,7 +613,8 @@ def test_greedy_select_golden():
 
 def test_select_cli_golden(tmp_path):
     """The JSON bytes of a genetic k-NN select on a 40-rows-per-group
-    "mixed" campaign, recorded from the per-fold implementation."""
+    "mixed" campaign: the selection recorded from the per-fold
+    implementation, in write_json's one-line layout."""
     from icn_sentinel.cli import main
     config = tmp_path / "gen.json"
     config.write_text('{"rows_per_group": 40, "attack_pattern": "mixed"}')
@@ -627,8 +625,7 @@ def test_select_cli_golden(tmp_path):
                  "--method", "genetic", "--algo", "knn", "--seed", "3",
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (
-        b'{\n  "features": [\n    "GBV",\n    "Power",\n    "AFR",\n'
-        b'    "IGV",\n    "LOT"\n  ],\n  "score": 0.95\n}\n')
+        b'{"features": ["GBV", "Power", "AFR", "IGV", "LOT"], "score": 0.95}\n')
 
 
 @pytest.mark.parametrize("n", [2, 3, 30, 257, 10 ** 6])

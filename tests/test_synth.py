@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -338,6 +339,17 @@ def test_config_refuses_bad_signal_names(signal, name):
     # wrote a campaign that evaluate then refused
     with pytest.raises(SchemaError, match=name):
         GeneratorConfig.from_json({"signal": signal})
+
+
+@pytest.mark.parametrize("name", [1, 1.5, None, ("FGF",), b"FGF"])
+def test_config_refuses_non_string_signal_names(name):
+    # the Python API used to save such a campaign, which load_campaign then
+    # refused
+    with pytest.raises(SchemaError,
+                       match=re.escape("signal name %r is not a string"
+                                       % (name,))):
+        default_config(signal={name: ParamModel(500.0, 334.17)},
+                       attack_pattern="one", rows_per_group=12)
 
 
 # The row-by-row generator and attack injector that the matrix versions
