@@ -35,8 +35,13 @@ class Standardization:
     @classmethod
     def fit(cls, x) -> "Standardization":
         """The columns' means and spreads; one that overflows raises
-        SentinelError naming the first such column."""
-        x = np.asarray(x, dtype=float)
+        SentinelError naming the first such column.
+
+        numpy reduces each column of a Fortran-ordered matrix alone, so a
+        column's fit is the same at any width and any column subset's fit
+        is a slice of the full one.
+        """
+        x = np.asfortranarray(x, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             mean = x.mean(axis=0)
             std = x.std(axis=0)

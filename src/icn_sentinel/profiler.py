@@ -24,7 +24,8 @@ def trim_mean(values, trim_fraction):
     """Mean after dropping floor(trim_fraction * n) values from each end.
 
     Trimming is by sorted order, so up to that many corrupted extremes per
-    side cannot move the baseline.
+    side cannot move the baseline.  A sum past float range gives +-inf or
+    nan without a numpy warning, for the caller to refuse.
     """
     if not 0 <= trim_fraction < 0.5:
         raise ConfigError("trim_fraction must be in [0, 0.5), got %r"
@@ -37,7 +38,8 @@ def trim_mean(values, trim_fraction):
     if n - 2 * k < 1:
         raise InsufficientDataError(
             "trimming %d from each end of %d values leaves nothing" % (k, n))
-    return float(data[k:n - k].mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(data[k:n - k].mean())
 
 
 def compute_threshold(psi, mu):

@@ -92,9 +92,11 @@ def mixed_scale_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(mixed_scale_matrices())
 def test_fortran_fit_equals_each_lone_column_fit_property(x):
-    # kNN cross-validation scores one-column subsets from planes fit at
-    # full width on Fortran-ordered rows, so they must be the lone fits
-    wide = Standardization.fit(np.asfortranarray(x))
+    # cross-validation reads every subset's standardization from one fit
+    # of each full-width fold, so a fit of C-ordered rows must give each
+    # column its lone fit
+    assert x.flags.c_contiguous
+    wide = Standardization.fit(x)
     lone = [Standardization.fit(x[:, [c]]) for c in range(x.shape[1])]
     assert wide.mean.tobytes() == np.concatenate([s.mean for s in lone]).tobytes()
     assert wide.std.tobytes() == np.concatenate([s.std for s in lone]).tobytes()

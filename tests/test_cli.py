@@ -321,6 +321,27 @@ def test_select_refuses_a_feature_beyond_float_range(small_campaign_dir,
         "overflows float range\n" % schema.index("LOT"), err
 
 
+def test_train_refuses_a_baseline_beyond_float_range(small_campaign_dir,
+                                                     tmp_path, capsys):
+    # MSV cells near 1e307 used to print numpy's reduce overflow warning
+    # from the trimmed mean before the error
+    lines = (small_campaign_dir / "MD_test.csv").read_text().splitlines()
+    at = lines[0].split(",").index("MSV")
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[at] = "1.5e307"
+        lines[i] = ",".join(cells)
+    data = tmp_path / "overflow.csv"
+    data.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--data", str(data),
+                     "--events", str(small_campaign_dir / "MD_test.events"),
+                     "--algo", "c45", "--out", str(tmp_path / "m")]) == 3
+    assert capsys.readouterr().err == "error: non-finite mu for 'MSV'\n"
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("rows", [10 ** 11, 10 ** 400],
                          ids=["rows-1e11", "rows-401-digits"])
 def test_gen_refuses_a_size_above_the_cap(rows, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -6,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from icn_sentinel import classifiers, featsel
 from icn_sentinel.classifiers import (CLASSIFIER_KINDS, LabeledSet,
-                                      predict_labels, train_classifier)
+                                      model_to_json, predict_labels,
+                                      train_classifier)
 from icn_sentinel.cli import main
 from icn_sentinel.core import (ConfigError, DegenerateDataError)
 from icn_sentinel.featsel import (FOLDS, FeatureSubset, GaConfig,
@@ -151,20 +153,22 @@ def test_cross_val_fold_memo_equals_cold_path():
 
 def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
     """Each fold trains on exactly the set from_raw builds from the
-    subset's columns and scores exactly the subset's test rows (c45 runs
-    the path every evaluator but k-NN under the cap takes)."""
+    subset's columns and labels exactly the subset's test rows as that
+    fit standardizes them (c45 runs the path every evaluator but k-NN
+    under the cap takes)."""
     seen = []
 
     def train_spy(kind, train):
         seen.append(("train", train))
         return train_classifier(kind, train)
 
-    def predict_spy(model, x):
-        seen.append(("predict", x))
-        return predict_labels(model, x)
+    def labels_spy(model, z):
+        seen.append(("predict", z))
+        return c45_labels(model, z)
 
+    c45_labels = classifiers.C45Model._labels
     monkeypatch.setattr(featsel, "train_classifier", train_spy)
-    monkeypatch.setattr(featsel, "predict_labels", predict_spy)
+    monkeypatch.setattr(classifiers.C45Model, "_labels", labels_spy)
     data = wide_data(seed=3)
     rng = np.random.default_rng(3)
     for seed in (0, 2):
@@ -177,7 +181,7 @@ def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
             assert len(seen) == 2 * FOLDS
             for fold in range(FOLDS):
                 mask = assignment == fold
-                (_, train), (_, test_x) = seen[2 * fold:2 * fold + 2]
+                (_, train), (_, test_z) = seen[2 * fold:2 * fold + 2]
                 ref = LabeledSet.from_raw(data.x[:, idx][~mask],
                                           data.y[~mask])
                 assert_bitwise(train.x, ref.x)
@@ -187,7 +191,8 @@ def test_cross_val_fold_sets_equal_from_raw(monkeypatch):
                 assert_bitwise(train.standardization.std,
                                ref.standardization.std)
                 assert_bitwise(train.xz, ref.xz)
-                assert_bitwise(test_x, data.x[:, idx][mask])
+                assert_bitwise(test_z, ref.standardization.apply(
+                    data.x[:, idx][mask]))
 
 
 def assert_own_fit_planes(seen, data, indices, seed):
@@ -310,6 +315,54 @@ def test_knn_cross_val_equals_cold_path_property(case):
                 if calls:
                     assert_own_fit_planes(calls, data, subset, seed)
             assert list(data._folds) == [seed]
+
+
+@st.composite
+def sliced_cv_cases(draw):
+    """A small labelled set over columns of mixed scale and offset, one of
+    them shifted by the label, a fold seed, an SVM or C4.5 evaluator and
+    subsets of every size."""
+    d = draw(st.integers(1, 12))
+    n_pos, n_neg = draw(st.integers(2, 9)), draw(st.integers(2, 9))
+    y = np.array(draw(st.permutations([1] * n_pos + [-1] * n_neg)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    scale = 10.0 ** rng.uniform(-4, 4, size=d)
+    x = (rng.normal(size=(len(y), d)) + rng.normal(size=d) * 50) * scale
+    x[:, draw(st.integers(0, d - 1))] += np.outer(y, scale)[:, 0]
+    subsets = draw(st.lists(st.sets(st.integers(0, d - 1), min_size=1),
+                            min_size=1, max_size=4))
+    return (LabeledSet.from_raw(x, y), draw(st.integers(0, 99)),
+            draw(st.sampled_from(["svm", "c45"])), subsets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sliced_cv_cases())
+def test_sliced_fold_cross_val_equals_from_raw_property(case):
+    """SVM and C4.5 subsets train on their columns of each fold's one
+    full-width standardization: the accuracy and every fold's model, as
+    JSON bytes, are those of from_raw fit on the subset fold by fold."""
+    data, seed, evaluator, subsets = case
+    models = []
+
+    def train_spy(kind, train):
+        models.append(train_classifier(kind, train))
+        return models[-1]
+
+    assignment = stratified_folds(data.y, seed=seed)
+    masks = [m for m in (assignment == f for f in range(FOLDS)) if m.any()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(featsel, "train_classifier", train_spy)
+        for subset in subsets:
+            models.clear()
+            idx = sorted(subset)
+            assert cross_val_accuracy(data, idx, evaluator, seed=seed) \
+                == cold_cross_val(data, idx, evaluator, seed)
+            cold = [train_classifier(evaluator, LabeledSet.from_raw(
+                data.x[:, idx][~m], data.y[~m])) for m in masks]
+            assert [json.dumps(model_to_json(m), sort_keys=True)
+                    for m in models] \
+                == [json.dumps(model_to_json(m), sort_keys=True)
+                    for m in cold]
 
 
 def test_cross_val_fold_memo_keeps_one_key():
@@ -554,42 +607,39 @@ def golden_data():
 
 
 # (evaluator, GA seed) -> selected indices, score.hex() and each history
-# entry's hex, recorded from the per-fold, one-tournament-per-draw
-# implementation with GaConfig(population=8, generations=5); the svm
-# entries with the SMO trainer
+# entry's hex, recorded from genetic_select breeding each generation from
+# bulk Generator draws, with GaConfig(population=8, generations=5)
 GA_GOLDEN = {
-    ("knn", 0): ((0, 1, 4, 7), "0x1.7d46cefa8d9dfp-1", [
-        "0x1.4fa774e909480p-1", "0x1.6158699fdfedep-1",
-        "0x1.792e3b85d1337p-1", "0x1.792e3b85d1337p-1",
-        "0x1.792e3b85d1337p-1"]),
+    ("knn", 0): ((0, 1), "0x1.882b931057262p-1", [
+        "0x1.4fa774e909480p-1", "0x1.6f4f9c4d36c5fp-1",
+        "0x1.6f4f9c4d36c5fp-1", "0x1.6f4f9c4d36c5fp-1",
+        "0x1.861f4955f8f0ep-1"]),
     ("knn", 1): ((0, 4, 6, 7), "0x1.72620ae4c415dp-1", [
         "0x1.6e49777007ab5p-1"] * 5),
-    ("knn", 2): ((0, 1, 3, 5), "0x1.882b931057262p-1", [
-        "0x1.4ea1500bda2d6p-1", "0x1.4ea1500bda2d6p-1",
-        "0x1.7a346063004e1p-1", "0x1.7a346063004e1p-1",
-        "0x1.8412ff9b9abbap-1"]),
-    ("svm", 0): ((0, 1, 3, 5, 7), "0x1.882b931057262p-1", [
-        "0x1.44c2b0d33fbfep-1", "0x1.587fef44749afp-1",
-        "0x1.646ad8376d3dcp-1", "0x1.6e49777007ab5p-1",
+    ("knn", 2): ((3, 5, 7), "0x1.51b3bea3677d4p-1", [
+        "0x1.4ea1500bda2d6p-1"] * 5),
+    ("svm", 0): ((0, 1), "0x1.677d46cefa8dap-1", [
+        "0x1.44c2b0d33fbfep-1", "0x1.646ad8376d3dcp-1",
+        "0x1.646ad8376d3dcp-1", "0x1.646ad8376d3dcp-1",
+        "0x1.6570fd149c586p-1"]),
+    ("svm", 1): ((0, 3, 5, 6), "0x1.72620ae4c415dp-1", [
+        "0x1.4b8ee1744cdd8p-1", "0x1.4b8ee1744cdd8p-1",
+        "0x1.6e49777007ab5p-1", "0x1.6e49777007ab5p-1",
         "0x1.6e49777007ab5p-1"]),
-    ("svm", 1): ((0, 1, 3, 5, 6), "0x1.51b3bea3677d4p-1", [
-        "0x1.4b8ee1744cdd8p-1", "0x1.4c9506517bf82p-1",
-        "0x1.4c9506517bf82p-1", "0x1.4c9506517bf82p-1",
-        "0x1.4c9506517bf82p-1"]),
-    ("svm", 2): ((0, 3), "0x1.72620ae4c415dp-1", [
-        "0x1.587fef44749afp-1", "0x1.59861421a3b59p-1",
-        "0x1.646ad8376d3dcp-1", "0x1.7055c12a65e09p-1",
-        "0x1.7055c12a65e09p-1"]),
-    ("c45", 0): ((0, 4, 5, 6, 7), "0x1.72620ae4c415dp-1", [
-        "0x1.4c9506517bf82p-1", "0x1.4c9506517bf82p-1",
-        "0x1.6158699fdfedep-1", "0x1.6d435292d890bp-1",
+    ("svm", 2): ((0, 3, 4, 5, 6), "0x1.72620ae4c415dp-1", [
+        "0x1.587fef44749afp-1", "0x1.6d435292d890bp-1",
+        "0x1.6d435292d890bp-1", "0x1.6d435292d890bp-1",
         "0x1.6d435292d890bp-1"]),
-    ("c45", 1): ((4, 6, 7), "0x1.677d46cefa8dap-1", [
-        "0x1.646ad8376d3dcp-1"] * 5),
-    ("c45", 2): ((0, 1, 3), "0x1.677d46cefa8dap-1", [
+    ("c45", 0): ((0, 3, 5, 6), "0x1.677d46cefa8dap-1", [
+        "0x1.4c9506517bf82p-1", "0x1.4c9506517bf82p-1",
         "0x1.6364b35a3e232p-1", "0x1.6364b35a3e232p-1",
-        "0x1.6364b35a3e232p-1", "0x1.646ad8376d3dcp-1",
-        "0x1.646ad8376d3dcp-1"]),
+        "0x1.6364b35a3e232p-1"]),
+    ("c45", 1): ((4, 6), "0x1.882b931057262p-1", [
+        "0x1.646ad8376d3dcp-1", "0x1.646ad8376d3dcp-1",
+        "0x1.646ad8376d3dcp-1", "0x1.861f4955f8f0ep-1",
+        "0x1.861f4955f8f0ep-1"]),
+    ("c45", 2): ((0, 1, 3, 6), "0x1.677d46cefa8dap-1", [
+        "0x1.6364b35a3e232p-1"] * 5),
 }
 
 
@@ -613,8 +663,8 @@ def test_greedy_select_golden():
 
 def test_select_cli_golden(tmp_path):
     """The JSON bytes of a genetic k-NN select on a 40-rows-per-group
-    "mixed" campaign: the selection recorded from the per-fold
-    implementation, in write_json's one-line layout."""
+    "mixed" campaign: the selection recorded under bulk Generator draws
+    per generation, in write_json's one-line layout."""
     from icn_sentinel.cli import main
     config = tmp_path / "gen.json"
     config.write_text('{"rows_per_group": 40, "attack_pattern": "mixed"}')
@@ -625,90 +675,55 @@ def test_select_cli_golden(tmp_path):
                  "--method", "genetic", "--algo", "knn", "--seed", "3",
                  "--out", str(out)]) == 0
     assert out.read_bytes() == (
-        b'{"features": ["GBV", "Power", "AFR", "IGV", "LOT"], "score": 0.95}\n')
+        b'{"features": ["GBV", "CIT", "GEN", "HPT", "LOT", "OPR"], '
+        b'"score": 0.95}\n')
 
 
 @pytest.mark.parametrize("n", [2, 3, 30, 257, 10 ** 6])
 def test_paired_tournament_draw_equals_two_draws(n):
-    """genetic_select draws a child's two tournaments as one size-6
-    integers call: its values and the generator state after it equal two
-    size-3 calls, amid the float draws of crossover and mutation and the
-    scalar draw that repairs an empty child."""
+    """genetic_select draws a generation's tournaments as one integers
+    call of shape (children, 2, 3), its crossover coins, coin masks and
+    mutation masks as one random call each and its repair bits as one
+    integers call; the reference GA draws each tournament, coin, mask row
+    and repair bit alone.  Both give the same values and leave the
+    generator in the same state: each bounded value takes its own 32-bit
+    output and each double its own 64-bit word, whatever the size."""
     for seed in range(20):
-        paired, split = np.random.default_rng(seed), np.random.default_rng(seed)
+        bulk, single = np.random.default_rng(seed), np.random.default_rng(seed)
         for step in range(60):
-            assert paired.integers(0, n, size=6).tolist() == \
-                split.integers(0, n, size=3).tolist() \
-                + split.integers(0, n, size=3).tolist()
-            assert paired.random() == split.random()
-            width = 1 + step % 9
-            assert paired.random(width).tobytes() == \
-                split.random(width).tobytes()
+            rows, width = 1 + step % 5, 1 + step % 9
+            assert bulk.integers(0, n, size=(rows, 2, 3)).ravel().tolist() \
+                == [v for _ in range(2 * rows)
+                    for v in single.integers(0, n, size=3).tolist()]
+            assert bulk.random(rows).tolist() \
+                == [single.random() for _ in range(rows)]
+            for _ in range(2):
+                assert bulk.random((rows, width)).tobytes() == np.concatenate(
+                    [single.random(width) for _ in range(rows)]).tobytes()
             if step % 4 == 0:
-                assert paired.integers(0, width) == split.integers(0, width)
-        assert paired.bit_generator.state == split.bit_generator.state
-
-
-def pack_bits(bits):
-    """An int whose bit j is bits[j]."""
-    return sum(1 << j for j, b in enumerate(bits.tolist()) if b)
-
-
-BOUNDS = (1, 2, 30, 2 ** 31 + 1, 2 ** 32 - 1)
-
-
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2 ** 64), chunk=st.sampled_from([1, 2, 3, 7, 4096]),
-       ops=st.lists(st.one_of(
-           st.tuples(st.just("random")),
-           st.tuples(st.just("below"), st.sampled_from([0, 0.02, 0.5, 1]),
-                     st.integers(0, 20)),
-           st.tuples(st.just("integers6"), st.sampled_from(BOUNDS)),
-           st.tuples(st.just("integers"), st.sampled_from(BOUNDS))),
-           max_size=60))
-def test_pcg64_draws_equal_default_rng_property(seed, chunk, ops):
-    """The decoder's draws equal default_rng(seed)'s over any interleaving
-    of random(), random(n) < t, and integers(0, k) with size 6 or none,
-    whatever the chunk of words read at a time: k = 2**31 + 1 rejects
-    about half the outputs, and a scalar integers call leaves a high half
-    kept across later doubles and chunks."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(featsel, "DRAW_CHUNK", chunk)
-        draws = featsel._Pcg64Draws(seed)
-        rng = np.random.default_rng(seed)
-        for op, *args in ops + [("integers6", 30), ("random",)]:
-            if op == "random":
-                assert draws.random() == rng.random()
-            elif op == "below":
-                t, n = args
-                assert draws.below(t, n) == pack_bits(rng.random(n) < t)
-            elif op == "integers6":
-                k, = args
-                assert draws.integers(k, 6) \
-                    == rng.integers(0, k, size=6).tolist()
-            else:
-                k, = args
-                assert draws.integers(k, 1) == [int(rng.integers(0, k))]
-
-
-def reference_mask_key(mask):
-    return np.packbits(mask).tobytes()
+                k = step % 3
+                assert bulk.integers(0, width, k).tolist() \
+                    == [int(single.integers(0, width)) for _ in range(k)]
+        assert bulk.bit_generator.state == single.bit_generator.state
 
 
 def reference_genetic_select(data, evaluator="knn", config=None,
                              return_history=False):
-    """genetic_select over boolean mask arrays and the Generator's own
-    calls, as it was before masks became ints."""
-    if not data.both_classes():
-        raise DegenerateDataError("selection needs both classes")
+    """genetic_select bred child by child over lists of boolean masks.
+
+    Per generation it draws all tournaments, then every crossover coin,
+    every coin mask, every mutation mask and every repair bit, each alone,
+    which leaves the Generator where genetic_select's bulk calls do
+    (test_paired_tournament_draw_equals_two_draws).
+    """
     config = config or GaConfig()
-    n = data.n_features
+    n, size = data.n_features, config.population
     rng = np.random.default_rng(config.seed)
 
     cache = {}
 
     def fitness(mask):
-        key = reference_mask_key(mask)
+        key = tuple(mask.tolist())
         if key not in cache:
             indices = np.flatnonzero(mask)
             acc = cross_val_accuracy(data, indices.tolist(), evaluator,
@@ -717,50 +732,42 @@ def reference_genetic_select(data, evaluator="knn", config=None,
                           acc)
         return cache[key]
 
-    def random_mask():
-        while True:
-            mask = rng.random(n) < 0.5
-            if mask.any():
-                return mask
+    def repaired(masks):
+        for mask in masks:
+            if not mask.any():
+                mask[rng.integers(0, n)] = True
+        return masks
 
-    population = [random_mask() for _ in range(config.population)]
-
-    def tournament(scores, picks):
-        best = min(picks, key=lambda i: (-scores[i], i))
-        return population[best]
-
+    population = repaired([rng.random(n) < 0.5 for _ in range(size)])
     best_mask = None
     best_fit = -np.inf
     history = []
     for generation in range(config.generations + 1):
         scores = [fitness(m)[0] for m in population]
-        top = int(np.argmax(scores))
-        if scores[top] > best_fit:
-            best_fit = scores[top]
-            best_mask = population[top].copy()
+
+        def winner(picks):
+            return population[min(picks, key=lambda i: (-scores[i], i))]
+
+        top = winner(range(size))
+        if fitness(top)[0] > best_fit:
+            best_fit = fitness(top)[0]
+            best_mask = top.copy()
         if generation == config.generations:
             break  # the final population counts toward best-ever only
         history.append(best_fit)
 
-        nxt = [best_mask.copy()]  # elitism
-        while len(nxt) < config.population:
-            # one draw for both tournaments gives the two size-3 draws'
-            # values and leaves the generator as they do: each bounded
-            # value takes its own 32-bit output, whatever the size
-            picks = rng.integers(0, len(population), size=6).tolist()
-            pa = tournament(scores, picks[:3])
-            pb = tournament(scores, picks[3:])
-            if rng.random() < config.crossover_rate:
-                coin = rng.random(n) < 0.5
-                child = np.where(coin, pa, pb)
-            else:
-                child = pa.copy()
-            flip = rng.random(n) < config.mutation_rate
-            child = child ^ flip
-            if not child.any():
-                child[rng.integers(0, n)] = True
-            nxt.append(child)
-        population = nxt
+        children = range(size - 1)
+        picks = [[rng.integers(0, size, size=3).tolist() for _ in "ab"]
+                 for _ in children]
+        cross = [rng.random() < config.crossover_rate for _ in children]
+        coins = [rng.random(n) < 0.5 for _ in children]
+        flips = [rng.random(n) < config.mutation_rate for _ in children]
+        bred = []
+        for (ta, tb), crossed, coin, flip in zip(picks, cross, coins, flips):
+            pa, pb = winner(ta), winner(tb)
+            child = np.where(coin, pa, pb) if crossed else pa.copy()
+            bred.append(child ^ flip)
+        population = [best_mask.copy()] + repaired(bred)  # elitism
 
     accuracy = fitness(best_mask)[1]
     subset = FeatureSubset(tuple(np.flatnonzero(best_mask).tolist()), accuracy)
@@ -795,9 +802,9 @@ def ga_cases(draw):
 @settings(max_examples=100, deadline=None)
 @given(ga_cases())
 def test_genetic_select_equals_reference_property(case):
-    """Integer masks and decoded draws select what boolean masks and the
-    Generator's own calls select: the same indices, score bits and
-    history bits (one column exercises the integers(0, 1) repair)."""
+    """Breeding a generation with array operations selects what breeding
+    child by child selects: the same indices, score bits and history bits
+    (one column exercises the integers(0, 1) repair)."""
     data, evaluator, config = case
     subset, history = genetic_select(data, evaluator, config,
                                      return_history=True)

@@ -29,3 +29,24 @@ def test_summarize_reports_the_first_timed_pass():
     assert entry["first_pass_s"] == {
         "parent": [1.1], "change": [0.4], "parent_median": 1.1,
         "change_median": 0.4, "change_better_pairs": 1, "pairs": 1}
+
+
+def test_selections_compare_parsed_features_and_score(tmp_path):
+    # two layouts of one selection are equal; a moved score is not, and
+    # both sides' values are kept
+    bench = _paired_bench()
+    one_line = tmp_path / "one_line.json"
+    one_line.write_text('{"features": ["GBV", "LOT"], "score": 1.0}\n')
+    indented = tmp_path / "indented.json"
+    indented.write_text('{\n  "score": 1.0,\n  "features": [\n    "GBV",\n'
+                        '    "LOT"\n  ]\n}\n')
+    other = tmp_path / "other.json"
+    other.write_text('{"features": ["GBV", "LOT"], "score": 0.95}\n')
+    parent = {"MD": bench.read_selection(one_line)}
+    assert bench.compare_selections(
+        parent, {"MD": bench.read_selection(indented)})["identical"]
+    moved = {"MD": bench.read_selection(other)}
+    assert bench.compare_selections(parent, moved) == {
+        "identical": False,
+        "parent": {"MD": {"features": ["GBV", "LOT"], "score": 1.0}},
+        "change": {"MD": {"features": ["GBV", "LOT"], "score": 0.95}}}

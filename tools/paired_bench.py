@@ -15,7 +15,8 @@ off (PYTHONDONTWRITEBYTECODE=1), so every import compiles on both sides.
 
 For build-models each side also regenerates every seed's campaign and
 genetic selections with the command line, as the workload does, and the
-file records whether the four selection files are byte-identical.
+file records each side's selected features and score per seed and group,
+and whether the two sides selected the same, whatever the file layout.
 
 The output holds every run (exit code, wall time, the report and result
 lines) and, per workload and end-to-end metric of BENCHMARK.json, both
@@ -29,7 +30,6 @@ medians and the pairs the change won; no bound applies to it.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import shutil
@@ -86,8 +86,20 @@ def bench_run(side_dir, workload, seed):
             "stderr_tail": proc.stderr[-2000:]}
 
 
+def read_selection(path):
+    """The features and score of one selection file, whatever its layout."""
+    doc = json.loads(Path(path).read_text())
+    return {"features": doc["features"], "score": doc["score"]}
+
+
+def compare_selections(parent, change):
+    """Both sides' {group: selection} and whether they are all equal."""
+    return {"identical": parent == change, "parent": parent, "change": change}
+
+
 def selections(side_dir, scratch, seed):
-    """sha256 of each group's genetic selection of build-models' campaign."""
+    """{group: read_selection} of build-models' campaign's genetic
+    selections."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(side_dir / "src"))
     shutil.rmtree(scratch, ignore_errors=True)
@@ -101,15 +113,15 @@ def selections(side_dir, scratch, seed):
 
     cli("gen", "--config", str(config), "--seed", str(seed),
         "--out", str(scratch / "campaign"))
-    digests = {}
+    picks = {}
     for i, group in enumerate(GROUPS):
         out = scratch / ("selection_%s.json" % group)
         cli("select", "--data", str(scratch / "campaign" / ("%s_test.csv"
                                                             % group)),
             "--method", "genetic", "--algo", "knn",
             "--seed", str(seed * len(GROUPS) + i), "--out", str(out))
-        digests[group] = hashlib.sha256(out.read_bytes()).hexdigest()
-    return digests
+        picks[group] = read_selection(out)
+    return picks
 
 
 def summarize(runs, metrics):
@@ -176,7 +188,7 @@ def main(argv=None):
     sides = checkout(args.work.resolve(), args.parent)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    runs, identical = [], {}
+    runs, chosen = [], {}
     for workload, seeds in plan:
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -188,9 +200,10 @@ def main(argv=None):
                     workload, seed, side, run["exit_code"], run["wall_s"]),
                     file=sys.stderr)
             if workload == "build-models":
-                digests = {side: selections(sides[side], args.work / "select",
-                                            seed) for side in order}
-                identical[str(seed)] = digests["parent"] == digests["change"]
+                picks = {side: selections(sides[side], args.work / "select",
+                                          seed) for side in order}
+                chosen[str(seed)] = compare_selections(picks["parent"],
+                                                       picks["change"])
     failed = [r for r in runs if r["result"] is None]
     meta = next(r["report"]["meta"] for r in runs if r["report"])
     doc = {
@@ -208,7 +221,7 @@ def main(argv=None):
         "host": {k: meta[k] for k in ("python", "numpy", "scipy", "nproc",
                                       "cpu_model")},
         "seeds": {workload: seeds for workload, seeds in plan},
-        "selections_identical": identical,
+        "selections": chosen,
         "summary": summarize([r for r in runs if r["result"]], metrics),
         "runs": runs,
     }
