@@ -278,27 +278,27 @@ def svm_train(data: LabeledSet, c_param=1.0) -> SvmModel:
 KNN_BLOCK_FLOATS = 65536
 
 
-def _sq_planes(stored, queries) -> np.ndarray:
-    """Squared differences ``(stored - query) ** 2`` of the (stored,
-    features) and (queries, features) rows, as one C-ordered (queries,
-    stored) plane per feature."""
-    diff = np.subtract(stored.T[:, None, :], queries.T[:, :, None], order="C")
-    return diff * diff
+def _sq_planes(stored_t, queries_t, out) -> np.ndarray:
+    """Squared differences ``(stored - query) ** 2``, written into and
+    returned as ``out``: the (queries, stored) plane of one feature's two
+    rows, or for (features, stored) and (features, queries) matrices one
+    such plane per feature.  A square beyond float range is +inf."""
+    diff = np.subtract(stored_t[..., None, :], queries_t[..., :, None], out)
+    with np.errstate(over="ignore"):
+        return np.multiply(diff, diff, out=diff)
 
 
 class _PlaneView:
-    """``_sq_planes(stored_t.T, queries_t.T)[c]`` built on lookup into
-    ``out``, one (queries, stored) buffer that the next lookup overwrites.
-    ``stored_t`` and ``queries_t`` hold one feature per row, so a lookup
-    reads two contiguous rows."""
+    """``_sq_planes`` of feature c's rows of ``stored_t`` and ``queries_t``
+    on lookup ``[c]``, built into ``out``, one (queries, stored) buffer
+    that the next lookup overwrites.  ``stored_t`` and ``queries_t`` hold
+    one feature per row, so a lookup reads two contiguous rows."""
 
     def __init__(self, stored_t, queries_t, out):
         self.stored_t, self.queries_t, self.out = stored_t, queries_t, out
 
     def __getitem__(self, c):
-        diff = np.subtract(self.stored_t[c], self.queries_t[c, :, None],
-                           out=self.out)
-        return np.multiply(diff, diff, out=diff)
+        return _sq_planes(self.stored_t[c], self.queries_t[c], self.out)
 
 
 def _nearest(planes, columns) -> np.ndarray:
@@ -312,8 +312,9 @@ def _nearest(planes, columns) -> np.ndarray:
     """
     columns = iter(columns)
     total = planes[next(columns)].copy()
-    for c in columns:
-        total += planes[c]
+    with np.errstate(over="ignore"):
+        for c in columns:
+            total += planes[c]
     return np.sqrt(total, out=total).argmin(axis=1)
 
 
@@ -586,7 +587,8 @@ def _simplify(rule, xz, y):
     pessimistic error, ``binom_upper`` of the rows the rest covers; a tie
     (no worse) still drops, preferring shorter rules, then the lowest
     index.  Each condition's mask is built once, and "drop i" covers the
-    AND of the masks before i and of those after it."""
+    AND of the masks before i and of those after it.  Returns the pruned
+    rule, with its training error rate, and the mask of the rows it covers."""
     conds = list(rule.conditions)
     masks = [_coverage((c,), xz) for c in conds]
     wrong = y != rule.klass
@@ -595,20 +597,23 @@ def _simplify(rule, xz, y):
         return binom_upper(int(np.count_nonzero(mask & wrong)),
                            int(np.count_nonzero(mask)), C45_CF)
 
-    current = pessimistic(_coverage(conds, xz))
+    covered = np.logical_and.reduce([np.ones(len(y), dtype=bool), *masks])
+    current = pessimistic(covered)
     while conds:
         prefix = suffix = [np.ones(len(y), dtype=bool)]
         for mask in masks:
             prefix = prefix + [prefix[-1] & mask]
         for mask in reversed(masks):
             suffix = [mask & suffix[0]] + suffix
-        cand, i = min((pessimistic(prefix[i] & suffix[i + 1]), i)
-                      for i in range(len(conds)))
+        drops = [prefix[i] & suffix[i + 1] for i in range(len(conds))]
+        cand, i = min((pessimistic(mask), i) for i, mask in enumerate(drops))
         if cand > current:
             break
         del conds[i], masks[i]
-        current = cand
-    return Rule(tuple(conds), rule.klass)
+        current, covered = cand, drops[i]
+    n = int(np.count_nonzero(covered))
+    error = int(np.count_nonzero(covered & wrong)) / n if n else 1.0
+    return Rule(tuple(conds), rule.klass, error), covered
 
 
 def c45_train(data: LabeledSet) -> C45Model:
@@ -624,23 +629,17 @@ def c45_train(data: LabeledSet) -> C45Model:
 
     xz, y = data.xz, data.y
     rules, seen = [], set()
+    covered = np.zeros(len(y), dtype=bool)
     for raw in _rules(xz, y):
-        simplified = _simplify(raw, xz, y)
-        if not simplified.conditions:
+        # equal conditions and class cover the same rows: the error is equal
+        rule, mask = _simplify(raw, xz, y)
+        if not rule.conditions or rule in seen:
             continue
-        key = (simplified.conditions, simplified.klass)
-        if key in seen:
-            continue
-        seen.add(key)
-        mask = _coverage(simplified.conditions, xz)
-        n = int(mask.sum())
-        err = float((y[mask] != simplified.klass).sum() / n) if n else 1.0
-        rules.append(Rule(simplified.conditions, simplified.klass, err))
+        seen.add(rule)
+        rules.append(rule)
+        covered |= mask
 
     rules.sort(key=lambda r: r.error)
-    covered = np.zeros(len(y), dtype=bool)
-    for rule in rules:
-        covered |= _coverage(rule.conditions, xz)
     uncovered = y[~covered]
     default = _majority(uncovered) if uncovered.size else _majority(y)
     return C45Model(tuple(rules), default, data.standardization)

@@ -136,8 +136,8 @@ class _Split:
         start = 0
         for i, f in enumerate(folds):
             m = len(f.train)
-            planes[:, start:start + sizes[i], :m] = _sq_planes(f.train.xz,
-                                                               f.test_z)
+            _sq_planes(f.train.xz.T, f.test_z.T,
+                       planes[:, start:start + sizes[i], :m])
             train_y[i, :m] = f.train.y
             start += sizes[i]
         query_fold = np.repeat(np.arange(len(folds)), sizes)

@@ -340,16 +340,15 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
     Ground truth on both partitions comes from the generator's own
     profile over the signal parameters, so denominators match the
     injected attack counts exactly.  Filters narrow the matrix; a repeated
-    filter value or an unknown dataset raises SchemaError.  The full
-    default grid is 3 * 2 * 3 * 4 = 72 cells in canonical order.
-    Training has no randomness, so cells that share a classifier, view,
-    group and training labels (every sensitivity, under the "five" attack
-    pattern) train once and share the test predictions.  Each (group,
-    view) builds its training LabeledSet and test matrix once, at the
-    first model that needs them; a later model with other training labels
-    shares that set's matrices and standardization.
-    ``config`` carries only the recorded seed and does not change the
-    result.
+    filter value or an unknown dataset raises SchemaError, and results
+    follow the filters' classifier, dataset, sensitivity, group order (72
+    cells by default).  Cells run by group, then view: a group attacks its
+    training partition once, and a (group, view) builds its training
+    LabeledSet and test matrix at its first cell, for all its models.
+    Training has no randomness, so a classifier's cells with equal
+    training labels (every sensitivity under the "five" pattern) train
+    once and share the test predictions.  The first failing cell in run
+    order raises.  ``config`` carries only the recorded seed.
     """
     groups = tuple(groups) if groups else GROUPS
     datasets = tuple(datasets) if datasets else DATASET_KINDS
@@ -366,14 +365,9 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
             raise SchemaError("unknown dataset %r" % (d,))
 
     signal = list(campaign.signal)
-    results = []
-    prepared = {}
-    # (classifier, view, group) fix both matrices, so a cell whose training
-    # labels match an earlier cell's trains the same model: reuse its test
-    # predictions
-    predictions = {}
-    # (group, view) -> (training LabeledSet, test matrix)
-    views = {}
+    feature_views = {"full": list(campaign.config.schema()),
+                     "reduced": signal}
+    cells = {}
     for group in groups:
         data = campaign.groups[group]
         train_mixed, _ = inject_attacks(
@@ -381,32 +375,25 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
             campaign.config.attack_rate,
             seed=derive_seed(campaign.config.seed, group, "train-attack"),
             signal=signal, burst_len=campaign.config.burst_len)
-        prepared[group] = (data, train_mixed)
-
-    schema = campaign.config.schema()
-    feature_views = {"full": list(schema), "reduced": signal}
-
-    for clf in classifiers:
         for dataset in datasets:
             features = feature_views[dataset]
-            for s_pct in sensitivities:
-                sens = SensitivityDegree(s_pct)
-                for group in groups:
-                    data, train_mixed = prepared[group]
+            base = None  # the view's training LabeledSet
+            for clf in classifiers:
+                predictions = {}  # training labels -> test predictions
+                for s_pct in sensitivities:
+                    sens = SensitivityDegree(s_pct)
                     y_train = label_ground_truth(train_mixed, data.profile,
                                                  signal, sens)
-                    key = (clf, dataset, group, y_train.tobytes())
-                    y_pred = predictions.get(key)
-                    if y_pred is None:
-                        if (group, dataset) not in views:
-                            views[group, dataset] = (
-                                LabeledSet.from_raw(
-                                    train_mixed.to_matrix(features), y_train),
-                                data.test.to_matrix(features))
-                        base, x_test = views[group, dataset]
+                    key = y_train.tobytes()
+                    if key not in predictions:
+                        if base is None:
+                            base = LabeledSet.from_raw(
+                                train_mixed.to_matrix(features), y_train)
+                            x_test = data.test.to_matrix(features)
                         model = train_classifier(clf, LabeledSet(
                             base.x, y_train, base.standardization, base.xz))
-                        y_pred = predictions[key] = predict_labels(model, x_test)
+                        predictions[key] = predict_labels(model, x_test)
+                    y_pred = predictions[key]
 
                     y_true = label_ground_truth(data.test, data.profile,
                                                 signal, sens)
@@ -414,7 +401,9 @@ def run_matrix(campaign: Campaign, config: MatrixConfig = None, groups=None,
                     fp = int(((y_pred == ANOMALOUS) & (y_true == NORMAL)).sum())
                     tn = int(((y_pred == NORMAL) & (y_true == NORMAL)).sum())
                     fn = int(((y_pred == NORMAL) & (y_true == ANOMALOUS)).sum())
-                    adr, fpr, sa = metrics(tp, fp, tn, fn)
-                    results.append(ScenarioResult(group, dataset, s_pct, clf,
-                                                  tp, fp, tn, fn, adr, fpr, sa))
-    return EvaluationReport(tuple(results))
+                    cells[clf, dataset, s_pct, group] = ScenarioResult(
+                        group, dataset, s_pct, clf, tp, fp, tn, fn,
+                        *metrics(tp, fp, tn, fn))
+    return EvaluationReport(tuple(
+        cells[c, d, s, g] for c in classifiers for d in datasets
+        for s in sensitivities for g in groups))

@@ -261,6 +261,20 @@ def test_knn_tie_breaks_to_lowest_index():
     assert knn_predict(knn_train(flipped), [1.0]) == ANOMALOUS
 
 
+@pytest.mark.parametrize("far", [1e3, 120.0], ids=["square", "sum"])
+def test_knn_distance_beyond_float_range_is_inf_without_a_warning(far):
+    # a spread of 1e-152 puts the far query's standardized difference near
+    # 1e155 (its square overflows) or 1.2e154 (each square is finite but
+    # their sum is not); every distance is +inf and the lowest index wins
+    x = np.array([[1e-152, 1e-152], [-1e-152, -1e-152],
+                  [1e-152, -1e-152], [-1e-152, 1e-152]])
+    model = knn_train(LabeledSet.from_raw(x, [NORMAL, ANOMALOUS] * 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert predict_labels(model, [[far, far], [-1e-152, -1e-152]]) \
+            .tolist() == [NORMAL, ANOMALOUS]
+
+
 def test_knn_matches_distance_oracle():
     rng = np.random.default_rng(8)
     for _ in range(15):
@@ -502,7 +516,9 @@ def reference_pessimistic(conditions, klass, xz, y):
 
 
 def reference_simplify(rule, xz, y):
-    """The rule pruning that re-covered every candidate rule from scratch."""
+    """The rule pruning that re-covered every candidate rule from scratch:
+    the pruned rule with its training error rate, and its coverage mask,
+    both from a fresh coverage of the kept conditions."""
     conds = list(rule.conditions)
     current = reference_pessimistic(conds, rule.klass, xz, y)
     while conds:
@@ -517,7 +533,10 @@ def reference_simplify(rule, xz, y):
             current = cand
         else:
             break
-    return Rule(tuple(conds), rule.klass)
+    mask = classifiers._coverage(conds, xz)
+    n = int(mask.sum())
+    error = float((y[mask] != rule.klass).sum() / n) if n else 1.0
+    return Rule(tuple(conds), rule.klass, error), mask
 
 
 @dataclasses.dataclass

@@ -150,6 +150,27 @@ def test_evaluate_filters(campaign_dir, capsys):
     assert "(6 cells)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("pattern", ["one", "three"])
+def test_evaluate_refuses_a_campaign_with_one_class_cells(pattern, tmp_path,
+                                                          capsys):
+    # under "one" and "three" no training row is anomalous at sensitivity
+    # 20 %, so the first such cell has nothing to train on
+    config = tmp_path / "gen.json"
+    config.write_text(json.dumps({"rows_per_group": 60,
+                                  "attack_pattern": pattern}))
+    campaign = tmp_path / "campaign"
+    assert main(["gen", "--config", str(config), "--seed", "3",
+                 "--out", str(campaign)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "report"
+    assert main(["evaluate", "--campaign", str(campaign),
+                 "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: training data must contain both classes\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_evaluate_unmeetable_rule_exits_one(campaign_dir, tmp_path, capsys):
     rules = tmp_path / "rules.json"
     rules.write_text(json.dumps(
@@ -319,6 +340,37 @@ def test_select_refuses_a_feature_beyond_float_range(small_campaign_dir,
     err = capsys.readouterr().err
     assert err == "error: feature column %d: the mean or spread " \
         "overflows float range\n" % schema.index("LOT"), err
+
+
+def fresh_env():
+    """The environment for a fresh interpreter that imports this package's
+    source before anything else on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(icn_sentinel.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_select_knn_scores_a_far_row_without_an_overflow_warning(
+        small_campaign_dir, tmp_path):
+    # LOT's spread is tiny but non-zero, and one row sits far out: in the
+    # folds that hold it out, its squared distance overflows to +inf, which
+    # used to print numpy's multiply overflow warning
+    lines = (small_campaign_dir / "MD_test.csv").read_text().splitlines()
+    at = lines[0].split(",").index("LOT")
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[at] = "1000" if i == 1 else "1e-152" if i % 2 else "-1e-152"
+        lines[i] = ",".join(cells)
+    data = tmp_path / "far.csv"
+    data.write_text("\n".join(lines) + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "icn_sentinel.cli", "select", "--data",
+         str(data), "--method", "greedy", "--algo", "knn", "--seed", "0",
+         "--out", str(tmp_path / "selection.json")],
+        env=fresh_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
+    assert json.loads((tmp_path / "selection.json").read_text())["features"]
 
 
 def test_train_refuses_a_baseline_beyond_float_range(small_campaign_dir,
@@ -1221,13 +1273,10 @@ def test_one_parser_serves_every_command(small_campaign_dir, tmp_path, capsys):
 
 def _scipy_after(code):
     """The scipy modules loaded once a fresh interpreter has run code."""
-    src = os.path.dirname(os.path.dirname(icn_sentinel.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-c", code + "\nimport json, sys\nprint(json.dumps("
          "[m for m in sys.modules if m.split('.')[0] == 'scipy']))"],
-        env=env, capture_output=True, text=True)
+        env=fresh_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
 

@@ -217,9 +217,10 @@ def assert_own_fit_planes(seen, data, indices, seed):
         rows = slice(start, start + int(np.count_nonzero(mask)))
         ref = LabeledSet.from_raw(x[~mask], data.y[~mask])
         own = len(ref.y)
+        test_z = ref.standardization.apply(x[mask])
         assert_bitwise(np.ascontiguousarray(planes[indices, rows, :own]),
-                       classifiers._sq_planes(
-                           ref.xz, ref.standardization.apply(x[mask])))
+                       np.ascontiguousarray(
+                           (ref.xz.T[:, None, :] - test_z.T[:, :, None]) ** 2))
         assert (planes[:, rows, own:] == np.inf).all()
         start = rows.stop
     assert start == len(data.y)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import pathlib
 import re
 import tempfile
@@ -344,11 +345,17 @@ def test_a_filtered_matrix_keeps_each_cell_of_the_full_run(pattern, seed):
                + [{"groups": ["ND", "AD"], "datasets": ["reduced"],
                    "sensitivities": [100, 20], "classifiers": ["c45", "svm"]}])
     dims = ("classifiers", "datasets", "sensitivities", "groups")
+    every = dict(zip(dims, (CLASSIFIER_KINDS, DATASET_KINDS, SENSITIVITIES,
+                            GROUPS)))
+    assert list(full) == list(itertools.product(*every.values()))
     for f in filters:
         cells = run_matrix(campaign, **f).results
         assert sorted(map(cell_key, cells)) == sorted(
             key for key in full
             if all(v in f.get(d, (v,)) for d, v in zip(dims, key))), f
+        # in the filters' own order: classifier, dataset, sensitivity, group
+        assert list(map(cell_key, cells)) == list(itertools.product(
+            *(f.get(d, every[d]) for d in dims))), f
         for r in cells:
             assert r == full[cell_key(r)], f
 

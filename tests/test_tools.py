@@ -43,10 +43,36 @@ def test_selections_compare_parsed_features_and_score(tmp_path):
     other = tmp_path / "other.json"
     other.write_text('{"features": ["GBV", "LOT"], "score": 0.95}\n')
     parent = {"MD": bench.read_selection(one_line)}
-    assert bench.compare_selections(
+    assert bench.compare_sides(
         parent, {"MD": bench.read_selection(indented)})["identical"]
     moved = {"MD": bench.read_selection(other)}
-    assert bench.compare_selections(parent, moved) == {
+    assert bench.compare_sides(parent, moved) == {
         "identical": False,
         "parent": {"MD": {"features": ["GBV", "LOT"], "score": 1.0}},
         "change": {"MD": {"features": ["GBV", "LOT"], "score": 0.95}}}
+
+
+def test_reports_compare_each_file_byte_for_byte(tmp_path):
+    # equal bytes and exit codes match; one changed byte, a file not
+    # written or another exit code does not, and the file is named
+    bench = _paired_bench()
+    sides = {}
+    for side in ("parent", "change"):
+        report = tmp_path / side
+        report.mkdir()
+        (report / "report.csv").write_text("classifier,dataset\nsvm,full\n")
+        (report / "report.txt").write_text("SVM, sensitivity 20%\n")
+        (report / "run.json").write_text('{"seed": 3}\n')
+        sides[side] = report
+    parent = bench.read_report(sides["parent"], 0)
+    assert set(parent) == {"exit_code", *bench.REPORT_FILES}
+    assert bench.compare_sides(
+        parent, bench.read_report(sides["change"], 0))["identical"]
+    assert not bench.compare_sides(
+        parent, bench.read_report(sides["change"], 3))["identical"]
+    (sides["change"] / "report.txt").write_text("SVM, sensitivity 60%\n")
+    moved = bench.read_report(sides["change"], 0)
+    assert [k for k in parent if parent[k] != moved[k]] == ["report.txt"]
+    assert not bench.compare_sides(parent, moved)["identical"]
+    (sides["change"] / "run.json").unlink()
+    assert bench.read_report(sides["change"], 0)["run.json"] is None

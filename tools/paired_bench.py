@@ -17,6 +17,10 @@ For build-models each side also regenerates every seed's campaign and
 genetic selections with the command line, as the workload does, and the
 file records each side's selected features and score per seed and group,
 and whether the two sides selected the same, whatever the file layout.
+For evaluate-matrix each side likewise regenerates every seed's campaign
+and runs evaluate on it with --out, and the file records each side's exit
+code and the sha256 of its report.csv, report.txt and run.json per seed,
+and whether the two sides match byte for byte.
 
 The output holds every run (exit code, wall time, the report and result
 lines) and, per workload and end-to-end metric of BENCHMARK.json, both
@@ -30,6 +34,7 @@ medians and the pairs the change won; no bound applies to it.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -44,6 +49,9 @@ SECONDS = 25
 GROUPS = ("MD", "AD", "ED", "ND")
 # the build-models campaign size and GA seeds of bench/run.py
 BUILD_ROWS_PER_GROUP = 120
+# the evaluate-matrix campaign size of bench/run.py, and evaluate's outputs
+EVALUATE_ROWS_PER_GROUP = 360
+REPORT_FILES = ("report.csv", "report.txt", "run.json")
 
 
 def git(*args, **kwargs):
@@ -92,36 +100,62 @@ def read_selection(path):
     return {"features": doc["features"], "score": doc["score"]}
 
 
-def compare_selections(parent, change):
-    """Both sides' {group: selection} and whether they are all equal."""
+def compare_sides(parent, change):
+    """Both sides' values and whether they are equal."""
     return {"identical": parent == change, "parent": parent, "change": change}
+
+
+def read_report(directory, exit_code):
+    """evaluate's exit code and the sha256 of each of its report files in
+    directory, None for a file it did not write."""
+    digests = {name: hashlib.sha256((directory / name).read_bytes())
+               .hexdigest() if (directory / name).is_file() else None
+               for name in REPORT_FILES}
+    return {"exit_code": exit_code, **digests}
+
+
+def side_cli(side_dir, *args, check=True):
+    """Run the side's command line with args; the finished process."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=str(side_dir / "src"))
+    return subprocess.run([sys.executable, "-m", "icn_sentinel.cli", *args],
+                          env=env, check=check, capture_output=True)
+
+
+def campaign(side_dir, scratch, seed, rows_per_group):
+    """A fresh scratch holding the side's campaign of seed, as the
+    workloads generate it."""
+    shutil.rmtree(scratch, ignore_errors=True)
+    scratch.mkdir(parents=True)
+    config = scratch / "gen.json"
+    config.write_text(json.dumps({"rows_per_group": rows_per_group}))
+    side_cli(side_dir, "gen", "--config", str(config), "--seed", str(seed),
+             "--out", str(scratch / "campaign"))
+    return scratch / "campaign"
 
 
 def selections(side_dir, scratch, seed):
     """{group: read_selection} of build-models' campaign's genetic
     selections."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
-               PYTHONPATH=str(side_dir / "src"))
-    shutil.rmtree(scratch, ignore_errors=True)
-    scratch.mkdir(parents=True)
-    config = scratch / "gen.json"
-    config.write_text(json.dumps({"rows_per_group": BUILD_ROWS_PER_GROUP}))
-
-    def cli(*args):
-        subprocess.run([sys.executable, "-m", "icn_sentinel.cli", *args],
-                       env=env, check=True, capture_output=True)
-
-    cli("gen", "--config", str(config), "--seed", str(seed),
-        "--out", str(scratch / "campaign"))
+    camp = campaign(side_dir, scratch, seed, BUILD_ROWS_PER_GROUP)
     picks = {}
     for i, group in enumerate(GROUPS):
         out = scratch / ("selection_%s.json" % group)
-        cli("select", "--data", str(scratch / "campaign" / ("%s_test.csv"
-                                                            % group)),
-            "--method", "genetic", "--algo", "knn",
-            "--seed", str(seed * len(GROUPS) + i), "--out", str(out))
+        side_cli(side_dir, "select", "--data",
+                 str(camp / ("%s_test.csv" % group)), "--method", "genetic",
+                 "--algo", "knn", "--seed", str(seed * len(GROUPS) + i),
+                 "--out", str(out))
         picks[group] = read_selection(out)
     return picks
+
+
+def evaluation(side_dir, scratch, seed):
+    """read_report of evaluate over evaluate-matrix's campaign, with the
+    workload's seed."""
+    camp = campaign(side_dir, scratch, seed, EVALUATE_ROWS_PER_GROUP)
+    proc = side_cli(side_dir, "evaluate", "--campaign", str(camp), "--out",
+                    str(scratch / "report"), "--seed", str(seed), check=False)
+    return read_report(scratch / "report", proc.returncode)
 
 
 def summarize(runs, metrics):
@@ -188,7 +222,7 @@ def main(argv=None):
     sides = checkout(args.work.resolve(), args.parent)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
-    runs, chosen = [], {}
+    runs, chosen, reports = [], {}, {}
     for workload, seeds in plan:
         for i, seed in enumerate(seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -202,8 +236,13 @@ def main(argv=None):
             if workload == "build-models":
                 picks = {side: selections(sides[side], args.work / "select",
                                           seed) for side in order}
-                chosen[str(seed)] = compare_selections(picks["parent"],
-                                                       picks["change"])
+                chosen[str(seed)] = compare_sides(picks["parent"],
+                                                  picks["change"])
+            if workload == "evaluate-matrix":
+                made = {side: evaluation(sides[side], args.work / "evaluate",
+                                         seed) for side in order}
+                reports[str(seed)] = compare_sides(made["parent"],
+                                                   made["change"])
     failed = [r for r in runs if r["result"] is None]
     meta = next(r["report"]["meta"] for r in runs if r["report"])
     doc = {
@@ -222,6 +261,7 @@ def main(argv=None):
                                       "cpu_model")},
         "seeds": {workload: seeds for workload, seeds in plan},
         "selections": chosen,
+        "reports": reports,
         "summary": summarize([r for r in runs if r["result"]], metrics),
         "runs": runs,
     }
